@@ -460,7 +460,12 @@ def canonical_curvature_field(
         z0 = z0 if z0 is not None else data.base_point
         result = canonicalize(data.f, data.g, w0=w0, z0=z0, domain=domain, grid=grid, sign=sign)
         zvals = result.z_values
+    return SampledField(us, vs, _curvature_at(data, zvals, gate))
 
+
+def _curvature_at(data: GeneratingData, zvals: SplitComplex, gate: float) -> np.ndarray:
+    """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node; NaN where a factor is
+    singular or 1 - |g|^2 is within `gate` of zero."""
     gvals, okg = _grid_eval(data.g, zvals)
     gpvals, okp = _grid_eval(data.g.derivative(), zvals)
     if data.f is not None:
@@ -483,7 +488,7 @@ def canonical_curvature_field(
             K = -16.0 * gpm2 / (fm2 * gap**4)
             ok = ok & (np.abs(fm2) > 1e-300)
         ok = ok & np.isfinite(K) & (np.abs(gap) > gate)
-    return SampledField(us, vs, np.where(ok, K, np.nan))
+    return np.where(ok, K, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -695,12 +700,6 @@ class FieldMatch:
     overlap: int
 
 
-def _shift_candidates(n1, n2, min_overlap_axis):
-    lo = -(n2 - min_overlap_axis)
-    hi = n1 - min_overlap_axis
-    return range(lo, hi + 1)
-
-
 def _overlap_slices(n1, n2, d):
     """Index ranges pairing field1[i] with field2[i - d]."""
     start1 = max(0, d)
@@ -716,75 +715,95 @@ def compare_curvature_fields(
 ) -> FieldMatch:
     """Match two canonical curvature fields modulo the parameter gauge.
 
-    Searches eps in {+1,-1} and lattice translations (multiples of the common
-    grid step), coarse stride first, then refined around the best candidates.
-    Ties are broken by the smallest |A| + |B|.  Raises InconclusiveOverlap
-    when no alignment shares at least min_overlap valid nodes.
+    The search is exhaustive over eps in {+1, -1} and every lattice
+    translation, i.e. a whole number of common grid steps per axis, under
+    which the fields overlap on at least axis_floor = max(2, isqrt(min_overlap))
+    indices along each axis and share at least min_overlap finite nodes.
+    The returned gauge minimises the key (max |K1 - K2| over the shared
+    nodes, |A| + |B|, eps = +1 before -1, index shift), so ties go to the
+    smallest translation.
+
+    Masked FFT correlations (Padfield, IEEE TIP 2012) give every translation
+    the RMS of K1 - K2 over its shared nodes, less a rounding margin: a lower
+    bound on its max discrepancy.  Translations are evaluated exactly in
+    increasing bound order until the next bound exceeds the best discrepancy
+    found, which returns the exhaustive answer.  Gauges off the lattice are
+    not recovered.  Raises InconclusiveOverlap when no translation qualifies.
     """
     h = field1.h_u
     for other in (field1.h_v, field2.h_u, field2.h_v):
         if abs(other - h) > 1e-9 * max(1.0, abs(h)):
             raise ValueError("fields must share one common grid step")
     axis_floor = max(2, int(np.sqrt(min_overlap)))
-    best = None
-    any_overlap = False
+    vals1 = field1.values
+    n1, m1 = vals1.shape
+    n2, m2 = field2.values.shape
+    shape = (n1 + n2 - 1, m1 + m2 - 1)
 
+    def spectrum(x):
+        return np.fft.rfft2(x, shape)
+
+    ok1 = np.isfinite(vals1)
+    a = np.where(ok1, vals1, 0.0)
+    ok2 = np.isfinite(field2.values)
+    b = np.where(ok2, field2.values, 0.0)
+    spec_ok1, spec_a2, spec_a = spectrum(ok1.astype(float)), spectrum(a * a), spectrum(a)
+    # An FFT correlation of x and y over N entries errs by at most about
+    # eps log2(N) |x|_2 |y|_1 per entry, and each term of the sum of squares
+    # below has |x|_2 |y|_1 <= N (sum a^2 + sum b^2).  Errors measured on
+    # fields spanning five decades stay below 1e-4 of this margin, so no
+    # bound exceeds the exact discrepancy.
+    size = shape[0] * shape[1]
+    margin = 4.0 * np.finfo(float).eps * np.log2(size) * size * (np.sum(a * a) + np.sum(b * b))
+
+    # entry k of a full correlation holds the index shift d = k - (n2 - 1)
+    shifts_u = np.arange(shape[0]) - (n2 - 1)
+    shifts_v = np.arange(shape[1]) - (m2 - 1)
+    span_u = np.minimum(n1, n2 + shifts_u) - np.maximum(0, shifts_u)
+    span_v = np.minimum(m1, m2 + shifts_v) - np.maximum(0, shifts_v)
+    axis_ok = (span_u >= axis_floor)[:, None] & (span_v >= axis_floor)[None, :]
+
+    oriented = {}
+    cands, bounds = [], []  # per eps: (eps, du, dv) arrays and discrepancy bounds
     for eps in (1, -1):
         if eps == 1:
-            us2, vs2, vals2 = field2.us, field2.vs, field2.values
+            oriented[eps] = (field2.us, field2.vs, field2.values)
+            ok_e, b_e = ok2, b
         else:
-            us2, vs2, vals2 = -field2.us[::-1], -field2.vs[::-1], field2.values[::-1, ::-1]
-        base_u = int(round((us2[0] - field1.us[0]) / h))
-        base_v = int(round((vs2[0] - field1.vs[0]) / h))
-        n1, m1 = field1.values.shape
-        n2, m2 = vals2.shape
+            oriented[eps] = (-field2.us[::-1], -field2.vs[::-1], field2.values[::-1, ::-1])
+            ok_e, b_e = ok2[::-1, ::-1], b[::-1, ::-1]
+        # correlation with the second field is convolution with it reversed
+        spec_ok2, spec_b2, spec_b = (spectrum(x[::-1, ::-1]) for x in (ok_e.astype(float), b_e * b_e, b_e))
+        count = np.rint(np.fft.irfft2(spec_ok1 * spec_ok2, shape))
+        # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
+        ssd = np.fft.irfft2(spec_a2 * spec_ok2 + spec_ok1 * spec_b2 - 2.0 * spec_a * spec_b, shape)
+        ku, kv = np.nonzero(axis_ok & (count >= min_overlap))
+        with np.errstate(invalid="ignore"):
+            bounds.append(np.sqrt(np.maximum(ssd[ku, kv] - margin, 0.0) / count[ku, kv]))
+        cands.append(np.stack([np.full(len(ku), eps), shifts_u[ku], shifts_v[kv]], axis=1))
 
-        def attempt(du, dv):
-            su1, su2 = _overlap_slices(n1, n2, base_u + du)
-            sv1, sv2 = _overlap_slices(m1, m2, base_v + dv)
-            if su1.stop <= su1.start or sv1.stop <= sv1.start:
-                return None
-            a = field1.values[su1, sv1]
-            b = vals2[su2, sv2]
-            both = np.isfinite(a) & np.isfinite(b)
-            count = int(np.sum(both))
-            if count < min_overlap:
-                return None
-            disc = float(np.max(np.abs(a[both] - b[both])))
-            A = float(field1.us[su1.start] - us2[su2.start])
-            B = float(field1.vs[sv1.start] - vs2[sv2.start])
-            return disc, count, A, B
-
-        du_cands = list(_shift_candidates(n1, n2, axis_floor))
-        dv_cands = list(_shift_candidates(m1, m2, axis_floor))
-        if len(du_cands) * len(dv_cands) > 2500:
-            coarse = []
-            for du in du_cands[::2]:
-                for dv in dv_cands[::2]:
-                    got = attempt(du, dv)
-                    if got is not None:
-                        coarse.append((got[0], du, dv))
-            coarse.sort(key=lambda c: c[0])
-            candidates = set()
-            for _, du0, dv0 in coarse[:12]:
-                for du in range(du0 - 2, du0 + 3):
-                    for dv in range(dv0 - 2, dv0 + 3):
-                        candidates.add((du, dv))
-        else:
-            candidates = {(du, dv) for du in du_cands for dv in dv_cands}
-
-        for du, dv in sorted(candidates):
-            got = attempt(du, dv)
-            if got is None:
-                continue
-            any_overlap = True
-            disc, count, A, B = got
-            key = (disc, abs(A) + abs(B), 0 if eps == 1 else 1)
-            if best is None or key < best[0]:
-                best = (key, FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, count))
-
-    if not any_overlap or best is None:
+    cands = np.concatenate(cands)
+    if not len(cands):
         raise InconclusiveOverlap(
             "no gauge alignment shares %d valid nodes" % min_overlap
         )
+    bounds = np.concatenate(bounds)
+    best = None
+    # a NaN bound (overflowing squares) never stops the pass, so it stays exact
+    for k in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[k] > best[0][0]:
+            break
+        eps, du, dv = (int(c) for c in cands[k])
+        us2, vs2, vals2 = oriented[eps]
+        su1, su2 = _overlap_slices(n1, n2, du)
+        sv1, sv2 = _overlap_slices(m1, m2, dv)
+        x = vals1[su1, sv1]
+        y = vals2[su2, sv2]
+        both = np.isfinite(x) & np.isfinite(y)
+        disc = float(np.max(np.abs(x[both] - y[both])))
+        A = float(field1.us[su1.start] - us2[su2.start])
+        B = float(field1.vs[sv1.start] - vs2[sv2.start])
+        key = (disc, abs(A) + abs(B), 0 if eps == 1 else 1, du, dv)
+        if best is None or key < best[0]:
+            best = (key, FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, int(np.sum(both))))
     return best[1]

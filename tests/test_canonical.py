@@ -6,6 +6,7 @@ from splitsurf.holofn import PLUS, build, expr_to_poly, integrate_real, parse
 from splitsurf.canonical import (
     BranchError,
     CanonicalGauge,
+    FieldMatch,
     InconclusiveOverlap,
     SampledField,
     apply_gauge,
@@ -270,3 +271,154 @@ def test_canonical_curvature_field_gates_blowup():
     assert np.all(np.isnan(field.values[gap <= 0.1]))
     inside = gap > 0.1
     assert np.allclose(field.values[inside], enneper_K(U, V)[inside])
+
+
+# ---------------------------------------------------------------------------
+# exact gauge search against a brute-force reference
+# ---------------------------------------------------------------------------
+
+
+def brute_force_match(field1, field2, tol=1e-4, min_overlap=9):
+    """Evaluate every eligible (eps, du, dv) and keep the smallest key."""
+    floor = max(2, int(np.sqrt(min_overlap)))
+    n1, m1 = field1.values.shape
+    n2, m2 = field2.values.shape
+    best = None
+    for eps in (1, -1):
+        us2, vs2, vals2 = field2.us, field2.vs, field2.values
+        if eps == -1:
+            us2, vs2, vals2 = -us2[::-1], -vs2[::-1], vals2[::-1, ::-1]
+        for du in range(-n2, n1 + 1):
+            for dv in range(-m2, m1 + 1):
+                i0, i1 = max(0, du), min(n1, n2 + du)
+                j0, j1 = max(0, dv), min(m1, m2 + dv)
+                if i1 - i0 < floor or j1 - j0 < floor:
+                    continue
+                x = field1.values[i0:i1, j0:j1]
+                y = vals2[i0 - du:i1 - du, j0 - dv:j1 - dv]
+                both = np.isfinite(x) & np.isfinite(y)
+                if both.sum() < min_overlap:
+                    continue
+                disc = float(np.max(np.abs(x[both] - y[both])))
+                A = float(field1.us[i0] - us2[i0 - du])
+                B = float(field1.vs[j0] - vs2[j0 - dv])
+                key = (disc, abs(A) + abs(B), 0 if eps == 1 else 1, du, dv)
+                if best is None or key < best[0]:
+                    match = FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, int(both.sum()))
+                    best = (key, match)
+    if best is None:
+        raise InconclusiveOverlap("no alignment")
+    return best[1]
+
+
+_H = 0.05
+
+
+def _field(values, u0, v0):
+    n, m = values.shape
+    return SampledField(u0 + _H * np.arange(n), v0 + _H * np.arange(m), values)
+
+
+def _holes(rng, values, density):
+    return np.where(rng.random(values.shape) < density, np.nan, values)
+
+
+def _random_pair(seed):
+    """Two fields from one of four families, by seed."""
+    rng = np.random.default_rng(seed)
+    family = seed % 4
+    n1, m1, n2, m2 = (int(k) for k in rng.integers(4, 19, size=4))
+    density = rng.choice([0.0, 0.1, 0.4])
+    if family == 0:
+        # unrelated noise on unrelated origins (not on a common lattice)
+        f1 = _field(_holes(rng, rng.normal(size=(n1, m1)), density), *rng.uniform(-1, 1, 2))
+        f2 = _field(_holes(rng, rng.normal(size=(n2, m2)), density), *rng.uniform(-1, 1, 2))
+        return f1, f2
+    if family == 1:
+        # windows of one array, the second reflected, at large offsets
+        big = rng.normal(size=(40, 40))
+        i1, j1, i2, j2 = (int(k) for k in rng.integers(0, 22, size=4))
+        w1 = big[i1:i1 + n1, j1:j1 + m1]
+        w2 = big[i2:i2 + n2, j2:j2 + m2]
+        if rng.random() < 0.7:
+            w2 = w2[::-1, ::-1]
+        return _field(_holes(rng, w1, density), 0.0, 0.0), _field(_holes(rng, w2, density), 0.0, 0.0)
+    if family == 2:
+        # few distinct values with a short period: many shifts tie exactly
+        period = int(rng.integers(1, 4))
+        tile = rng.integers(0, 2, size=(period, period)).astype(float)
+        big = np.tile(tile, (40 // period + 1, 40 // period + 1))
+        f1 = _field(_holes(rng, big[:n1, :m1], density), *(_H * rng.integers(-5, 5, 2)))
+        f2 = _field(_holes(rng, big[3:3 + n2, 1:1 + m2], density), *(_H * rng.integers(-5, 5, 2)))
+        return f1, f2
+    # Enneper curvature gated just outside |1 - (u^2 - v^2)| = 0.06, |K| up to ~1e6,
+    # against a shifted copy with a perturbation
+    u0, v0 = rng.uniform(0.55, 0.85), rng.uniform(-0.3, 0.0)
+    U, V = np.meshgrid(u0 + _H * np.arange(n1), v0 + _H * np.arange(m1), indexing="ij")
+    K = enneper_K(U, V)
+    K = np.where(np.abs(1.0 - (U**2 - V**2)) > 0.06, K, np.nan)
+    su, sv = (int(k) for k in rng.integers(0, 3, size=2))
+    K2 = K[su:, sv:] * (1.0 + 1e-9 * rng.normal(size=K[su:, sv:].shape))
+    return _field(_holes(rng, K, density), u0, v0), _field(_holes(rng, K2, density), u0, v0)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_compare_fields_equals_brute_force(seed):
+    field1, field2 = _random_pair(seed)
+    for tol, min_overlap in ((1e-4, 9), (1e-6, 16)):
+        try:
+            expected = brute_force_match(field1, field2, tol, min_overlap)
+        except InconclusiveOverlap:
+            with pytest.raises(InconclusiveOverlap):
+                compare_curvature_fields(field1, field2, tol, min_overlap)
+            continue
+        assert compare_curvature_fields(field1, field2, tol, min_overlap) == expected
+
+
+def test_compare_fields_reflected_far_shift():
+    big = np.random.default_rng(3).normal(size=(40, 40))
+    field1 = _field(big[:20, :20], 0.0, 0.0)
+    field2 = _field(big[16:36, 15:35][::-1, ::-1].copy(), 0.0, 0.0)
+    match = compare_curvature_fields(field1, field2, tol=1e-12)
+    assert match == brute_force_match(field1, field2, tol=1e-12)
+    assert match.matched and match.gauge.eps == -1
+    assert match.overlap == 4 * 5
+
+
+def test_compare_fields_tie_goes_to_smallest_translation():
+    field = _field(np.ones((12, 10)), 0.0, 0.0)
+    match = compare_curvature_fields(field, field)
+    assert match == FieldMatch(True, CanonicalGauge(1, 0.0, 0.0), 0.0, 120)
+    shifted = _field(np.ones((12, 10)), 3 * _H, -2 * _H)
+    match = compare_curvature_fields(field, shifted)
+    assert match == brute_force_match(field, shifted)
+    assert match.discrepancy == 0.0 and abs(match.gauge.A) + abs(match.gauge.B) < 1e-12
+
+
+def test_compare_fields_odd_lattice_shift():
+    g = "(z^2+1.0187995116067217*z+(-0.10314774187784814+0.1327512840629668J))"
+    domain, grid = (0.0, 0.4, -0.2, 0.2), (41, 41)
+    field1 = canonical_curvature_field(GeneratingData.canonical(parse(g)), domain, grid)
+    field2 = canonical_curvature_field(
+        GeneratingData.canonical(parse(g.replace("z", "(z+(0.03+0.07J))"))), domain, grid
+    )
+    match = compare_curvature_fields(field1, field2)
+    assert match == brute_force_match(field1, field2)
+    assert match.matched and match.gauge.eps == 1
+    assert abs(match.gauge.A - 0.03) < 1e-12 and abs(match.gauge.B - 0.07) < 1e-12
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_compare_fields_ignores_sub_floor_alignments(transpose):
+    # a one-column alignment (30 shared nodes) matches exactly; every alignment
+    # at least axis_floor = 3 columns wide disagrees
+    rng = np.random.default_rng(11)
+    v1 = rng.normal(size=(30, 41))
+    v2 = rng.normal(size=(30, 41))
+    v2[:, 0] = v1[:, -1]
+    if transpose:
+        v1, v2 = v1.T.copy(), v2.T.copy()
+    field1, field2 = _field(v1, 0.0, 0.0), _field(v2, 0.0, 0.0)
+    match = compare_curvature_fields(field1, field2)
+    assert match == brute_force_match(field1, field2)
+    assert not match.matched and match.discrepancy > 0.1

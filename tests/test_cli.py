@@ -2,7 +2,8 @@ import json
 
 import numpy as np
 
-from splitsurf.cli import main, read_obj_vertices, read_csv_patch
+from splitsurf.canonical import canonical_curvature_field
+from splitsurf.cli import _curvature_callable, main, read_obj_vertices, read_csv_patch
 from splitsurf.weierstrass import GeneratingData, evaluate_surface
 from splitsurf.holofn import parse
 
@@ -123,6 +124,36 @@ def test_verify_gauge_shifted_same_verdict(capsys):
     )
     assert code1 == code2 == 0
     assert json.loads(out1)["pass"] == json.loads(out2)["pass"] is True
+
+
+def test_verify_reports_skipped_pde_gate(capsys):
+    # |1 - |g|^2| <= 0.27 on every node, inside the default --pde-gate 0.3
+    code, stdout, _ = run(
+        capsys, "verify", "--canonical", "--g", "z",
+        "--domain", "0.86:0.94:-0.05:0.05", "--grid", "9x9",
+    )
+    report = json.loads(stdout)
+    pde = report["gates"]["curvature_pde"]
+    assert pde["status"] == "skipped" and "pde-gate" in pde["reason"]
+    assert "pass" not in pde
+    assert code == 0 and report["pass"] is True
+
+
+def test_verify_pde_gate_masks_singular_nodes_only(capsys):
+    # the null lines of 1/(z - 0.3) cross two corner nodes; the other 79 are checked
+    data = GeneratingData.canonical(parse("1/(z-0.3)"))
+    field = canonical_curvature_field(data, (0.5, 0.9, -0.2, 0.2), (9, 9), gate=0.3)
+    U, V = np.meshgrid(field.us, field.vs, indexing="ij")
+    K = _curvature_callable(data, 0.3)(U, V)
+    assert np.array_equal(K, field.values, equal_nan=True)
+    assert int(np.sum(np.isfinite(K))) == 79
+    code, stdout, _ = run(
+        capsys, "verify", "--canonical", "--g", "1/(z-0.3)", "--base", "0.7",
+        "--domain", "0.5:0.9:-0.2:0.2", "--grid", "9x9",
+    )
+    report = json.loads(stdout)
+    assert report["gates"]["curvature_pde"]["pass"] is True
+    assert code == 0
 
 
 def test_verify_csv_nonminimal_fails_h_gate(tmp_path, capsys):
