@@ -34,7 +34,6 @@ from .weierstrass import (
     GeneratingData,
     Part,
     SurfacePatch,
-    TimelikeViolation,
     curve_derivative,
     evaluate_surface,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
-from .weierstrass import GeneratingData, Part, SurfacePatch, TimelikeViolation, evaluate_surface
+from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
 from .geometry import DegenerateNormal, forms_grid
 from .canonical import (
     BranchError,
@@ -46,7 +46,6 @@ _NUMERIC_ERRORS = (
     NoSquareRoot,
     BranchError,
     StepFailure,
-    TimelikeViolation,
     DegenerateNormal,
     InconclusiveOverlap,
 )

@@ -40,6 +40,7 @@ __all__ = [
     "antiderivative",
     "integrate_path",
     "integrate_real",
+    "integrate_sweep",
     "poly_to_expr",
     "expr_to_poly",
 ]
@@ -891,110 +892,155 @@ def antiderivative(f: HoloExpr) -> HoloExpr | None:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature (G7, K15)
+# adaptive Gauss-Kronrod quadrature (G7, K15), batched over gaps
 # ---------------------------------------------------------------------------
 
-_GK_NODES = np.array(
+# QUADPACK qk15: the Kronrod nodes on [0, 1] (every second one is a Gauss
+# node), their weights, and the weights of the 7-point Gauss rule
+_XGK = np.array(
     [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-        0.0,
-        -0.207784955007898,
-        -0.405845151377397,
-        -0.586087235467691,
-        -0.741531185599394,
-        -0.864864423359769,
-        -0.949107912342759,
-        -0.991455371120813,
-    ]
-)
-_GK_WK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-        0.209482141084728,
-        0.204432940075298,
-        0.190350578064785,
-        0.169004726639267,
-        0.140653259715525,
-        0.104790010322250,
-        0.063092092629979,
-        0.022935322010529,
-    ]
-)
-_GK_WG = np.array(
-    [
-        0.0,
-        0.129484966168870,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.417959183673469,
-        0.0,
-        0.381830050505119,
-        0.0,
-        0.279705391489277,
-        0.0,
-        0.129484966168870,
+        0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
         0.0,
     ]
 )
+_WGK = np.array(
+    [
+        0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714,
+    ]
+)
+_WG = np.array(
+    [
+        0.129484966168869693270611432679082,
+        0.279705391489276667901467771423780,
+        0.381830050505118944950369775488975,
+        0.417959183673469387755102040816327,
+    ]
+)
+_GK_NODES = np.concatenate([_XGK, -_XGK[-2::-1]])
+_GK_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_WG = np.zeros(15)
+_GK_WG[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 
-MAX_SUBDIVISIONS = 10_000
+# panels one gap may use; a gap that needs more is treated as singular
+MAX_PANELS = 200
 
 
-def _gk_panel(fun, a, b):
+def _gk_panels(fun, a, b):
+    """K15 values, |K15 - G7| error estimates and finiteness of panels [a, b].
+
+    fun sees all panels at once as a (panels, 15) array.  When that raises on
+    a null-line denominator or a negative square root, the panels are
+    evaluated one by one and those that raise count as non-finite.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    vals = fun(mid + half * _GK_NODES)
-    vals = np.asarray(vals, float)
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("non-finite integrand values on [%g, %g]" % (a, b))
-    k15 = half * float(np.dot(_GK_WK, vals))
-    g7 = half * float(np.dot(_GK_WG, vals))
-    return k15, abs(k15 - g7)
+    x = mid[:, None] + half[:, None] * _GK_NODES
+    try:
+        vals = np.broadcast_to(np.asarray(fun(x), float), x.shape)
+    except (algebra.ZeroDivisor, algebra.NoSquareRoot):
+        vals = np.full(x.shape, np.nan)
+        for r in range(len(x)):
+            try:
+                vals[r] = fun(x[r])
+            except (algebra.ZeroDivisor, algebra.NoSquareRoot):
+                continue
+    good = np.all(np.isfinite(vals), axis=1)
+    vals = np.where(good[:, None], vals, 0.0)
+    k15 = half * (vals @ _GK_WK)
+    err = np.abs(k15 - half * (vals @ _GK_WG))
+    return k15, err, good & np.isfinite(err)
 
 
-def _gk_sub(fun, a, b):
-    val, err = _gk_panel(fun, a, b)
-    return (err, a, b, val)
+def _blocked(failed, origin):
+    """Gaps that failed or lie beyond a failed gap, seen from knot `origin`."""
+    right = np.logical_or.accumulate(failed[origin:])
+    left = np.logical_or.accumulate(failed[:origin][::-1])[::-1]
+    return np.concatenate([left, right])
+
+
+def integrate_sweep(fun, knots, origin: int, tol: float = 1e-10):
+    """Integrals of a vectorized real function from knots[origin] to every knot.
+
+    knots must be sorted ascending.  Every gap [knots[i], knots[i+1]] is
+    integrated by adaptive G7/K15 panels until the sum of its panel error
+    estimates is at most tol (absolute); all gaps share one batch per
+    bisection round.  In each round a gap bisects the panels whose error
+    exceeds its equal share tol / (panels in the gap).  A gap fails when it
+    would need more than MAX_PANELS panels, its bisection underflows, or fun
+    gives non-finite values or raises ZeroDivisor / NoSquareRoot on it.  A
+    failed gap makes every knot beyond it, seen from the origin, unreachable,
+    and the gaps beyond it are dropped from the batch at once.
+
+    Returns (F, reachable): F[i] is the integral from knots[origin] to
+    knots[i], accumulated gap by gap outward from the origin, and NaN where
+    reachable[i] is False.
+    """
+    knots = np.asarray(knots, float)
+    n_gaps = len(knots) - 1
+    gap_val = np.zeros(n_gaps)
+    failed = np.zeros(n_gaps, bool)
+    open_ = np.ones(n_gaps, bool)
+    # leaves of the open gaps: gap index, a, b, K15 value, error estimate
+    leaves = (np.empty(0, int), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
+    new = (np.arange(n_gaps), knots[:-1], knots[1:])
+    while new[0].size:
+        val, err, good = _gk_panels(fun, new[1], new[2])
+        failed[new[0][~good]] = True
+        leaves = tuple(np.concatenate(pair) for pair in zip(leaves, new + (val, err)))
+        gap, a, b, val, err = leaves
+        count = np.bincount(gap, minlength=n_gaps)
+        done = open_ & ~failed & (np.bincount(gap, err, n_gaps) <= tol)
+        gap_val[done] = np.bincount(gap, val, n_gaps)[done]
+        open_ &= ~done
+        split = open_[gap]
+        split[split] = err[split] > tol / count[gap[split]]
+        mid = 0.5 * (a + b)
+        failed[gap[split & ((mid == a) | (mid == b))]] = True
+        failed |= open_ & (count + np.bincount(gap[split], minlength=n_gaps) > MAX_PANELS)
+        open_ &= ~_blocked(failed, origin)
+        split &= open_[gap]
+        leaves = tuple(x[open_[gap] & ~split] for x in leaves)
+        g, lo, mi, hi = gap[split], a[split], mid[split], b[split]
+        new = (np.concatenate([g, g]), np.concatenate([lo, mi]), np.concatenate([mi, hi]))
+    # a gap still open split nothing: its error sum exceeds tol by rounding only
+    reach_gap = ~_blocked(failed | open_, origin)
+    out = np.zeros(n_gaps + 1)
+    out[origin + 1 :] = np.cumsum(gap_val[origin:])
+    out[:origin] = -np.cumsum(gap_val[:origin][::-1])[::-1]
+    reachable = np.concatenate([reach_gap[:origin], [True], reach_gap[origin:]])
+    out[~reachable] = np.nan
+    return out, reachable
 
 
 def integrate_real(fun, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Gauss-Kronrod integral of a vectorized real function on [a, b]."""
+    """Adaptive Gauss-Kronrod integral of a vectorized real function on [a, b].
+
+    The one-gap case of integrate_sweep; raises DomainError where that gap
+    fails.
+    """
     if a == b:
         return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    panels = [_gk_sub(fun, a, b)]
-    for _ in range(MAX_SUBDIVISIONS):
-        total_err = sum(p[0] for p in panels)
-        if total_err <= tol:
-            return sign * sum(p[3] for p in panels)
-        panels.sort(key=lambda p: p[0])
-        _, pa, pb, _ = panels.pop()
-        pm = 0.5 * (pa + pb)
-        if pm == pa or pm == pb:
-            raise DomainError("interval underflow near %g (likely singularity)" % pm)
-        panels.append(_gk_sub(fun, pa, pm))
-        panels.append(_gk_sub(fun, pm, pb))
-    raise DomainError(
-        "quadrature did not converge in %d subdivisions" % MAX_SUBDIVISIONS
-    )
+    origin = int(b < a)
+    value, ok = integrate_sweep(fun, sorted((a, b)), origin, tol)
+    if not ok[1 - origin]:
+        raise DomainError(
+            "quadrature failed on [%g, %g]: singular or non-finite integrand, "
+            "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
+        )
+    return float(value[1 - origin])
 
 
 def integrate_path(
@@ -1011,9 +1057,6 @@ def integrate_path(
     anti = antiderivative(f)
     if anti is not None:
         return anti.eval(z1) - anti.eval(z0)
-    try:
-        vp = integrate_real(lambda t: f.eval_null(t, PLUS), float(z0.p), float(z1.p), tol)
-        vq = integrate_real(lambda t: f.eval_null(t, MINUS), float(z0.q), float(z1.q), tol)
-    except (algebra.ZeroDivisor, algebra.NoSquareRoot) as exc:
-        raise DomainError("integrand singular on segment: %s" % exc) from exc
+    vp = integrate_real(lambda t: f.eval_null(t, PLUS), float(z0.p), float(z1.p), tol)
+    vq = integrate_real(lambda t: f.eval_null(t, MINUS), float(z0.q), float(z1.q), tol)
     return from_null(vp, vq)

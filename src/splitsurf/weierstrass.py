@@ -19,18 +19,16 @@ from .holofn import (
     PLUS,
     MINUS,
     Const,
-    DomainError,
     HoloExpr,
     antiderivative,
     build,
-    integrate_real,
+    integrate_sweep,
 )
 
 __all__ = [
     "Part",
     "GeneratingData",
     "SurfacePatch",
-    "TimelikeViolation",
     "curve_expressions",
     "curve_derivative",
     "isotropy_defect",
@@ -39,10 +37,6 @@ __all__ = [
 ]
 
 _SING_EPS = 1e-12
-
-
-class TimelikeViolation(RuntimeError):
-    """A sample where the induced metric fails to be indefinite."""
 
 
 class Part(enum.Enum):
@@ -172,10 +166,22 @@ def _eval_grid(expr: HoloExpr, zg: SplitComplex):
     return SplitComplex(re, im), ok
 
 
-def _segment_integral(expr: HoloExpr, za: SplitComplex, zb: SplitComplex, tol: float):
-    vp = integrate_real(lambda t: expr.eval_null(t, PLUS), float(za.p), float(zb.p), tol)
-    vq = integrate_real(lambda t: expr.eval_null(t, MINUS), float(za.q), float(zb.q), tol)
-    return SplitComplex.from_null(vp, vq)
+def _null_sweep(expr: HoloExpr, zg: SplitComplex, z0: SplitComplex, tol: float):
+    """Integral of expr from z0 to every node of zg, and its reachability.
+
+    The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side
+    is one cumulative sweep over the distinct grid values of its null
+    coordinate.
+    """
+    sides = []
+    for side, t, t0 in ((PLUS, zg.p, z0.p), (MINUS, zg.q, z0.q)):
+        knots, at = np.unique(np.append(t, float(t0)), return_inverse=True)
+        values, reach = integrate_sweep(
+            lambda s: expr.eval_null(s, side), knots, int(at[-1]), tol
+        )
+        sides.append((values[at[:-1]].reshape(t.shape), reach[at[:-1]].reshape(t.shape)))
+    (fp, reach_p), (fq, reach_q) = sides
+    return SplitComplex.from_null(fp, fq), reach_p & reach_q
 
 
 def evaluate_surface(
@@ -187,10 +193,18 @@ def evaluate_surface(
     """Sample the selected part of the integral curve over a rectangle.
 
     domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
-    Components with a symbolic antiderivative are evaluated in closed form;
-    the rest are integrated by quadrature with per-row continuation from the
-    first column.  Samples where the integrand is singular (or the tangent
-    plane degenerates) are marked invalid rather than aborting the patch.
+    Components with a symbolic antiderivative are evaluated in closed form.
+    The rest are integrated in null coordinates: x(z) - x(z0) is
+    from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one batched
+    Gauss-Kronrod sweep over the gaps between the sorted distinct grid values
+    of p (or q) and p0 (or q0), accumulated outward from the base point.  tol
+    bounds the summed error estimate of each such gap.
+
+    A node is valid when the integrand is finite there, its tangent plane
+    does not degenerate (|E| > 1e-12 |x_u|^2, with the Euclidean length of
+    the tangent x_u), and it is reachable: every gap between p0 and p, and
+    between q0 and q, converged.  Invalid nodes hold NaN instead of aborting
+    the patch.
     """
     u0, u1, v0, v1 = map(float, domain)
     n, m = grid
@@ -212,70 +226,27 @@ def evaluate_surface(
         psi_vals.append(vals)
         valid &= ok
 
-    # conformal factor: flags tangent-plane degeneracies without differencing
-    e_an = np.where(valid, conformal_factor(psi_vals, data.part), np.nan)
+    # conformal factor: flags tangent-plane degeneracies without differencing,
+    # each node against its own tangent, so a huge E near a pole elsewhere
+    # cannot make regular nodes look degenerate
+    tangent = [_part_re_im(v, data.part)[0] for v in psi_vals]
     with np.errstate(invalid="ignore"):
-        scale = np.nanmax(np.abs(e_an)) if np.any(valid) else 1.0
-        degenerate = valid & (np.abs(e_an) <= _SING_EPS * max(1.0, scale))
-    valid &= ~degenerate
+        valid &= ~(
+            np.abs(conformal_factor(psi_vals, data.part))
+            <= _SING_EPS * (tangent[0] ** 2 + tangent[1] ** 2 + tangent[2] ** 2)
+        )
 
-    curve = np.full((n, m, 3), np.nan)  # split-complex curve values, re/im below
-    curve_im = np.full((n, m, 3), np.nan)
-
+    points = np.empty((n, m, 3))
     for k, e in enumerate(exprs):
         anti = antiderivative(e)
         if anti is not None:
             vals, ok = _eval_grid(anti, zg)
-            base = anti.eval(z0)
-            curve[:, :, k] = vals.re - base.re
-            curve_im[:, :, k] = vals.im - base.im
-            valid &= ok
-            continue
-        _integrate_component(e, k, zg, z0, us, vs, tol, curve, curve_im, valid)
-
-    if data.part == Part.REAL:
-        points = curve
-    else:
-        points = curve_im
+            vals = vals - anti.eval(z0)
+        else:
+            vals, ok = _null_sweep(e, zg, z0, tol)
+        points[:, :, k] = _part_re_im(vals, data.part)[0]
+        valid &= ok
     valid &= np.all(np.isfinite(points), axis=-1)
     points = np.where(valid[:, :, None], points, np.nan)
-
-    interior = np.zeros((n, m), bool)
-    interior[1:-1, 1:-1] = True
-    bad = valid & interior & (-(e_an**2) >= 0.0)
-    if np.any(bad):
-        raise TimelikeViolation(
-            "induced metric not indefinite at %d interior samples" % int(np.sum(bad))
-        )
     return SurfacePatch(us, vs, points, valid, data)
 
-
-def _integrate_component(expr, k, zg, z0, us, vs, tol, curve, curve_im, valid):
-    """Quadrature fallback: first column from z0, then accumulate along rows."""
-    n, m = len(us), len(vs)
-    col0 = np.full(m, None, dtype=object)
-    for j in range(m):
-        target = zg[0, j]
-        try:
-            prev = col0[j - 1] if j > 0 else None
-            if prev is None:
-                col0[j] = _segment_integral(expr, z0, target, tol)
-            else:
-                col0[j] = prev + _segment_integral(expr, zg[0, j - 1], target, tol)
-        except (DomainError, ZeroDivisor, NoSquareRoot):
-            col0[j] = None
-    for j in range(m):
-        acc = col0[j]
-        if acc is None:
-            valid[:, j] = False
-            continue
-        curve[0, j, k] = acc.re
-        curve_im[0, j, k] = acc.im
-        for i in range(1, n):
-            try:
-                acc = acc + _segment_integral(expr, zg[i - 1, j], zg[i, j], tol)
-            except (DomainError, ZeroDivisor, NoSquareRoot):
-                valid[i:, j] = False
-                break
-            curve[i, j, k] = acc.re
-            curve_im[i, j, k] = acc.im

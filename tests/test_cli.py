@@ -156,6 +156,17 @@ def test_verify_pde_gate_masks_singular_nodes_only(capsys):
     assert code == 0
 
 
+def test_verify_canonical_across_singular_null_lines(capsys):
+    # g' = 0 on p = -1/2 and q = -1/2, the domain edges; the 310 nodes whose
+    # null segments to the base point avoid them are checked, not none
+    code, out, _ = run(
+        capsys, "verify", "--canonical", "--g", "z^2+z+3",
+        "--domain", "-0.5:0.5:-0.5:0.5", "--grid", "21x21",
+    )
+    assert code in (0, 1)
+    assert json.loads(out)["gates"]["canonical_coefficients"]["nodes"] > 0
+
+
 def test_verify_csv_nonminimal_fails_h_gate(tmp_path, capsys):
     # x(u, v) = (v, u, u^2) is timelike but not minimal
     us = np.linspace(-0.5, 0.5, 11)

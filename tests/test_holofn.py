@@ -17,6 +17,7 @@ from splitsurf.holofn import (
     antiderivative,
     integrate_path,
     integrate_real,
+    integrate_sweep,
     parse,
 )
 
@@ -200,6 +201,41 @@ def test_integrate_real_basic():
     assert abs(integrate_real(np.sin, 0.0, math.pi) - 2.0) < 1e-10
     assert integrate_real(np.sin, 1.0, 1.0) == 0.0
     assert abs(integrate_real(np.exp, 1.0, 0.0) + (math.e - 1.0)) < 1e-10
+
+
+def test_gauss_kronrod_rules_exact_on_monomials():
+    # K15 integrates t^k exactly for k <= 3*7+1, its embedded G7 for k <= 2*7-1
+    for weights, degree in ((holofn._GK_WK, 22), (holofn._GK_WG, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = float(np.dot(weights, holofn._GK_NODES**k))
+            assert abs(got - exact) <= 1e-15 * max(exact, 1.0), (k, got - exact)
+    # G7 is inexact from degree 14 on, so |K15 - G7| sees the error there
+    assert abs(float(np.dot(holofn._GK_WG, holofn._GK_NODES**14)) - 2.0 / 15) > 1e-4
+
+
+def test_integrate_sweep_blocks_knots_beyond_a_failed_gap():
+    # 1/(t - 0.3) is not integrable across 0.3, which lies in the gap
+    # [0.25, 0.5]; knots beyond it, seen from the origin t = 0, are unreachable
+    knots = np.linspace(-1.0, 1.0, 9)
+    values, reach = integrate_sweep(lambda t: 1.0 / (t - 0.3), knots, 4)
+    assert np.array_equal(reach, knots < 0.3)
+    assert np.all(np.isnan(values[~reach]))
+    exact = np.log(np.abs(knots[reach] - 0.3)) - np.log(0.3)
+    assert np.max(np.abs(values[reach] - exact)) < 1e-10
+    # a gap's value is what integrate_real gives on that gap alone
+    alone = [integrate_real(lambda t: 1.0 / (t - 0.3), a, b) for a, b in zip(knots, knots[1:6])]
+    assert np.max(np.abs(np.diff(values[:6]) - alone)) < 1e-14
+
+
+def test_integrate_real_gives_up_within_the_panel_budget():
+    # 1/(t - c)^2 near a pole 5e-6 outside [1/4, 1/2]: the integral is ~2e5,
+    # so the absolute tol lies below its roundoff; the bounded search raises
+    with pytest.raises(DomainError):
+        integrate_real(lambda t: 1.0 / (t - 0.249995) ** 2, 0.25, 0.5)
+    # a singular integrand met by the batch is a DomainError, not ZeroDivisor
+    with pytest.raises(DomainError):
+        integrate_real(lambda t: parse("1/z").eval_null(t, holofn.PLUS), -1.0, 1.0)
 
 
 def test_parse_constant():

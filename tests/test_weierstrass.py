@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from splitsurf.algebra import splitc
-from splitsurf.holofn import antiderivative, parse
+from splitsurf.holofn import antiderivative, integrate_path, parse
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import (
     GeneratingData,
     Part,
     curve_derivative,
+    curve_expressions,
     evaluate_surface,
     isotropy_defect,
 )
@@ -80,16 +81,13 @@ def test_part_curvature_signs_opposed():
 
 
 def test_quadrature_route_matches_direct_integration():
-    # a rational f has no symbolic antiderivative, forcing quadrature with
-    # per-row continuation; cross-check a node against a one-shot segment
+    # a rational f has no symbolic antiderivative, forcing the null-coordinate
+    # quadrature sweep; cross-check a node against a one-shot segment
     f = parse("1/(z - 5)")
     g = parse("z")
     data = GeneratingData.general(f, g)
     assert antiderivative(parse("1/(z-5)")) is None
     patch = evaluate_surface(data, (-0.4, 0.4, -0.4, 0.4), (5, 5), tol=1e-11)
-    from splitsurf.holofn import integrate_path
-    from splitsurf.weierstrass import curve_expressions
-
     exprs = curve_expressions(data)
     i, j = 3, 4
     target = splitc(patch.us[i], patch.vs[j])
@@ -116,3 +114,81 @@ def test_grid_validation():
         evaluate_surface(data, (-1, 1, -1, 1), (2, 5))
     with pytest.raises(ValueError):
         evaluate_surface(data, (1, -1, -1, 1), (5, 5))
+
+
+def _null_grid(patch):
+    U, V = np.meshgrid(patch.us, patch.vs, indexing="ij")
+    return U + V, U - V
+
+
+def _segments_avoid(P, Q, c, p0=0.0, q0=0.0):
+    """Nodes whose null segments [p0, p] and [q0, q] both miss the value c."""
+    hit_p = (np.minimum(P, p0) <= c) & (c <= np.maximum(P, p0))
+    hit_q = (np.minimum(Q, q0) <= c) & (c <= np.maximum(Q, q0))
+    return ~hit_p & ~hit_q
+
+
+def _pole_patch_exact(c, P, Q, p0=0.0, q0=0.0):
+    """Real part of the curve of f = 1, g = 1/(z - c), integrated from (p0, q0).
+
+    Per null side, with s = t - c, the components integrate to
+    -(t - 1/s)/2, +-(t + 1/s)/2 (J is +1 on p, -1 on q) and log|s|.
+    """
+    def side(t, sign):
+        s = t - c
+        return [-(t - 1.0 / s) / 2.0, sign * (t + 1.0 / s) / 2.0, np.log(np.abs(s))]
+
+    fp, fq = side(P, 1.0), side(Q, -1.0)
+    fp0, fq0 = side(np.float64(p0), 1.0), side(np.float64(q0), -1.0)
+    return np.stack(
+        [0.5 * ((a - a0) + (b - b0)) for a, a0, b, b0 in zip(fp, fp0, fq, fq0)], axis=-1
+    )
+
+
+def test_validity_is_null_reachability_across_singular_lines():
+    # canonical g = z^2+z+3 has g' = 0 on p = -1/2 and q = -1/2, the edges of
+    # this domain; every node with p > -1/2 and q > -1/2 reaches the base
+    # point 0 along null segments that avoid those lines, wherever its row
+    # meets u = -1/2
+    data = GeneratingData.canonical(parse("z^2+z+3"))
+    patch = evaluate_surface(data, (-0.5, 0.5, -0.5, 0.5), (21, 21))
+    i, j = np.meshgrid(np.arange(21), np.arange(21), indexing="ij")
+    # p = -1 + (i + j)/20, q = (i - j)/20 on the lattice
+    expected = (i + j > 10) & (i - j > -10)
+    assert int(expected.sum()) == 310
+    assert np.array_equal(patch.valid, expected)
+
+
+def test_quadrature_sweep_matches_per_node_integrals():
+    # pole a quarter step off the p and q lattices (step 1/8), off-lattice base
+    h = 0.125
+    c = 0.25 + 0.25 * h
+    base = splitc(0.03, -0.07)
+    data = GeneratingData.general(parse("1"), parse("1/(z-%r)" % c), base_point=base)
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (17, 17))
+    P, Q = _null_grid(patch)
+    reach = _segments_avoid(P, Q, c, float(base.p), float(base.q))
+    assert np.array_equal(patch.valid, reach)
+    exprs = curve_expressions(data)
+    for i, j in np.argwhere(patch.valid):
+        target = splitc(patch.us[i], patch.vs[j])
+        expect = [integrate_path(e, base, target).re for e in exprs]
+        assert np.max(np.abs(patch.points[i, j] - expect)) < 1e-9
+    exact = _pole_patch_exact(c, P, Q, float(base.p), float(base.q))
+    assert np.max(np.abs(patch.points[reach] - exact[reach])) < 1e-9
+
+
+def test_pole_just_beyond_lattice_line_fails_only_past_it():
+    # the pole sits 5e-6 beyond p = 1/4 and q = 1/4; the gap [0, 1/4] ends
+    # where the integrand is ~4e10, so it cannot meet the absolute tol and
+    # every node with p >= 1/4 or q >= 1/4 is unreachable; the huge conformal
+    # factor next to the pole must not make the other nodes degenerate
+    c = 0.250005
+    data = GeneratingData.general(parse("1"), parse("1/(z-%r)" % c))
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (9, 9))
+    P, Q = _null_grid(patch)
+    assert np.array_equal(patch.valid, (P < 0.25) & (Q < 0.25))
+    assert not np.any(patch.valid & ~_segments_avoid(P, Q, c))
+    exact = _pole_patch_exact(c, P, Q)
+    assert np.max(np.abs(patch.points[patch.valid] - exact[patch.valid])) < 1e-9
+    assert np.all(np.isnan(patch.points[~patch.valid]))
