@@ -18,8 +18,8 @@ import numpy as np
 from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from .algebra import sqrt as sc_sqrt
 from . import holofn
-from .holofn import PLUS, MINUS, Const, HoloExpr, Z, build
-from .weierstrass import GeneratingData, SurfacePatch
+from .holofn import PLUS, MINUS, Const, HoloExpr, Z
+from .weierstrass import GeneratingData, SurfacePatch, _eval_grid
 from .geometry import forms_grid
 
 __all__ = [
@@ -272,7 +272,7 @@ def canonicalize(
     U, V = np.meshgrid(us, vs, indexing="ij")
     wgrid = SplitComplex(U, V)
 
-    phi = build("mul", f, g.derivative())
+    phi = f * g.derivative()
     gamma = holofn.constant_value(phi)
     probed = False
     if gamma is None:
@@ -317,23 +317,7 @@ def canonicalize(
 
     zvals = from_null(dense_p.sample(S), dense_q.sample(T))
     zprime = from_null(dense_p.deriv(S), dense_q.deriv(T))
-    gt_re = np.full(zvals.shape, np.nan)
-    gt_im = np.full(zvals.shape, np.nan)
-    res = np.full(zvals.shape, np.nan)
-    try:
-        gt = g.eval(zvals)
-        gt_re, gt_im = gt.re, gt.im
-        res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
-    except (ZeroDivisor, NoSquareRoot):
-        for idx in np.ndindex(zvals.shape):
-            try:
-                zi = zvals[idx]
-                gi = g.eval(zi)
-                gt_re[idx], gt_im[idx] = gi.re, gi.im
-                zp = zprime[idx]
-                res[idx] = float(((zp * zp) * phi.eval(zi) - 1.0).mag)
-            except (ZeroDivisor, NoSquareRoot):
-                continue
+    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
 
     def z_at(w):
         return from_null(dense_p.sample(w.p), dense_q.sample(w.q))
@@ -342,7 +326,7 @@ def canonicalize(
         return from_null(dense_p.deriv(w.p), dense_q.deriv(w.q))
 
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, zprime, SplitComplex(gt_re, gt_im),
+        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals),
         None, res, False, z_at, z_prime_at,
     )
 
@@ -356,21 +340,12 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
     if sign < 0:
         r = -r
     shift = z0 - r * w0
-    z_expr = build("add", Const(shift), build("mul", Const(r), Z))
+    z_expr = Const(shift) + Const(r) * Z
     g_tilde_expr = g.subs(z_expr)
     zvals = shift + r * wgrid
     ones = np.ones(wgrid.shape)
     zprime = SplitComplex(r.re * ones, r.im * ones)
-    gt, _ = _grid_eval(g, zvals)
-    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag if _total(phi, zvals) else None
-    if res is None:
-        res = np.full(wgrid.shape, np.nan)
-        for idx in np.ndindex(wgrid.shape):
-            try:
-                zp = zprime[idx]
-                res[idx] = float(((zp * zp) * phi.eval(zvals[idx]) - 1.0).mag)
-            except (ZeroDivisor, NoSquareRoot):
-                continue
+    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
     if np.nanmax(res) > 1e-8:
         raise BranchError("affine solution rejected by the residual check")
 
@@ -383,34 +358,9 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
         return SplitComplex(r.re * np.ones(w.shape), r.im * np.ones(w.shape))
 
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, zprime, gt, g_tilde_expr, res, True,
+        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g_tilde_expr, res, True,
         z_at, z_prime_at,
     )
-
-
-def _total(expr, zvals):
-    try:
-        expr.eval(zvals)
-        return True
-    except (ZeroDivisor, NoSquareRoot):
-        return False
-
-
-def _grid_eval(expr, zvals):
-    try:
-        return expr.eval(zvals), np.ones(zvals.shape, bool)
-    except (ZeroDivisor, NoSquareRoot):
-        pass
-    re = np.full(zvals.shape, np.nan)
-    im = np.full(zvals.shape, np.nan)
-    ok = np.zeros(zvals.shape, bool)
-    for idx in np.ndindex(zvals.shape):
-        try:
-            v = expr.eval(zvals[idx])
-            re[idx], im[idx], ok[idx] = v.re, v.im, True
-        except (ZeroDivisor, NoSquareRoot):
-            continue
-    return SplitComplex(re, im), ok
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +416,10 @@ def canonical_curvature_field(
 def _curvature_at(data: GeneratingData, zvals: SplitComplex, gate: float) -> np.ndarray:
     """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node; NaN where a factor is
     singular or 1 - |g|^2 is within `gate` of zero."""
-    gvals, okg = _grid_eval(data.g, zvals)
-    gpvals, okp = _grid_eval(data.g.derivative(), zvals)
+    gvals, okg = _eval_grid(data.g, zvals)
+    gpvals, okp = _eval_grid(data.g.derivative(), zvals)
     if data.f is not None:
-        fvals, okf = _grid_eval(data.f, zvals)
+        fvals, okf = _eval_grid(data.f, zvals)
         fm2 = fvals.modulus2
         ok = okg & okp & okf
     else:

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import J, splitc
 from .algebra import sqrt as sc_sqrt
 from ._dpoly import DPoly
-from .holofn import HoloExpr, build, poly_to_expr
+from .holofn import HoloExpr, poly_to_expr
 
 __all__ = [
     "NotMinimalError",
@@ -420,4 +420,4 @@ def _ratio_expr(P: DPoly, Q: DPoly) -> HoloExpr:
         q0 = Q.coeff(0)
         if bool(q0.is_invertible()):
             return poly_to_expr(P.scale(splitc(1.0) / q0))
-    return build("div", poly_to_expr(P), poly_to_expr(Q))
+    return poly_to_expr(P) / poly_to_expr(Q)

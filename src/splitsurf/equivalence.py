@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import SplitComplex, splitc
 from .algebra import exp as sc_exp
 from . import holofn
-from .holofn import Const, HoloExpr, build
+from .holofn import Const, DomainError, HoloExpr
 from .weierstrass import GeneratingData, curve_expressions
 from .canonical import canonical_curvature_field, compare_curvature_fields, CanonicalGauge
 
@@ -85,13 +85,13 @@ def moebius_transform(
     """
     u = Const(m.unit if m.sign > 0 else -m.unit)
     if m.form == MoebiusForm.FRACTIONAL:
-        num = build("add", Const(m.alpha), g)
-        den = build("add", Const(splitc(1.0)), build("mul", Const(m.alpha.conj()), g))
-        return build("mul", u, build("div", num, den))
+        num = Const(m.alpha) + g
+        den = Const(splitc(1.0)) + Const(m.alpha.conj()) * g
+        return u * (num / den)
     if inversion_reading == "g":
-        return build("div", u, g)
+        return u / g
     if inversion_reading == "f":
-        return build("mul", u, g.derivative())
+        return u * g.derivative()
     raise ValueError("inversion_reading must be 'g' or 'f'")
 
 
@@ -160,7 +160,11 @@ def witness_discrepancy(
     domain: tuple[float, float, float, float] = (-0.4, 0.4, -0.4, 0.4),
     grid: tuple[int, int] = (5, 5),
 ) -> float:
-    """max |A B Psi'(z) - Psi~'(z)| over a grid, componentwise double numbers."""
+    """max |A B Psi'(z) - Psi~'(z)| over a grid, componentwise double numbers.
+
+    Raises DomainError when either curve derivative is singular or
+    non-finite at a node of the grid.
+    """
     witness = motion_witness(m)
     g_t = moebius_transform(g, m)
     psi = curve_expressions(GeneratingData.canonical(g))
@@ -173,15 +177,16 @@ def witness_discrepancy(
     vals = [e.eval(zg) for e in psi]
     vals_t = [e.eval(zg) for e in psi_t]
     moved = _apply_matrix(witness.matrix, vals)
-    worst = 0.0
-    for k in range(3):
-        worst = max(worst, float(np.max((moved[k] - vals_t[k]).mag)))
+    # np.max propagates the NaN of a singular node
+    worst = float(np.max([np.max((moved[k] - vals_t[k]).mag) for k in range(3)]))
+    if not np.isfinite(worst):
+        raise DomainError("curve derivative singular on the witness grid")
     return worst
 
 
 def reparametrize_pair(f: HoloExpr, g: HoloExpr, w: HoloExpr):
     """Precompose a general pair with w(z): (f(w) w', g(w)) keeps the surface."""
-    return build("mul", f.subs(w), w.derivative()), g.subs(w)
+    return f.subs(w) * w.derivative(), g.subs(w)
 
 
 def fit_moebius(transform: HoloExpr) -> MoebiusParams:

@@ -84,13 +84,14 @@ class FormsGrid:
     N: np.ndarray
     K: np.ndarray
     H: np.ndarray
+    U: np.ndarray  # unit normal, (n, m, 3)
     valid: np.ndarray
     method: str
     metric_violations: int = 0
 
     def at(self, i: int, j: int) -> FundamentalForms:
         if not self.valid[i, j]:
-            raise DegenerateNormal("no forms at node (%d, %d)" % (i, j))
+            raise DegenerateNormal("normal degenerate or stencil invalid at (%d, %d)" % (i, j))
         return FundamentalForms(
             float(self.E[i, j]),
             float(self.F[i, j]),
@@ -98,7 +99,7 @@ class FormsGrid:
             float(self.L[i, j]),
             float(self.M[i, j]),
             float(self.N[i, j]),
-            U=np.full(3, np.nan),
+            U=self.U[i, j].copy(),
             method=self.method,
         )
 
@@ -118,35 +119,19 @@ def _resolve_method(patch: SurfacePatch, method: str) -> str:
     raise ValueError("method must be one of auto, fd, analytic, mixed")
 
 
-def _analytic_first(patch: SurfacePatch):
+def _analytic_first(patch: SurfacePatch, second: bool = False):
+    """(x_u, x_v) from the curve derivative, or (x_uu, x_uv) from its
+    derivative when `second`, and the mask of nodes where they are finite."""
     data: GeneratingData = patch.provenance
     zg = patch.zgrid()
     xu = np.empty(patch.points.shape)
     xv = np.empty(patch.points.shape)
     ok = np.ones(patch.shape, bool)
     for k, e in enumerate(curve_expressions(data)):
-        vals, good = _eval_grid(e, zg)
-        au, av = _part_re_im(vals, data.part)
-        xu[:, :, k] = au
-        xv[:, :, k] = av
+        vals, good = _eval_grid(e.derivative() if second else e, zg)
+        xu[:, :, k], xv[:, :, k] = _part_re_im(vals, data.part)
         ok &= good
     return xu, xv, ok
-
-
-def _analytic_second(patch: SurfacePatch):
-    data: GeneratingData = patch.provenance
-    zg = patch.zgrid()
-    xuu = np.empty(patch.points.shape)
-    xuv = np.empty(patch.points.shape)
-    ok = np.ones(patch.shape, bool)
-    for k, e in enumerate(curve_expressions(data)):
-        vals, good = _eval_grid(e.derivative(), zg)
-        duu, duv = _part_re_im(vals, data.part)
-        xuu[:, :, k] = duu
-        xuv[:, :, k] = duv
-        ok &= good
-    # every component satisfies the wave equation x_vv = x_uu
-    return xuu, xuv, xuu.copy(), ok
 
 
 def _fd_first(points, hu, hv):
@@ -179,7 +164,8 @@ def forms_grid(patch: SurfacePatch, method: str = "auto") -> FormsGrid:
         ok = patch.valid.copy()
     elif method == "analytic":
         xu, xv, ok = _analytic_first(patch)
-        xuu, xuv, xvv, ok2 = _analytic_second(patch)
+        xuu, xuv, ok2 = _analytic_first(patch, second=True)
+        xvv = xuu  # every component satisfies the wave equation x_vv = x_uu
         ok = ok & ok2 & patch.valid
     else:  # mixed: exact tangents, measured second derivatives
         xu, xv, ok = _analytic_first(patch)
@@ -217,7 +203,8 @@ def forms_grid(patch: SurfacePatch, method: str = "auto") -> FormsGrid:
 
     nan = lambda arr: np.where(valid, arr, np.nan)
     return FormsGrid(
-        nan(E), nan(F), nan(G), nan(L), nan(M), nan(N), K, H, valid, method, violations
+        nan(E), nan(F), nan(G), nan(L), nan(M), nan(N), K, H,
+        np.where(valid[..., None], U, np.nan), valid, method, violations
     )
 
 
@@ -228,23 +215,4 @@ def fundamental_forms(patch: SurfacePatch, at: tuple[int, int], method: str = "a
     n, m = patch.shape
     if method != "analytic" and not (0 < i < n - 1 and 0 < j < m - 1):
         raise ValueError("finite-difference forms need an interior node")
-    grid = forms_grid(patch, method)
-    if not grid.valid[i, j]:
-        raise DegenerateNormal("normal degenerate or stencil invalid at (%d, %d)" % (i, j))
-    # recompute the normal at the node for the single-node report
-    if method == "fd":
-        xu, xv = _fd_first(patch.points, patch.h_u, patch.h_v)
-    else:
-        xu, xv, _ = _analytic_first(patch)
-    c = lorentz_cross(xu[i, j], xv[i, j])
-    U = c / np.sqrt(minkowski_inner(c, c))
-    return FundamentalForms(
-        float(grid.E[i, j]),
-        float(grid.F[i, j]),
-        float(grid.G[i, j]),
-        float(grid.L[i, j]),
-        float(grid.M[i, j]),
-        float(grid.N[i, j]),
-        U=U,
-        method=method,
-    )
+    return forms_grid(patch, method).at(i, j)

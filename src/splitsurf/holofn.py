@@ -1,9 +1,15 @@
 """Holomorphic functions of one split-complex variable.
 
 Expressions over {constants, z, + - * /, integer powers, exp, sqrt} are
-parsed to an immutable tree.  Every operation in the grammar commutes with
-the null-coordinate splitting, so evaluation, quadrature and ODE stepping
-all reduce to two independent real computations.
+parsed to an immutable tree, or built with the operators + - * / ** and
+unary -.  Every operation in the grammar commutes with the null-coordinate
+splitting, so evaluation, quadrature and ODE stepping all reduce to two
+independent real computations, and every singularity is a whole null line.
+
+Arrays mask with NaN, scalars raise: on an array, a node whose path meets a
+null-line denominator or a negative square root comes out NaN (and NaN
+propagates through every later operation); at a scalar point the same
+singularity raises ZeroDivisor or NoSquareRoot.
 """
 
 from __future__ import annotations
@@ -82,7 +88,12 @@ class HoloExpr:
         return self.eval(z)
 
     def eval(self, z) -> SplitComplex:
-        """Evaluate via the null-coordinate decomposition (scalar or array z)."""
+        """Evaluate via the null-coordinate decomposition (scalar or array z).
+
+        Arrays mask with NaN, scalars raise: array nodes where a denominator
+        is null or a radicand negative are NaN, while a scalar z there raises
+        ZeroDivisor or NoSquareRoot.
+        """
         z = SplitComplex._coerce(z)
         return from_null(self.eval_null(z.p, PLUS), self.eval_null(z.q, MINUS))
 
@@ -111,6 +122,27 @@ class HoloExpr:
 
     def antiderivative(self):
         return antiderivative(self)
+
+    # operators go through the smart constructors, as the parser does
+    def __add__(self, other):
+        return _add(self, other)
+
+    def __sub__(self, other):
+        return _sub(self, other)
+
+    def __mul__(self, other):
+        return _mul(self, other)
+
+    def __truediv__(self, other):
+        return _div(self, other)
+
+    def __neg__(self):
+        return _neg(self)
+
+    def __pow__(self, n):
+        if not isinstance(n, (int, np.integer)):
+            return NotImplemented
+        return _pow(self, n)
 
     @property
     def precedence(self):
@@ -294,11 +326,11 @@ class Div(_Binary):
 
     def eval_null(self, t, side):
         den = self.b.eval_null(t, side)
-        if np.any(np.abs(den) < NULL_EPS):
-            raise algebra.ZeroDivisor(
-                "null-line denominator in subexpression '%s'" % self.b
-            )
-        return self.a.eval_null(t, side) / den
+        return _masked(
+            np.abs(den) < NULL_EPS,
+            lambda: self.a.eval_null(t, side) / den,
+            lambda: algebra.ZeroDivisor("null-line denominator in subexpression '%s'" % self.b),
+        )
 
     def eval_direct(self, z):
         return self.a.eval_direct(z) / self.b.eval_direct(z)
@@ -320,11 +352,13 @@ class Pow(HoloExpr):
 
     def eval_null(self, t, side):
         b = self.base.eval_null(t, side)
-        if self.n < 0 and np.any(np.abs(b) < NULL_EPS):
-            raise algebra.ZeroDivisor(
-                "null-line base of negative power in '%s'" % self
-            )
-        return b**self.n
+        if self.n >= 0:
+            return b**self.n
+        return _masked(
+            np.abs(b) < NULL_EPS,
+            lambda: b**self.n,
+            lambda: algebra.ZeroDivisor("null-line base of negative power in '%s'" % self),
+        )
 
     def eval_direct(self, z):
         return self.base.eval_direct(z) ** self.n
@@ -347,6 +381,16 @@ class Pow(HoloExpr):
         if prec > _PREC_POW:
             return "(%s)" % s
         return s
+
+
+def _masked(bad, value, error):
+    """value() with NaN where bad on arrays; on a scalar, raise error() if bad."""
+    if np.ndim(bad) == 0:
+        if bad:
+            raise error()
+        return value()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(bad, np.nan, value())
 
 
 class _Call(HoloExpr):
@@ -382,11 +426,11 @@ class Sqrt(_Call):
 
     def eval_null(self, t, side):
         v = self.a.eval_null(t, side)
-        if np.any(np.asarray(v) < 0.0):
-            raise algebra.NoSquareRoot(
-                "negative null component under sqrt in '%s'" % self
-            )
-        return np.sqrt(v)
+        return _masked(
+            v < 0.0,
+            lambda: np.sqrt(v),
+            lambda: algebra.NoSquareRoot("negative null component under sqrt in '%s'" % self),
+        )
 
     def eval_direct(self, z):
         return algebra.sqrt(self.a.eval_direct(z))
@@ -491,21 +535,6 @@ def _sqrt(a):
         if not v._is_array and v.p >= 0.0 and v.q >= 0.0:
             return Const(algebra.sqrt(v))
     return Sqrt(a)
-
-
-def build(kind, *args):
-    """Public smart-constructor dispatch: add, sub, neg, mul, div, pow, exp, sqrt."""
-    table = {
-        "add": _add,
-        "sub": _sub,
-        "neg": _neg,
-        "mul": _mul,
-        "div": _div,
-        "pow": _pow,
-        "exp": _exp,
-        "sqrt": _sqrt,
-    }
-    return table[kind](*args)
 
 
 def const(value) -> Const:
@@ -716,6 +745,25 @@ def _ep_merge(x, y, sgn=1.0):
     return out
 
 
+def _ep_mul(x, y):
+    """Product of two exp-polynomials; None when an input is None or the
+    product exceeds _MAX_DEGREE or _MAX_TERMS."""
+    if x is None or y is None:
+        return None
+    out = {}
+    for ka, pa in x.items():
+        for kb, pb in y.items():
+            k = (ka[0] + kb[0], ka[1] + kb[1])
+            prod = pa * pb
+            if prod.degree > _MAX_DEGREE:
+                return None
+            cur = out.get(k)
+            out[k] = prod if cur is None else cur + prod
+    if len(out) > _MAX_TERMS:
+        return None
+    return out
+
+
 def _to_exp_poly(e):
     """Rewrite as {exp coefficient -> DPoly} or None when outside the fragment."""
     if isinstance(e, Const):
@@ -734,22 +782,7 @@ def _to_exp_poly(e):
             return None
         return {k: -p for k, p in xa.items()}
     if isinstance(e, Mul):
-        xa = _to_exp_poly(e.a)
-        xb = _to_exp_poly(e.b)
-        if xa is None or xb is None:
-            return None
-        out = {}
-        for ka, pa in xa.items():
-            for kb, pb in xb.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1])
-                prod = pa * pb
-                if prod.degree > _MAX_DEGREE:
-                    return None
-                cur = out.get(k)
-                out[k] = prod if cur is None else cur + prod
-        if len(out) > _MAX_TERMS:
-            return None
-        return out
+        return _ep_mul(_to_exp_poly(e.a), _to_exp_poly(e.b))
     if isinstance(e, Div):
         xb = _to_exp_poly(e.b)
         inv = _invert_single_term(xb)
@@ -765,22 +798,9 @@ def _to_exp_poly(e):
     if isinstance(e, Pow):
         if e.n >= 0:
             xb = _to_exp_poly(e.base)
-            if xb is None:
-                return None
             out = {_ZERO_KEY: DPoly.const(splitc(1.0))}
             for _ in range(e.n):
-                nxt = {}
-                for ka, pa in out.items():
-                    for kb, pb in xb.items():
-                        k = (ka[0] + kb[0], ka[1] + kb[1])
-                        prod = pa * pb
-                        if prod.degree > _MAX_DEGREE:
-                            return None
-                        cur = nxt.get(k)
-                        nxt[k] = prod if cur is None else cur + prod
-                out = nxt
-                if len(out) > _MAX_TERMS:
-                    return None
+                out = _ep_mul(out, xb)
             return out
         inv = _invert_single_term(_to_exp_poly(Pow(e.base, -e.n)))
         if inv is None:
@@ -941,22 +961,14 @@ MAX_PANELS = 200
 def _gk_panels(fun, a, b):
     """K15 values, |K15 - G7| error estimates and finiteness of panels [a, b].
 
-    fun sees all panels at once as a (panels, 15) array.  When that raises on
-    a null-line denominator or a negative square root, the panels are
-    evaluated one by one and those that raise count as non-finite.
+    fun sees all panels at once as a (panels, 15) array.  A panel with a
+    non-finite value is not good; an expression's eval_null gives NaN where
+    its path meets a null-line denominator or a negative square root.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _GK_NODES
-    try:
-        vals = np.broadcast_to(np.asarray(fun(x), float), x.shape)
-    except (algebra.ZeroDivisor, algebra.NoSquareRoot):
-        vals = np.full(x.shape, np.nan)
-        for r in range(len(x)):
-            try:
-                vals[r] = fun(x[r])
-            except (algebra.ZeroDivisor, algebra.NoSquareRoot):
-                continue
+    vals = np.broadcast_to(np.asarray(fun(x), float), x.shape)
     good = np.all(np.isfinite(vals), axis=1)
     vals = np.where(good[:, None], vals, 0.0)
     k15 = half * (vals @ _GK_WK)
@@ -980,7 +992,7 @@ def integrate_sweep(fun, knots, origin: int, tol: float = 1e-10):
     bisection round.  In each round a gap bisects the panels whose error
     exceeds its equal share tol / (panels in the gap).  A gap fails when it
     would need more than MAX_PANELS panels, its bisection underflows, or fun
-    gives non-finite values or raises ZeroDivisor / NoSquareRoot on it.  A
+    gives non-finite values on it.  A
     failed gap makes every knot beyond it, seen from the origin, unreachable,
     and the gaps beyond it are dropped from the batch at once.
 

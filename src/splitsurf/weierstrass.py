@@ -14,16 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
-from .holofn import (
-    PLUS,
-    MINUS,
-    Const,
-    HoloExpr,
-    antiderivative,
-    build,
-    integrate_sweep,
-)
+from .algebra import SplitComplex, splitc
+from .holofn import PLUS, MINUS, Const, HoloExpr, antiderivative, integrate_sweep
 
 __all__ = [
     "Part",
@@ -72,23 +64,23 @@ def curve_expressions(data: GeneratingData):
     one = Const(splitc(1.0))
     half = Const(splitc(0.5))
     jhalf = Const(splitc(0.0, 0.5))
-    g2 = build("pow", g, 2)
+    g2 = g**2
     if data.f is not None:
         f = data.f
-        psi1 = build("neg", build("mul", half, build("mul", f, build("add", one, g2))))
-        psi2 = build("mul", jhalf, build("mul", f, build("sub", one, g2)))
-        psi3 = build("mul", f, g)
+        psi1 = -(half * (f * (one + g2)))
+        psi2 = jhalf * (f * (one - g2))
+        psi3 = f * g
     else:
         gp = g.derivative()
-        two_gp = build("mul", Const(splitc(2.0)), gp)
-        psi1 = build("neg", build("div", build("add", one, g2), two_gp))
-        psi2 = build("mul", Const(splitc(0.0, 1.0)), build("div", build("sub", one, g2), two_gp))
-        psi3 = build("div", g, gp)
+        two_gp = Const(splitc(2.0)) * gp
+        psi1 = -((one + g2) / two_gp)
+        psi2 = Const(splitc(0.0, 1.0)) * ((one - g2) / two_gp)
+        psi3 = g / gp
     return psi1, psi2, psi3
 
 
 def curve_derivative(data: GeneratingData, z) -> tuple[SplitComplex, SplitComplex, SplitComplex]:
-    """Value of the curve derivative at z; raises ZeroDivisor at singular points."""
+    """Curve derivative at z: NaN at singular array nodes; a singular scalar raises."""
     return tuple(e.eval(z) for e in curve_expressions(data))
 
 
@@ -147,23 +139,9 @@ class SurfacePatch:
 
 
 def _eval_grid(expr: HoloExpr, zg: SplitComplex):
-    """Vectorized evaluation with per-node fallback; NaN marks failures."""
-    try:
-        return expr.eval(zg), np.ones(zg.shape, bool)
-    except (ZeroDivisor, NoSquareRoot):
-        pass
-    re = np.full(zg.shape, np.nan)
-    im = np.full(zg.shape, np.nan)
-    ok = np.zeros(zg.shape, bool)
-    for idx in np.ndindex(zg.shape):
-        try:
-            v = expr.eval(zg[idx])
-            re[idx] = v.re
-            im[idx] = v.im
-            ok[idx] = True
-        except (ZeroDivisor, NoSquareRoot):
-            continue
-    return SplitComplex(re, im), ok
+    """Values of expr on a grid and the mask of nodes where they are finite."""
+    vals = expr.eval(zg)
+    return vals, np.isfinite(vals.re) & np.isfinite(vals.im)
 
 
 def _null_sweep(expr: HoloExpr, zg: SplitComplex, z0: SplitComplex, tol: float):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitsurf.algebra import splitc
-from splitsurf.holofn import PLUS, build, expr_to_poly, integrate_real, parse
+from splitsurf.holofn import PLUS, expr_to_poly, integrate_real, parse
 from splitsurf.canonical import (
     BranchError,
     CanonicalGauge,
@@ -52,7 +52,7 @@ def test_ode_route_against_quadrature_oracle():
     f = parse("exp(z)")
     res = canonicalize(f, f, w0=splitc(0), z0=splitc(0), domain=(0.9, 2.9, -0.3, 0.3), grid=(11, 7))
     assert not res.affine
-    phi = build("mul", f, f.derivative())
+    phi = f * f.derivative()
     for i in (0, 5, 10):
         for j in (0, 3, 6):
             s = res.us[i] + res.vs[j]

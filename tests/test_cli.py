@@ -220,6 +220,16 @@ def test_transform_cli(capsys):
     assert report["witness"]["max_discrepancy"] < 1e-9
 
 
+def test_transform_singular_witness_grid_exit_2(capsys):
+    # 1/z is singular on the null lines through the grid's center node
+    code, stdout, stderr = run(
+        capsys, "transform", "--g", "1/z", "--phi", "0.3",
+        "--domain=-0.4:0.4:-0.4:0.4", "--grid", "5x5",
+    )
+    assert code == 2
+    assert stdout == "" and "singular" in stderr
+
+
 def test_generate_json_format(tmp_path, capsys):
     out = tmp_path / "mesh.json"
     code, _, _ = run(

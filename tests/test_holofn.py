@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 
 from splitsurf import holofn
-from splitsurf.algebra import ZeroDivisor, from_null, splitc
+from splitsurf.algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from splitsurf.holofn import (
     Add,
     Const,
+    Div,
     DomainError,
     Exp,
     ExprSyntaxError,
     Mul,
+    Neg,
     Pow,
+    Sqrt,
     Var,
+    Z,
     antiderivative,
     integrate_path,
     integrate_real,
@@ -63,6 +67,58 @@ def test_eval_examples():
     assert parse("exp(z)").eval(splitc(0)) == splitc(1)
     with pytest.raises(ZeroDivisor):
         parse("1/z").eval(splitc(1, 1))
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(z-0.25)^2 + sqrt(z+0.5)", "(z-0.5)^-3", "1/(1/(z-0.5)+1)"]
+)
+def test_array_nan_mask_matches_scalar_raising(text):
+    # step 1/8 on [-1, 1]^2: the singular null lines p, q in {-0.5, 0.25, 0.5}
+    # run through lattice nodes
+    e = parse(text)
+    us = np.linspace(-1.0, 1.0, 17)
+    U, V = np.meshgrid(us, us, indexing="ij")
+    with np.errstate(all="raise"):
+        vals = e.eval(SplitComplex(U, V))
+    masked = np.isnan(vals.re) | np.isnan(vals.im)
+    raised = np.zeros(U.shape, bool)
+    for i, j in np.ndindex(U.shape):
+        try:
+            v = e.eval(splitc(U[i, j], V[i, j]))
+        except (ZeroDivisor, NoSquareRoot):
+            raised[i, j] = True
+            continue
+        assert v.re == vals.re[i, j] and v.im == vals.im[i, j]
+    assert raised.any() and not raised.all()
+    assert np.array_equal(masked, raised)
+
+
+@pytest.mark.parametrize(
+    "text, t, error",
+    [("1/(z-1)", 1.0, ZeroDivisor), ("z^-2", 0.0, ZeroDivisor), ("sqrt(z)", -1.0, NoSquareRoot)],
+)
+def test_scalar_eval_null_raises_array_masks(text, t, error):
+    e = parse(text)
+    with pytest.raises(error):
+        e.eval_null(t, holofn.PLUS)
+    out = e.eval_null(np.array([t, 4.0]), holofn.PLUS)
+    assert np.isnan(out[0]) and np.isfinite(out[1])
+
+
+def test_operators_build_the_smart_constructor_nodes():
+    one, zero = Const(splitc(1.0)), Const(splitc(0.0))
+    assert Z * one is Z and one * Z is Z
+    assert Z + zero is Z and Z - zero is Z and Z / one is Z
+    assert -(-Z) is Z
+    assert Z**1 is Z and Z**0 == one
+    assert Const(splitc(2.0)) * Const(splitc(3.0)) == Const(splitc(6.0))
+    assert zero - Z == Neg(Z)
+    assert Z / (Z + one) == Div(Z, Add(Z, one))
+    assert (Z - one) ** -2 == parse("(z-1)^-2")
+    assert Z * Const(splitc(2.0)) == parse("z*2")
+    assert Sqrt(Z) ** 2 == Pow(Sqrt(Z), 2)
+    with pytest.raises(TypeError):
+        Z**0.5
 
 
 def test_eval_null_decomposition_matches_direct():

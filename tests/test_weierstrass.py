@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from splitsurf.algebra import splitc
+from splitsurf.canonical import canonical_curvature_field
 from splitsurf.holofn import antiderivative, integrate_path, parse
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import (
@@ -105,6 +108,31 @@ def test_singular_locus_marked_invalid():
     U, V = np.meshgrid(patch.us, patch.vs, indexing="ij")
     gap = np.abs(1.0 - (U**2 - V**2))
     assert np.all(gap[~patch.valid] < 0.15)
+    assert np.all(np.isnan(patch.points[~patch.valid]))
+
+
+def test_curve_expressions_roundtrip_through_text():
+    for data in (
+        GeneratingData.general(parse("exp(z)"), parse("1/(z-0.25)^2 + sqrt(z+0.5)")),
+        GeneratingData.canonical(parse("z^3 - 2J*z")),
+    ):
+        for e in curve_expressions(data):
+            assert parse(str(e)) == e
+
+
+@pytest.mark.parametrize("g", ["1/(z-0.25)^2 + sqrt(z+0.5)", "1/(z-0.3)", "(z-0.5)^-3"])
+def test_singular_null_lines_leak_no_warnings(g):
+    # step 1/8 on [-1, 1]^2: the singular null lines cross the grid, some
+    # through lattice nodes; masking must not leak divide or invalid warnings
+    dom, grid = (-1.0, 1.0, -1.0, 1.0), (17, 17)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        patch = evaluate_surface(GeneratingData.general(parse("1"), parse(g)), dom, grid)
+        fg = forms_grid(patch)
+        field = canonical_curvature_field(GeneratingData.canonical(parse(g)), dom, grid)
+    for valid in (patch.valid, fg.valid, np.isfinite(field.values)):
+        assert valid.any() and not valid.all()
+    assert np.all(np.isfinite(patch.points[patch.valid]))
     assert np.all(np.isnan(patch.points[~patch.valid]))
 
 
