@@ -671,7 +671,8 @@ def compare_curvature_fields(
     indices along each axis and share at least min_overlap finite nodes.
     The returned gauge minimises the key (max |K1 - K2| over the shared
     nodes, |A| + |B|, eps = +1 before -1, index shift), so ties go to the
-    smallest translation.
+    smallest translation; |A| + |B| counts in grid steps to 6 decimals, so
+    rounding in the grid origins cannot decide a tie.
 
     Masked FFT correlations (Padfield, IEEE TIP 2012) give every translation
     the RMS of K1 - K2 over its shared nodes, less a rounding margin: a lower
@@ -753,7 +754,7 @@ def compare_curvature_fields(
         disc = float(np.max(np.abs(x[both] - y[both])))
         A = float(field1.us[su1.start] - us2[su2.start])
         B = float(field1.vs[sv1.start] - vs2[sv2.start])
-        key = (disc, abs(A) + abs(B), 0 if eps == 1 else 1, du, dv)
+        key = (disc, round((abs(A) + abs(B)) / h, 6), 0 if eps == 1 else 1, du, dv)
         if best is None or key < best[0]:
             best = (key, FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, int(np.sum(both))))
     return best[1]

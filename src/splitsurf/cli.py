@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -131,85 +132,92 @@ def _load_data(args) -> GeneratingData:
 # ---------------------------------------------------------------------------
 
 
+def _write_table(fh, header: str, columns):
+    """CSV of %.17g values, one line per node of the grid the columns broadcast to."""
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    fh.write(header + "\n")
+    for row in table:
+        fh.write((line * len(row)) % tuple(row.ravel().tolist()))
+
+
 def write_obj(path: str, patch: SurfacePatch):
-    n, m = patch.shape
-    index = np.zeros((n, m), int)
-    count = 0
+    valid = patch.valid
+    index = np.cumsum(valid).reshape(valid.shape)  # 1-based vertex numbers at valid nodes
+    a, b, c, d = index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]
+    cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     with open(path, "w") as fh:
-        for i in range(n):
-            for j in range(m):
-                if patch.valid[i, j]:
-                    count += 1
-                    index[i, j] = count
-                    x, y, z = patch.points[i, j]
-                    fh.write("v %.17g %.17g %.17g\n" % (x, y, z))
-        faces = 0
-        for i in range(n - 1):
-            for j in range(m - 1):
-                corners = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
-                if all(c > 0 for c in corners):
-                    a, b, c, d = corners
-                    fh.write("f %d %d %d\n" % (a, b, c))
-                    fh.write("f %d %d %d\n" % (a, c, d))
-                    faces += 2
-    return count, faces
+        for row, ok in zip(patch.points, valid):
+            fh.write(("v %.17g %.17g %.17g\n" * int(ok.sum())) % tuple(row[ok].ravel().tolist()))
+        for i, ok in enumerate(cells):
+            tris = np.stack([x[i, ok] for x in (a, b, c, a, c, d)], axis=-1)
+            fh.write(("f %d %d %d\n" * (2 * len(tris))) % tuple(tris.ravel().tolist()))
+    return int(valid.sum()), 2 * int(cells.sum())
+
+
+_OBJ_VERTEX = re.compile(r"^v[ \t]+(\S+)[ \t]+(\S+)[ \t]+(\S+)", re.M)
 
 
 def read_obj_vertices(path: str) -> np.ndarray:
-    verts = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                verts.append([float(tok) for tok in line.split()[1:4]])
-    return np.array(verts)
+    return np.fromregex(path, _OBJ_VERTEX, "f8,f8,f8").view(float).reshape(-1, 3)
 
 
-_CSV_HEADER = "u,v,x1,x2,x3,E,F,G,L,M,N,K,H"
+_CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
 
 
 def write_csv(path: str, patch: SurfacePatch, grid=None):
     grid = grid if grid is not None else forms_grid(patch)
+    columns = [patch.us[:, None], patch.vs[None, :], *np.moveaxis(patch.points, -1, 0)]
+    columns += [grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K, grid.H]
     with open(path, "w") as fh:
-        fh.write(_CSV_HEADER + "\n")
-        for i in range(len(patch.us)):
-            for j in range(len(patch.vs)):
-                row = [patch.us[i], patch.vs[j], *patch.points[i, j]]
-                row += [arr[i, j] for arr in (grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K, grid.H)]
-                fh.write(",".join("%.17g" % r for r in row) + "\n")
+        _write_table(fh, "u,v,x1,x2,x3,E,F,G,L,M,N,K,H", columns)
+
+
+def _bad_csv_line(fh, cols):
+    """The first data line of fh that lacks a number in one of the columns cols."""
+    fh.seek(0)
+    for lineno, line in enumerate(fh, 1):
+        try:
+            if lineno > 1 and line != "\n":
+                [float(line.split(",")[k]) for k in cols]
+        except (IndexError, ValueError):
+            return "line %d lacks a number in a u,v,x1,x2,x3 column: %r" % (lineno, line.rstrip("\n"))
 
 
 def read_csv_patch(path: str) -> SurfacePatch:
-    rows = []
+    """Patch from a CSV with columns u,v,x1,x2,x3 among others; rows in any order, missing nodes NaN."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        iu, iv = header.index("u"), header.index("v")
-        ix = [header.index(k) for k in ("x1", "x2", "x3")]
-        for line in fh:
-            if line.strip():
-                vals = [float(t) for t in line.strip().split(",")]
-                rows.append((vals[iu], vals[iv], [vals[k] for k in ix]))
-    us = np.unique([r[0] for r in rows])
-    vs = np.unique([r[1] for r in rows])
+        header = [name.strip() for name in fh.readline().split(",")]
+        missing = [name for name in _CSV_REQUIRED if name not in header]
+        if missing:
+            raise DomainError("%s: header lacks column(s) %s" % (path, ", ".join(missing)))
+        cols = [header.index(name) for name in _CSV_REQUIRED]
+        if not any(line.strip() for line in fh):
+            raise DomainError("%s: no data rows after the header" % path)
+        fh.seek(0)
+        try:
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols, comments=None, skiprows=1)
+        except ValueError as exc:
+            raise DomainError("%s: %s" % (path, _bad_csv_line(fh, cols) or exc)) from None
+    us, vs = np.unique(table[:, 0]), np.unique(table[:, 1])
     points = np.full((len(us), len(vs), 3), np.nan)
-    ui = {u: i for i, u in enumerate(us)}
-    vi = {v: j for j, v in enumerate(vs)}
-    for u, v, xyz in rows:
-        points[ui[u], vi[v]] = xyz
+    points[np.searchsorted(us, table[:, 0]), np.searchsorted(vs, table[:, 1])] = table[:, 2:]
     return SurfacePatch.from_points(us, vs, points)
 
 
+def _finite_or_none(values: np.ndarray) -> list:
+    return np.where(np.isfinite(values), values, None).tolist()
+
+
 def write_json_mesh(path: str, patch: SurfacePatch):
+    """Write the text of json.dumps(mesh, sort_keys=True), one row of points at a time."""
+    rest = {"schema_version": SCHEMA_VERSION, "us": _finite_or_none(patch.us),
+            "valid": patch.valid.astype(int).tolist(), "vs": _finite_or_none(patch.vs)}
     with open(path, "w") as fh:
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "us": patch.us,
-                "vs": patch.vs,
-                "points": patch.points,
-                "valid": patch.valid.astype(int),
-            },
-            fh,
-        )
+        fh.write('{"points": [')
+        for i, row in enumerate(patch.points):
+            fh.write((", " if i else "") + json.dumps(_finite_or_none(row)))
+        fh.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +229,13 @@ def cmd_generate(args) -> int:
     data = _load_data(args)
     patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid), tol=args.tol)
     grid = forms_grid(patch)
+    verts, faces = int(patch.valid.sum()), 0
     if args.format == "obj":
         verts, faces = write_obj(args.out, patch)
     elif args.format == "csv":
         write_csv(args.out, patch, grid)
-        verts, faces = int(patch.valid.sum()), 0
     else:
         write_json_mesh(args.out, patch)
-        verts, faces = int(patch.valid.sum()), 0
     with np.errstate(invalid="ignore"):
         summary = {
             "schema_version": SCHEMA_VERSION,
@@ -272,20 +279,11 @@ def cmd_canonicalize(args) -> int:
     }
     if args.samples:
         with open(args.samples, "w") as fh:
-            fh.write("u,v,z_re,z_im,g_tilde_re,g_tilde_im\n")
-            for i, u in enumerate(result.us):
-                for j, v in enumerate(result.vs):
-                    fh.write(
-                        ",".join(
-                            "%.17g" % val
-                            for val in (
-                                u, v,
-                                result.z_values.re[i, j], result.z_values.im[i, j],
-                                result.g_tilde_values.re[i, j], result.g_tilde_values.im[i, j],
-                            )
-                        )
-                        + "\n"
-                    )
+            _write_table(fh, "u,v,z_re,z_im,g_tilde_re,g_tilde_im", [
+                result.us[:, None], result.vs[None, :],
+                result.z_values.re, result.z_values.im,
+                result.g_tilde_values.re, result.g_tilde_values.im,
+            ])
         report["samples"] = args.samples
     _emit(report)
     return 0

@@ -302,7 +302,7 @@ def brute_force_match(field1, field2, tol=1e-4, min_overlap=9):
                 disc = float(np.max(np.abs(x[both] - y[both])))
                 A = float(field1.us[i0] - us2[i0 - du])
                 B = float(field1.vs[j0] - vs2[j0 - dv])
-                key = (disc, abs(A) + abs(B), 0 if eps == 1 else 1, du, dv)
+                key = (disc, round((abs(A) + abs(B)) / field1.h_u, 6), 0 if eps == 1 else 1, du, dv)
                 if best is None or key < best[0]:
                     match = FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, int(both.sum()))
                     best = (key, match)
@@ -422,3 +422,15 @@ def test_compare_fields_ignores_sub_floor_alignments(transpose):
     match = compare_curvature_fields(field1, field2)
     assert match == brute_force_match(field1, field2)
     assert not match.matched and match.discrepancy > 0.1
+
+
+def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
+    # g = z is symmetric under the reflection, so (+1, 0.025, 0) and
+    # (-1, -0.025, 0) match equally well; |A| + |B| agree up to the last bit
+    # of the grid origins, and eps = +1 wins the tie
+    domain, grid = (-1.0, 1.0, -1.0, 1.0), (81, 81)
+    field1 = canonical_curvature_field(GeneratingData.canonical(parse("z")), domain, grid)
+    field2 = canonical_curvature_field(GeneratingData.canonical(parse("z+0.025")), domain, grid)
+    match = compare_curvature_fields(field1, field2)
+    assert match.matched and match.gauge.eps == 1
+    assert abs(match.gauge.A - 0.025) < 1e-12 and match.gauge.B == 0.0

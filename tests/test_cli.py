@@ -1,9 +1,21 @@
 import json
+import warnings
 
 import numpy as np
 
-from splitsurf.canonical import canonical_curvature_field
-from splitsurf.cli import _curvature_callable, main, read_obj_vertices, read_csv_patch
+import pytest
+
+from splitsurf.canonical import canonical_curvature_field, canonicalize
+from splitsurf.cli import (
+    _curvature_callable,
+    main,
+    read_csv_patch,
+    read_obj_vertices,
+    write_csv,
+    write_json_mesh,
+    write_obj,
+)
+from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import GeneratingData, evaluate_surface
 from splitsurf.holofn import parse
 
@@ -259,6 +271,15 @@ def test_canonicalize_samples_file(tmp_path, capsys):
     # g~(w) = 1 + w on this domain
     u, v, _, _, gre, gim = map(float, rows[1].split(","))
     assert abs(gre - (1 + u)) < 1e-8 and abs(gim - v) < 1e-8
+    # the per-cell writer the table helper replaced
+    result = canonicalize(parse("exp(z)"), parse("exp(z)"), domain=(0.9, 2.9, -0.3, 0.3), grid=(9, 5))
+    lines = ["u,v,z_re,z_im,g_tilde_re,g_tilde_im"]
+    for i, u in enumerate(result.us):
+        for j, v in enumerate(result.vs):
+            vals = (u, v, result.z_values.re[i, j], result.z_values.im[i, j],
+                    result.g_tilde_values.re[i, j], result.g_tilde_values.im[i, j])
+            lines.append(",".join("%.17g" % val for val in vals))
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_transform_inversion_cli(capsys):
@@ -269,3 +290,158 @@ def test_transform_inversion_cli(capsys):
     report = json.loads(stdout)
     assert "witness" not in report
     assert report["g_tilde"].endswith("/ (z + 3.0)")
+
+
+# ---------------------------------------------------------------------------
+# mesh writers and the CSV reader against per-cell references
+# ---------------------------------------------------------------------------
+
+
+def reference_obj(patch):
+    """The per-cell OBJ writer the row-at-a-time one replaced."""
+    n, m = patch.shape
+    index = np.zeros((n, m), int)
+    out = []
+    for i in range(n):
+        for j in range(m):
+            if patch.valid[i, j]:
+                index[i, j] = len(out) + 1
+                out.append("v %.17g %.17g %.17g\n" % tuple(patch.points[i, j]))
+    for i in range(n - 1):
+        for j in range(m - 1):
+            a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+            if a and b and c and d:
+                out.append("f %d %d %d\nf %d %d %d\n" % (a, b, c, a, c, d))
+    return "".join(out)
+
+
+def reference_csv(patch, grid):
+    """The per-cell CSV writer the row-at-a-time one replaced."""
+    out = ["u,v,x1,x2,x3,E,F,G,L,M,N,K,H\n"]
+    for i in range(len(patch.us)):
+        for j in range(len(patch.vs)):
+            row = [patch.us[i], patch.vs[j], *patch.points[i, j]]
+            row += [arr[i, j] for arr in (grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K, grid.H)]
+            out.append(",".join("%.17g" % r for r in row) + "\n")
+    return "".join(out)
+
+
+def reference_mesh(patch):
+    def finite(x):
+        return x if np.isfinite(x) else None
+
+    return {
+        "schema_version": 1,
+        "us": patch.us.tolist(),
+        "vs": patch.vs.tolist(),
+        "points": [[[finite(x) for x in p] for p in row] for row in patch.points.tolist()],
+        "valid": patch.valid.astype(int).tolist(),
+    }
+
+
+WRITER_PATCHES = {
+    # the pole's null lines cross the grid: invalid nodes and dropped faces
+    "pole_41x41": ("1", "1/(z-0.3)", (-1, 1, -1, 1), (41, 41)),
+    # non-square, so a transposed writer shows
+    "exp_17x9": ("1", "exp(z)", (-0.7, 0.9, -0.3, 0.5), (17, 9)),
+    "enneper_3x3": ("1", "z", (-1, 1, -1, 1), (3, 3)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WRITER_PATCHES))
+def writer_patch(request):
+    f, g, domain, grid = WRITER_PATCHES[request.param]
+    patch = evaluate_surface(GeneratingData.general(parse(f), parse(g)), domain, grid)
+    return patch, forms_grid(patch)
+
+
+def test_writer_patches_cover_invalid_nodes():
+    f, g, domain, grid = WRITER_PATCHES["pole_41x41"]
+    patch = evaluate_surface(GeneratingData.general(parse(f), parse(g)), domain, grid)
+    assert 0 < int(patch.valid.sum()) < patch.valid.size
+
+
+def test_write_obj_matches_per_cell_writer(writer_patch, tmp_path):
+    patch, _ = writer_patch
+    path = tmp_path / "mesh.obj"
+    verts, faces = write_obj(str(path), patch)
+    text = path.read_text()
+    assert text == reference_obj(patch)
+    assert verts == int(patch.valid.sum()) == text.count("v ")
+    assert faces == text.count("f ")
+
+
+def test_write_csv_matches_per_cell_writer(writer_patch, tmp_path):
+    patch, grid = writer_patch
+    path = tmp_path / "mesh.csv"
+    write_csv(str(path), patch, grid)
+    assert path.read_text() == reference_csv(patch, grid)
+
+
+def test_write_json_mesh_is_compact_json_with_nulls(writer_patch, tmp_path):
+    patch, _ = writer_patch
+    path = tmp_path / "mesh.json"
+    write_json_mesh(str(path), patch)
+    expected = reference_mesh(patch)
+    with open(path) as fh:
+        assert json.load(fh) == expected
+    assert path.read_text() == json.dumps(expected, sort_keys=True) + "\n"
+    mesh = json.loads(path.read_text())
+    for i, j in zip(*np.nonzero(~patch.valid)):
+        assert mesh["valid"][i][j] == 0 and None in mesh["points"][i][j]
+
+
+def test_read_csv_bit_exact(writer_patch, tmp_path):
+    patch, grid = writer_patch
+    path = tmp_path / "mesh.csv"
+    write_csv(str(path), patch, grid)
+    back = read_csv_patch(str(path))
+    assert np.array_equal(back.us, patch.us) and np.array_equal(back.vs, patch.vs)
+    assert np.array_equal(back.points, patch.points, equal_nan=True)
+    assert np.array_equal(back.valid, patch.valid)
+
+
+def _small_table():
+    us, vs = np.linspace(-0.5, 0.5, 4), np.linspace(0.0, 0.3, 3)
+    rows = [(u, v, u + v, u * v, u - 2 * v) for u in us for v in vs]
+    return us, vs, rows
+
+
+def test_read_csv_any_row_order_missing_row_extra_columns_crlf(tmp_path):
+    us, vs, rows = _small_table()
+    order = np.random.default_rng(5).permutation(len(rows))
+    dropped = order[0]
+    lines = ["x3,extra,v,x2,u,x1"]
+    for k in order[1:]:
+        u, v, x1, x2, x3 = rows[k]
+        lines.append("%.17g,7,%.17g,%.17g,%.17g,%.17g" % (x3, v, x2, u, x1))
+    path = tmp_path / "shuffled.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    patch = read_csv_patch(str(path))
+    assert np.array_equal(patch.us, us) and np.array_equal(patch.vs, vs)
+    for k, (u, v, *xyz) in enumerate(rows):
+        i, j = divmod(k, len(vs))
+        if k == dropped:
+            assert np.all(np.isnan(patch.points[i, j])) and not patch.valid[i, j]
+        else:
+            assert patch.points[i, j].tolist() == xyz and patch.valid[i, j]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("u,v,x1,x2,x3\n0,0,1,2,3\n0,1,1,2\n", "line 3"),
+        ("u,v,x1,x2,x3\n0,0,1,2,3\n0,1,1,abc,4\n", "line 3"),
+        ("u,v,x1,x2\n0,0,1,2\n", "x3"),
+        ("u,v,x1,x2,x3\n\n", "no data rows"),
+    ],
+    ids=["ragged_row", "unparsable_value", "missing_column", "no_data_rows"],
+)
+def test_verify_malformed_csv_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run(capsys, "verify", "--from-csv", str(path))
+    assert code == 2 and stdout == ""
+    assert "numeric/domain error" in stderr and message in stderr
