@@ -199,6 +199,8 @@ def read_csv_patch(path: str) -> SurfacePatch:
             table = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols, comments=None, skiprows=1)
         except ValueError as exc:
             raise DomainError("%s: %s" % (path, _bad_csv_line(fh, cols) or exc)) from None
+    if not np.all(np.isfinite(table[:, :2])):
+        raise DomainError("%s: u and v must be finite on every row" % path)
     us, vs = np.unique(table[:, 0]), np.unique(table[:, 1])
     points = np.full((len(us), len(vs), 3), np.nan)
     points[np.searchsorted(us, table[:, 0]), np.searchsorted(vs, table[:, 1])] = table[:, 2:]
@@ -280,10 +282,8 @@ def cmd_canonicalize(args) -> int:
     if args.samples:
         with open(args.samples, "w") as fh:
             _write_table(fh, "u,v,z_re,z_im,g_tilde_re,g_tilde_im", [
-                result.us[:, None], result.vs[None, :],
-                result.z_values.re, result.z_values.im,
-                result.g_tilde_values.re, result.g_tilde_values.im,
-            ])
+                result.us[:, None], result.vs[None, :], result.z_values.re, result.z_values.im,
+                result.g_tilde_values.re, result.g_tilde_values.im])
         report["samples"] = args.samples
     _emit(report)
     return 0

@@ -434,8 +434,9 @@ def test_read_csv_any_row_order_missing_row_extra_columns_crlf(tmp_path):
         ("u,v,x1,x2,x3\n0,0,1,2,3\n0,1,1,abc,4\n", "line 3"),
         ("u,v,x1,x2\n0,0,1,2\n", "x3"),
         ("u,v,x1,x2,x3\n\n", "no data rows"),
+        ("u,v,x1,x2,x3\n0,0,1,2,3\nnan,1,1,2,4\n", "finite"),
     ],
-    ids=["ragged_row", "unparsable_value", "missing_column", "no_data_rows"],
+    ids=["ragged_row", "unparsable_value", "missing_column", "no_data_rows", "nan_coordinate"],
 )
 def test_verify_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
