@@ -3,7 +3,8 @@
 In canonical parameters the fundamental forms collapse to a rigid shape
 (-E = G = 1/sqrt(-K), F = 0, L = N = -1, M = 0 for K < 0), and the curvature
 alone determines the surface up to position.  Reaching them means solving
-(z')^2 = 1/(f g') -- two decoupled real ODEs in null coordinates.
+(z')^2 = 1/(f g') -- in null coordinates, two decoupled real quadratures to
+invert.
 """
 
 import numpy as np
@@ -26,9 +27,9 @@ res = canonicalize(parse("2"), parse("z+1"), w0=splitc(0), z0=splitc(-1))
 print("affine solution:", res.affine)
 print("g~(w) =", res.g_tilde_expr)
 print("coefficients:", [str(c) for c in expr_to_poly(res.g_tilde_expr).coeffs()])
-print("max |(z')^2 f g' - 1| residual:", res.max_residual)
+print("reparametrization residual:", res.max_residual)
 
-print("\n=== an exponential pair via the ODE route ===")
+print("\n=== an exponential pair via the quadrature route ===")
 res2 = canonicalize(
     parse("exp(z)"), parse("exp(z)"), w0=splitc(0), z0=splitc(0),
     domain=(0.9, 2.9, -0.3, 0.3), grid=(21, 9),

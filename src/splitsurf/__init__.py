@@ -51,7 +51,6 @@ from .canonical import (
     CanonicalGauge,
     InconclusiveOverlap,
     SampledField,
-    StepFailure,
     apply_gauge,
     canonical_curvature_field,
     canonical_pde_residual,

@@ -1,9 +1,11 @@
 """Transformation of isothermal generating data to canonical parameters.
 
 The reparametrization z(w) solves (z')^2 = 1/(f(z) g'(z)).  Holomorphic data
-decouples in null coordinates, so this is two independent real ODEs
-p'(s) = +-1/sqrt(Phi_plus(p)) and q'(t) = +-1/sqrt(Phi_minus(q)), integrated
-with an embedded Runge-Kutta 4(5) pair and cubic Hermite dense output.
+decouples in null coordinates, so with Phi = f g' this is two independent
+real problems, s(p) = s0 +- int_{p0}^{p} sqrt(Phi_plus) and
+t(q) = t0 +- int_{q0}^{q} sqrt(Phi_minus): each null side of z(w) is the
+inverse of a quadrature, tabulated with holofn.integrate_sweep and inverted
+by bracketed Newton steps.  A constant f g' gives an affine z(w) instead.
 Verification utilities check the canonical coefficient shapes and the PDE
 (ln sqrt(-+K))_uu - (ln sqrt(-+K))_vv = 2 sqrt(-+K) that the curvature of a
 minimal timelike surface satisfies in canonical parameters.
@@ -24,7 +26,6 @@ from .geometry import forms_grid
 
 __all__ = [
     "BranchError",
-    "StepFailure",
     "InconclusiveOverlap",
     "CanonicalGauge",
     "CanonicalizationResult",
@@ -46,143 +47,8 @@ class BranchError(ArithmeticError):
     """f * g' left the cone where the square-root branch stays admissible."""
 
 
-class StepFailure(RuntimeError):
-    """The adaptive ODE solver could not meet its tolerance."""
-
-
 class InconclusiveOverlap(RuntimeError):
     """Too few common nodes after gauge alignment to compare fields."""
-
-
-# ---------------------------------------------------------------------------
-# embedded Runge-Kutta 4(5), Dormand-Prince, with cubic Hermite dense output
-# ---------------------------------------------------------------------------
-
-# stage times are not needed: the reparametrization ODEs are autonomous
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-_MAX_STEPS = 200_000
-
-
-def _rk45(rhs, t0, t1, y0, rtol, atol, max_step):
-    """Integrate y' = rhs(y) from t0 to t1; returns knot arrays (ts, ys, fs)."""
-    if t1 == t0:
-        f0 = rhs(y0)
-        return np.array([t0]), np.array([y0]), np.array([f0])
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    h = direction * min(max_step, span / 16.0)
-    t, y = t0, y0
-    f = rhs(y)
-    ts, ys, fs = [t], [y], [f]
-    for _ in range(_MAX_STEPS):
-        if (t1 - t) * direction <= 0.0:
-            return np.array(ts), np.array(ys), np.array(fs)
-        final = abs(h) >= abs(t1 - t)
-        if final:
-            h = t1 - t
-        ks = [f]
-        for i in range(1, 6):
-            yi = y + h * float(np.dot(_DP_A[i], ks[: len(_DP_A[i])]))
-            ks.append(rhs(yi))
-        y5 = y + h * float(np.dot(_DP_B5, ks))
-        f5 = rhs(y5)
-        ks.append(f5)
-        y4 = y + h * float(np.dot(_DP_B4, ks))
-        scale = atol + rtol * max(abs(y), abs(y5))
-        err = abs(y5 - y4) / scale
-        if err <= 1.0:
-            t = t1 if final else t + h
-            y = y5
-            f = f5
-            ts.append(t)
-            ys.append(y)
-            fs.append(f)
-            if final:
-                return np.array(ts), np.array(ys), np.array(fs)
-        factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if abs(h) > max_step:
-            h = direction * max_step
-        if abs(h) < 1e-14 * max(1.0, span):
-            raise StepFailure("step size underflow at t=%g" % t)
-    raise StepFailure("no convergence in %d steps" % _MAX_STEPS)
-
-
-class _DenseODE:
-    """Piecewise cubic Hermite interpolant through accepted RK steps."""
-
-    def __init__(self, ts, ys, fs):
-        order = np.argsort(ts)
-        self.ts = np.asarray(ts)[order]
-        self.ys = np.asarray(ys)[order]
-        self.fs = np.asarray(fs)[order]
-
-    def _locate(self, t):
-        t = np.asarray(t, float)
-        lo, hi = self.ts[0], self.ts[-1]
-        pad = 1e-9 * max(1.0, abs(hi - lo))
-        if np.any(t < lo - pad) or np.any(t > hi + pad):
-            raise ValueError("sample outside the integrated range")
-        t = np.clip(t, lo, hi)
-        idx = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.ts) - 2)
-        return t, idx
-
-    def sample(self, t):
-        t, i = self._locate(t)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        h = np.where(h == 0.0, 1.0, h)
-        th = (t - t0) / h
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
-        return h00 * self.ys[i] + h * (h10 * self.fs[i] + h11 * self.fs[i + 1]) + h01 * self.ys[i + 1]
-
-    def deriv(self, t):
-        t, i = self._locate(t)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        h = np.where(h == 0.0, 1.0, h)
-        th = (t - t0) / h
-        d00 = (6 * th**2 - 6 * th) / h
-        d10 = 3 * th**2 - 4 * th + 1
-        d01 = (-6 * th**2 + 6 * th) / h
-        d11 = 3 * th**2 - 2 * th
-        return d00 * self.ys[i] + d10 * self.fs[i] + d01 * self.ys[i + 1] + d11 * self.fs[i + 1]
-
-
-def _solve_component(phi: HoloExpr, side, x0, span_lo, span_hi, sign, rtol, atol, max_step):
-    def rhs(x):
-        val = phi.eval_null(x, side)
-        if not np.isfinite(val) or val <= _CONE_EPS:
-            raise BranchError(
-                "f*g' left the sqrt-admissible cone (component value %g at %g)"
-                % (val, x)
-            )
-        return sign / np.sqrt(val)
-
-    t0 = x0[0]
-    knots = []
-    for target in (span_lo, span_hi):
-        ts, ys, fs = _rk45(rhs, t0, target, x0[1], rtol, atol, max_step)
-        knots.append((ts, ys, fs))
-    ts = np.concatenate([knots[0][0], knots[1][0]])
-    ys = np.concatenate([knots[0][1], knots[1][1]])
-    fs = np.concatenate([knots[0][2], knots[1][2]])
-    return _DenseODE(ts, ys, fs)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +59,11 @@ def _solve_component(phi: HoloExpr, side, x0, span_lo, span_hi, sign, rtol, atol
 class CanonicalizationResult:
     """Sampled reparametrization z(w) and the transported generating function.
 
-    g_tilde_expr is symbolic exactly when z(w) is affine (constant f*g');
-    otherwise the transported function is available as samples only.
+    g_tilde_expr is symbolic exactly when z(w) is affine (f*g' a symbolic
+    constant); otherwise the transported function is available as samples
+    only.  residual is |(z')^2 f g' - 1| on the affine route and the
+    inversion residual |s(z(w)) - w| of the larger null side otherwise; it
+    and z are NaN at nodes the quadrature cannot reach.
     """
 
     def __init__(self, us, vs, w0, z0, sign, z_values, z_prime, g_tilde_values,
@@ -215,7 +84,9 @@ class CanonicalizationResult:
 
     @property
     def max_residual(self) -> float:
-        return float(np.nanmax(self.residual))
+        """Largest residual over the nodes with a value; NaN when there are none."""
+        finite = self.residual[np.isfinite(self.residual)]
+        return float(finite.max()) if finite.size else float("nan")
 
     def z_at(self, w) -> SplitComplex:
         return self._z_at(SplitComplex._coerce(w))
@@ -224,22 +95,76 @@ class CanonicalizationResult:
         return self._z_prime_at(SplitComplex._coerce(w))
 
 
-def _probe_constant(phi: HoloExpr, z0: SplitComplex, radius: float):
-    """Numeric constancy probe around z0; None unless all samples agree."""
-    offsets = [0.0, radius, -radius, radius / 3.0, -radius / 2.0]
-    vals = []
-    for dp in offsets:
-        for dq in offsets:
-            try:
-                vals.append(phi.eval(from_null(z0.p + dp, z0.q + dq)))
-            except (ZeroDivisor, NoSquareRoot):
-                return None
-    ref = vals[0]
-    scale = max(1.0, float(ref.mag))
-    for v in vals[1:]:
-        if float((v - ref).mag) > 1e-12 * scale:
-            return None
-    return ref
+# uniform tabulation knots on each side of the base point
+_KNOTS = 32
+# a target w converges at |w(x) - w| <= _NEWTON_TOL * max(1, |w - w0|)
+_NEWTON_TOL = 32 * np.finfo(float).eps
+
+
+def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
+    """x with w0 + sign * int_{x0}^{x} sqrt(Phi) = w on one null side, where
+    Phi is that side's component of f g'.
+
+    The integral is tabulated on _KNOTS uniform knots per side of x0, and a
+    side's span doubles until the table covers every target or a gap of it
+    fails.  Each distinct target then takes Newton steps with the exact
+    derivative sqrt(Phi), bracketed by the table, one integrate_sweep over x0
+    and the open iterates per step; a step that leaves the bracket or does
+    not halve the error bisects instead.  A target whose bracket shrinks to
+    _NEWTON_TOL relative width before it converges is NaN: it lies beyond a
+    failed gap, past a cone exit Phi <= _CONE_EPS or a singularity.  Returns
+    x and |w(x) - w|, shaped like w.
+    """
+    def rate(x):
+        val = np.broadcast_to(phi.eval_null(x, side), np.shape(x))
+        return np.sqrt(np.where(val > _CONE_EPS, val, np.nan))
+
+    def integral(xs):
+        knots, at = np.unique(np.append(xs, x0), return_inverse=True)
+        return holofn.integrate_sweep(rate, knots, at[-1])[0][at[:-1]]
+
+    targets, at = np.unique(np.asarray(w, float), return_inverse=True)
+    y = sign * (targets - w0)  # the integral from x0 each target needs
+    ramp = np.arange(1, _KNOTS + 1) / _KNOTS
+    span = np.full(2, (np.max(np.abs(y)) or 1.0) / rate(np.array([x0]))[0])
+    while True:
+        knots = np.concatenate([x0 - span[0] * ramp[::-1], [x0], x0 + span[1] * ramp])
+        table, ok = holofn.integrate_sweep(rate, knots, _KNOTS)
+        short = np.array([ok[0] and table[0] > y.min(), ok[-1] and table[-1] < y.max()])
+        if not short.any():
+            break
+        span[short] *= 2.0
+
+    # bracket knots[k - 1] < x <= knots[k]; one end may lie beyond a failed gap
+    k = np.flatnonzero(ok)[0] + np.searchsorted(table[ok], y)
+    lo, hi = knots[np.maximum(k - 1, 0)], knots[np.minimum(k, len(knots) - 1)]
+    x = np.interp(y, table[ok], knots[ok])
+    last = np.full(len(y), np.inf)
+    out = np.full(len(y), np.nan)
+    res = np.full(len(y), np.nan)
+    open_ = np.ones(len(y), bool)
+    while open_.any():
+        i = np.flatnonzero(open_)
+        xi = x[i]
+        err = integral(xi) - y[i]
+        slope = rate(xi)
+        good = np.isfinite(err) & np.isfinite(slope)
+        # a reachable iterate replaces the end on its side of the root, an
+        # unreachable one the end on its side of x0
+        up = np.where(good, err > 0.0, xi > x0)
+        hi[i[up]] = xi[up]
+        lo[i[~up]] = xi[~up]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = xi - err / slope
+        newton = (step > lo[i]) & (step < hi[i]) & (np.abs(err) <= 0.5 * last[i])
+        last[i] = np.where(good, np.abs(err), np.inf)
+        x[i] = np.where(newton, step, 0.5 * (lo[i] + hi[i]))
+        shut = hi[i] - lo[i] <= _NEWTON_TOL * np.maximum(1.0, np.abs(xi))
+        done = good & (np.abs(err) <= _NEWTON_TOL * np.maximum(1.0, np.abs(y[i])))
+        out[i[done]] = xi[done]
+        res[i[done]] = np.abs(err[done])
+        open_[i[done | shut]] = False
+    return out[at].reshape(np.shape(w))[()], res[at].reshape(np.shape(w))[()]
 
 
 def canonicalize(
@@ -250,16 +175,16 @@ def canonicalize(
     domain: tuple[float, float, float, float] = (-1.0, 1.0, -1.0, 1.0),
     grid: tuple[int, int] = (33, 33),
     sign: int = +1,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    max_step: float | None = None,
 ) -> CanonicalizationResult:
     """Solve (z')^2 = 1/(f(z) g'(z)) with z(w0) = z0 over a w-rectangle.
 
     The sampled map z(w) and g~(w) = g(z(w)) are returned on the requested
-    grid; w0 may lie outside the rectangle (integration extends to reach it).
-    sign selects the branch z' = sign / sqrt(f g'); both choices differ by a
-    canonical-parameter gauge.
+    grid; w0 may lie outside the rectangle.  sign selects the branch
+    z' = sign / sqrt(f g'); both choices differ by a canonical-parameter
+    gauge.  A symbolically constant f g' gives the affine map; otherwise
+    each null side is the inverse of a quadrature (_invert_side), and z is
+    NaN at the nodes that side cannot reach.  Raises BranchError when
+    f g'(z0) is outside the square-root cone, or a constant f g' is.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -274,60 +199,30 @@ def canonicalize(
 
     phi = f * g.derivative()
     gamma = holofn.constant_value(phi)
-    probed = False
-    if gamma is None:
-        try:
-            p0 = phi.eval(z0)
-            reach = max(abs(u1 - u0) + abs(v1 - v0), float((w0 - splitc(u0, v0)).mag))
-            if p0.p > _CONE_EPS and p0.q > _CONE_EPS:
-                radius = reach / float(np.sqrt(min(p0.p, p0.q)))
-                gamma = _probe_constant(phi, z0, radius)
-                probed = gamma is not None
-        except (ZeroDivisor, NoSquareRoot):
-            gamma = None
-
     if gamma is not None:
-        try:
-            return _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid)
-        except BranchError:
-            if not probed:
-                raise
-            # the numeric constancy probe was fooled; solve the ODEs instead
+        return _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid)
 
-    # two decoupled real ODE solves, one per null coordinate
-    S = U + V
-    T = U - V
-    if max_step is None:
-        # cap the step so the Hermite-interpolant derivative (cubic, O(h^3))
-        # keeps the reparametrization residual below ~1e-9
-        span = max(S.max() - S.min(), T.max() - T.min(), 1e-6)
-        max_step = span / 512.0
     try:
-        phi.eval(z0)
+        phi0 = phi.eval(z0)
     except (ZeroDivisor, NoSquareRoot) as exc:
         raise BranchError("f*g' not invertible at z0: %s" % exc) from exc
-    dense_p = _solve_component(
-        phi, PLUS, (float(w0.p), float(z0.p)),
-        min(S.min(), float(w0.p)), max(S.max(), float(w0.p)), sign, rtol, atol, max_step,
-    )
-    dense_q = _solve_component(
-        phi, MINUS, (float(w0.q), float(z0.q)),
-        min(T.min(), float(w0.q)), max(T.max(), float(w0.q)), sign, rtol, atol, max_step,
-    )
+    if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
+        raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
 
-    zvals = from_null(dense_p.sample(S), dense_q.sample(T))
-    zprime = from_null(dense_p.deriv(S), dense_q.deriv(T))
-    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
+    def invert(w):
+        p, res_p = _invert_side(phi, PLUS, float(z0.p), float(w0.p), sign, w.p)
+        q, res_q = _invert_side(phi, MINUS, float(z0.q), float(w0.q), sign, w.q)
+        return from_null(p, q), np.maximum(res_p, res_q)
 
-    def z_at(w):
-        return from_null(dense_p.sample(w.p), dense_q.sample(w.q))
+    def z_prime_of(z):
+        # z' = sign / sqrt(f g'(z)), exact per null side
+        val = phi.eval(z)
+        return from_null(sign / np.sqrt(val.p), sign / np.sqrt(val.q))
 
-    def z_prime_at(w):
-        return from_null(dense_p.deriv(w.p), dense_q.deriv(w.q))
-
+    zvals, res = invert(wgrid)
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals),
-        None, res, False, z_at, z_prime_at,
+        us, vs, w0, z0, sign, zvals, z_prime_of(zvals), g.eval(zvals),
+        None, res, False, lambda w: invert(w)[0], lambda w: z_prime_of(invert(w)[0]),
     )
 
 

@@ -23,7 +23,6 @@ from .geometry import DegenerateNormal, forms_grid
 from .canonical import (
     BranchError,
     InconclusiveOverlap,
-    StepFailure,
     _curvature_at,
     canonical_pde_residual,
     canonicalize,
@@ -46,7 +45,6 @@ _NUMERIC_ERRORS = (
     ZeroDivisor,
     NoSquareRoot,
     BranchError,
-    StepFailure,
     DegenerateNormal,
     InconclusiveOverlap,
 )
@@ -268,6 +266,7 @@ def cmd_canonicalize(args) -> int:
     if result.g_tilde_expr is not None:
         poly = holofn.expr_to_poly(result.g_tilde_expr)
         g_tilde = str(holofn.poly_to_expr(poly.chop())) if poly is not None else str(result.g_tilde_expr)
+    finite = result.residual[np.isfinite(result.residual)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "canonicalize",
@@ -277,7 +276,8 @@ def cmd_canonicalize(args) -> int:
         "w0": str(result.w0),
         "z0": str(result.z0),
         "residual_max": result.max_residual,
-        "residual_mean": float(np.nanmean(result.residual)),
+        "residual_mean": float(np.mean(finite)) if finite.size else None,
+        "invalid_samples": int(np.sum(np.isnan(result.z_values.re))),
     }
     if args.samples:
         with open(args.samples, "w") as fh:

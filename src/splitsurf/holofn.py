@@ -3,7 +3,7 @@
 Expressions over {constants, z, + - * /, integer powers, exp, sqrt} are
 parsed to an immutable tree, or built with the operators + - * / ** and
 unary -.  Every operation in the grammar commutes with the null-coordinate
-splitting, so evaluation, quadrature and ODE stepping all reduce to two
+splitting, so evaluation, quadrature and its inversion all reduce to two
 independent real computations, and every singularity is a whole null line.
 
 Arrays mask with NaN, scalars raise: on an array, a node whose path meets a

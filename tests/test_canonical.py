@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,82 @@ def test_affine_rejects_inadmissible_constant():
     # f*g' = -1 has no square root with positive null components
     with pytest.raises(BranchError):
         canonicalize(parse("-1"), parse("z"))
+
+
+# f = 1, g = z^2/2, z(0) = 1: Phi = f g' = z, so s(p) = (2/3)(p^(3/2) - 1) and
+# z+-(w) = (1 + 1.5 s)^(2/3).  The cone exit p = 0 lies at s = -2/3; the
+# nodes with S = u + v or T = u - v below it have no preimage.
+CONE_EXIT = dict(w0=splitc(0), z0=splitc(1), domain=(-0.6, 0.4, -0.3, 0.3), grid=(21, 13))
+
+
+def cone_exit_grid():
+    U, V = np.meshgrid(np.linspace(-0.6, 0.4, 21), np.linspace(-0.3, 0.3, 13), indexing="ij")
+    return U + V, U - V
+
+
+def test_cone_exit_masks_unreachable_nodes():
+    res = canonicalize(parse("1"), parse("z^2/2"), **CONE_EXIT)
+    S, T = cone_exit_grid()
+    reachable = (S > -2 / 3) & (T > -2 / 3)
+    assert np.array_equal(np.isfinite(res.z_values.re), reachable)
+    assert np.array_equal(np.isfinite(res.residual), reachable)
+    assert int(reachable.sum()) == 243
+    p = (1 + 1.5 * S[reachable]) ** (2 / 3)
+    q = (1 + 1.5 * T[reachable]) ** (2 / 3)
+    assert np.max(np.abs(res.z_values.p[reachable] - p)) < 1e-12
+    assert np.max(np.abs(res.z_values.q[reachable] - q)) < 1e-12
+    assert res.max_residual < 1e-12
+
+
+def test_canonical_curvature_field_masks_cone_exit():
+    data = GeneratingData.general(parse("1"), parse("z^2/2"), base_point=splitc(1))
+    field = canonical_curvature_field(data, CONE_EXIT["domain"], CONE_EXIT["grid"], w0=splitc(0))
+    S, T = cone_exit_grid()
+    finite = np.isfinite(field.values)
+    assert int(finite.sum()) == 243
+    assert not np.any(finite & ((S < -2 / 3) | (T < -2 / 3)))
+
+
+def test_all_masked_max_residual_is_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = canonicalize(parse("1"), parse("z^2/2"), w0=splitc(0), z0=splitc(1),
+                           domain=(-2, -1.5, -0.1, 0.1), grid=(5, 5))
+        assert np.isnan(res.max_residual)
+    assert np.all(np.isnan(res.z_values.re))
+
+
+def test_quadrature_route_z_at_and_z_prime_at():
+    f, g = parse("exp(z)"), parse("z^2+3*z")
+    w0, z0 = splitc(0.1, 0.05), splitc(0.25, -0.125)
+    res = canonicalize(f, g, w0=w0, z0=z0, domain=(-0.3, 0.5, -0.3, 0.3), grid=(17, 13))
+    assert not res.affine
+    U, V = np.meshgrid(res.us, res.vs, indexing="ij")
+    wgrid = splitc(U, V)
+    at_nodes = res.z_at(wgrid)
+    assert np.array_equal(at_nodes.re, res.z_values.re)
+    assert np.array_equal(at_nodes.im, res.z_values.im)
+    prime = res.z_prime_at(wgrid)
+    assert np.array_equal(prime.re, res.z_prime.re)
+    assert np.array_equal(prime.im, res.z_prime.im)
+    single = res.z_at(splitc(res.us[3], res.vs[5]))
+    assert float((single - splitc(res.z_values.re[3, 5], res.z_values.im[3, 5])).mag) < 1e-14
+    assert res.z_at(w0) == z0
+    phi = f * g.derivative()
+    for z, zp in ((res.z_values, res.z_prime), (res.z_at(w0), res.z_prime_at(w0))):
+        assert np.max(((zp * zp) * phi.eval(z) - 1.0).mag) <= 1e-13
+
+
+def test_quadrature_route_sign_symmetry():
+    # z' = -1/sqrt(Phi) is the + branch run backwards: z_-(w) = z_+(2 w0 - w)
+    f, g = parse("exp(z)"), parse("exp(z)")
+    w0 = splitc(0.1, -0.05)
+    kwargs = dict(w0=w0, z0=splitc(0), domain=(-0.35, 0.35, -0.35, 0.35), grid=(15, 15))
+    plus = canonicalize(f, g, sign=+1, **kwargs)
+    minus = canonicalize(f, g, sign=-1, **kwargs)
+    U, V = np.meshgrid(minus.us, minus.vs, indexing="ij")
+    mirrored = plus.z_at(splitc(2 * 0.1 - U, 2 * -0.05 - V))
+    assert np.max((minus.z_values - mirrored).mag) < 1e-12
 
 
 def test_verify_coefficients_principal_and_asymptotic():

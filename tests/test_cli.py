@@ -110,6 +110,34 @@ def test_canonicalize_branch_error_exit_2(capsys):
     assert "cone" in err
 
 
+def test_canonicalize_cone_exit_masks_nodes(tmp_path, capsys):
+    # f g' = z leaves the cone at S or T = -2/3: 30 of the 21 x 13 nodes lie beyond
+    out = tmp_path / "zmap.csv"
+    code, stdout, _ = run(
+        capsys, "canonicalize", "--f", "1", "--g", "z^2/2", "--z0", "1",
+        "--domain", "-0.6:0.4:-0.3:0.3", "--grid", "21x13", "--samples", str(out),
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["invalid_samples"] == 21 * 13 - 243
+    assert report["residual_max"] < 1e-12
+    rows = out.read_text().splitlines()[1:]
+    assert sum(row.endswith("nan,nan,nan,nan") for row in rows) == 30
+
+
+def test_canonicalize_all_masked_null_residuals(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, _ = run(
+            capsys, "canonicalize", "--f", "1", "--g", "z^2/2", "--z0", "1",
+            "--domain", "-2:-1.5:-0.1:0.1", "--grid", "5x5",
+        )
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["invalid_samples"] == 25
+    assert report["residual_max"] is None and report["residual_mean"] is None
+
+
 def test_verify_canonical_enneper_passes(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--canonical", "--g", "z",
