@@ -63,7 +63,9 @@ class CanonicalizationResult:
     constant); otherwise the transported function is available as samples
     only.  residual is |(z')^2 f g' - 1| on the affine route and the
     inversion residual |s(z(w)) - w| of the larger null side otherwise; it
-    and z are NaN at nodes the quadrature cannot reach.
+    and z are NaN at nodes the quadrature cannot reach.  The inversion
+    residual is bounded by construction (see _NEWTON_TOL); the accuracy of
+    z is set by integrate_sweep's 1e-10 absolute tolerance on s.
     """
 
     def __init__(self, us, vs, w0, z0, sign, z_values, z_prime, g_tilde_values,
@@ -85,8 +87,16 @@ class CanonicalizationResult:
     @property
     def max_residual(self) -> float:
         """Largest residual over the nodes with a value; NaN when there are none."""
+        return self._finite_residual(np.max)
+
+    @property
+    def mean_residual(self) -> float:
+        """Mean residual over the nodes with a value; NaN when there are none."""
+        return self._finite_residual(np.mean)
+
+    def _finite_residual(self, stat) -> float:
         finite = self.residual[np.isfinite(self.residual)]
-        return float(finite.max()) if finite.size else float("nan")
+        return float(stat(finite)) if finite.size else float("nan")
 
     def z_at(self, w) -> SplitComplex:
         return self._z_at(SplitComplex._coerce(w))
@@ -97,7 +107,8 @@ class CanonicalizationResult:
 
 # uniform tabulation knots on each side of the base point
 _KNOTS = 32
-# a target w converges at |w(x) - w| <= _NEWTON_TOL * max(1, |w - w0|)
+# a target w converges at |w(x) - w| <= _NEWTON_TOL * max(1, |w - w0|, rate(x) |x|):
+# rate(x) |x| eps / 2 is the least error a float x can reach
 _NEWTON_TOL = 32 * np.finfo(float).eps
 
 
@@ -110,10 +121,11 @@ def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
     fails.  Each distinct target then takes Newton steps with the exact
     derivative sqrt(Phi), bracketed by the table, one integrate_sweep over x0
     and the open iterates per step; a step that leaves the bracket or does
-    not halve the error bisects instead.  A target whose bracket shrinks to
-    _NEWTON_TOL relative width before it converges is NaN: it lies beyond a
-    failed gap, past a cone exit Phi <= _CONE_EPS or a singularity.  Returns
-    x and |w(x) - w|, shaped like w.
+    not halve the error bisects instead.  When a bracket shrinks to
+    _NEWTON_TOL relative width before its target converges, the last iterate
+    is kept if both ends are reachable; if an end lies beyond a failed gap,
+    past a cone exit Phi <= _CONE_EPS or a singularity, the target is NaN,
+    as is a non-finite target.  Returns x and |w(x) - w|, shaped like w.
     """
     def rate(x):
         val = np.broadcast_to(phi.eval_null(x, side), np.shape(x))
@@ -125,24 +137,25 @@ def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
 
     targets, at = np.unique(np.asarray(w, float), return_inverse=True)
     y = sign * (targets - w0)  # the integral from x0 each target needs
+    open_ = np.isfinite(y)
+    y_lo, y_hi = np.min(y[open_], initial=0.0), np.max(y[open_], initial=0.0)
     ramp = np.arange(1, _KNOTS + 1) / _KNOTS
-    span = np.full(2, (np.max(np.abs(y)) or 1.0) / rate(np.array([x0]))[0])
+    span = np.full(2, (max(-y_lo, y_hi) or 1.0) / rate(np.array([x0]))[0])
     while True:
         knots = np.concatenate([x0 - span[0] * ramp[::-1], [x0], x0 + span[1] * ramp])
         table, ok = holofn.integrate_sweep(rate, knots, _KNOTS)
-        short = np.array([ok[0] and table[0] > y.min(), ok[-1] and table[-1] < y.max()])
+        short = np.array([ok[0] and table[0] > y_lo, ok[-1] and table[-1] < y_hi])
         if not short.any():
             break
         span[short] *= 2.0
 
-    # bracket knots[k - 1] < x <= knots[k]; one end may lie beyond a failed gap
+    # bracket knots[k - 1] < x <= knots[k]; an end may lie beyond a failed gap
     k = np.flatnonzero(ok)[0] + np.searchsorted(table[ok], y)
-    lo, hi = knots[np.maximum(k - 1, 0)], knots[np.minimum(k, len(knots) - 1)]
+    k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, len(knots) - 1)
+    lo, hi, lo_ok, hi_ok = knots[k_lo], knots[k_hi], ok[k_lo], ok[k_hi]
     x = np.interp(y, table[ok], knots[ok])
     last = np.full(len(y), np.inf)
-    out = np.full(len(y), np.nan)
-    res = np.full(len(y), np.nan)
-    open_ = np.ones(len(y), bool)
+    out, res = np.full((2, len(y)), np.nan)
     while open_.any():
         i = np.flatnonzero(open_)
         xi = x[i]
@@ -152,15 +165,17 @@ def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
         # a reachable iterate replaces the end on its side of the root, an
         # unreachable one the end on its side of x0
         up = np.where(good, err > 0.0, xi > x0)
-        hi[i[up]] = xi[up]
-        lo[i[~up]] = xi[~up]
+        hi[i[up]], hi_ok[i[up]] = xi[up], good[up]
+        lo[i[~up]], lo_ok[i[~up]] = xi[~up], good[~up]
         with np.errstate(invalid="ignore", divide="ignore"):
             step = xi - err / slope
+            tol = _NEWTON_TOL * np.maximum(np.maximum(1.0, np.abs(y[i])), slope * np.abs(xi))
         newton = (step > lo[i]) & (step < hi[i]) & (np.abs(err) <= 0.5 * last[i])
         last[i] = np.where(good, np.abs(err), np.inf)
         x[i] = np.where(newton, step, 0.5 * (lo[i] + hi[i]))
         shut = hi[i] - lo[i] <= _NEWTON_TOL * np.maximum(1.0, np.abs(xi))
-        done = good & (np.abs(err) <= _NEWTON_TOL * np.maximum(1.0, np.abs(y[i])))
+        # both ends reachable makes xi itself one of them, so it is good
+        done = (good & (np.abs(err) <= tol)) | (shut & lo_ok[i] & hi_ok[i])
         out[i[done]] = xi[done]
         res[i[done]] = np.abs(err[done])
         open_[i[done | shut]] = False
@@ -232,29 +247,22 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
             "constant f*g' = %s is outside the sqrt-admissible cone" % gamma
         )
     r = sc_sqrt(splitc(1.0) / gamma)
-    if sign < 0:
-        r = -r
+    r = r if sign > 0 else -r
     shift = z0 - r * w0
-    z_expr = Const(shift) + Const(r) * Z
-    g_tilde_expr = g.subs(z_expr)
-    zvals = shift + r * wgrid
-    ones = np.ones(wgrid.shape)
-    zprime = SplitComplex(r.re * ones, r.im * ones)
-    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
-    if np.nanmax(res) > 1e-8:
-        raise BranchError("affine solution rejected by the residual check")
 
     def z_at(w):
         return shift + r * w
 
     def z_prime_at(w):
-        if w.shape == ():
-            return r
-        return SplitComplex(r.re * np.ones(w.shape), r.im * np.ones(w.shape))
+        return r if w.shape == () else SplitComplex(np.full(w.shape, r.re), np.full(w.shape, r.im))
 
+    zvals, zprime = z_at(wgrid), z_prime_at(wgrid)
+    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
+    if np.nanmax(res) > 1e-8:
+        raise BranchError("affine solution rejected by the residual check")
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g_tilde_expr, res, True,
-        z_at, z_prime_at,
+        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g.subs(Const(shift) + Const(r) * Z),
+        res, True, z_at, z_prime_at,
     )
 
 

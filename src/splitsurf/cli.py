@@ -266,7 +266,6 @@ def cmd_canonicalize(args) -> int:
     if result.g_tilde_expr is not None:
         poly = holofn.expr_to_poly(result.g_tilde_expr)
         g_tilde = str(holofn.poly_to_expr(poly.chop())) if poly is not None else str(result.g_tilde_expr)
-    finite = result.residual[np.isfinite(result.residual)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "canonicalize",
@@ -276,7 +275,7 @@ def cmd_canonicalize(args) -> int:
         "w0": str(result.w0),
         "z0": str(result.z0),
         "residual_max": result.max_residual,
-        "residual_mean": float(np.mean(finite)) if finite.size else None,
+        "residual_mean": result.mean_residual,
         "invalid_samples": int(np.sum(np.isnan(result.z_values.re))),
     }
     if args.samples:

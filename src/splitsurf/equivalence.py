@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import SplitComplex, splitc
 from .algebra import exp as sc_exp
-from . import holofn
 from .holofn import Const, DomainError, HoloExpr
 from .weierstrass import GeneratingData, curve_expressions
 from .canonical import canonical_curvature_field, compare_curvature_fields, CanonicalGauge

@@ -191,6 +191,38 @@ def test_quadrature_route_sign_symmetry():
     assert np.max((minus.z_values - mirrored).mag) < 1e-12
 
 
+@pytest.mark.parametrize("f, g, z0, closed_form", [
+    # Phi = z: s = (2/3)(z^{3/2} - z0^{3/2}); sqrt(Phi) |z| = 1000 at z0 = 100
+    ("1", "z^2/2", 100.0, lambda s: (100.0**1.5 + 1.5 * s) ** (2 / 3)),
+    # Phi = 1e4 (z + 1): s = (200/3)((z + 1)^{3/2} - 2^{3/2})
+    ("1e4", "z^2/2+z", 1.0, lambda s: (2**1.5 + 0.015 * s) ** (2 / 3) - 1.0),
+], ids=["z0=100", "phi=1e4(z+1)"])
+def test_quadrature_route_large_rate_times_base_point(f, g, z0, closed_form):
+    # rate |z| far above max(1, |s|): the error floor of a float z exceeds
+    # 32 eps |s|, and every node must still converge
+    res = canonicalize(parse(f), parse(g), w0=splitc(0), z0=splitc(z0))
+    S = res.us[:, None] + res.vs[None, :]
+    T = res.us[:, None] - res.vs[None, :]
+    assert np.all(np.isfinite(res.z_values.re)) and np.all(np.isfinite(res.residual))
+    scale = max(1.0, z0)
+    assert np.max(np.abs(res.z_values.p - closed_form(S))) < 1e-12 * scale
+    assert np.max(np.abs(res.z_values.q - closed_form(T))) < 1e-12 * scale
+    assert res.max_residual < 1e-12
+
+
+def test_quadrature_route_non_finite_w_gives_nan():
+    res = canonicalize(parse("1"), parse("z^2/2"), w0=splitc(0), z0=splitc(1),
+                       domain=(-0.3, 0.3, -0.3, 0.3), grid=(5, 5))
+    for w in (splitc(np.nan, 0), splitc(np.inf, 0.1)):
+        assert np.isnan(res.z_at(w).re)
+    pair = res.z_at(splitc(np.array([0.1, np.nan]), 0.0))
+    assert np.isfinite(pair.re[0]) and np.isnan(pair.re[1])
+    assert np.isnan(res.z_prime_at(splitc(np.nan, 0)).re)
+    masked = canonicalize(parse("1"), parse("z^2/2"), w0=splitc(np.nan), z0=splitc(1),
+                          domain=(-0.3, 0.3, -0.3, 0.3), grid=(5, 5))
+    assert np.all(np.isnan(masked.z_values.re)) and np.isnan(masked.max_residual)
+
+
 def test_verify_coefficients_principal_and_asymptotic():
     patch = evaluate_surface(GeneratingData.canonical(parse("z")), (-0.4, 0.4, -0.4, 0.4), (17, 17))
     rep = verify_canonical_coefficients(patch)

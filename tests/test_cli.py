@@ -138,6 +138,14 @@ def test_canonicalize_all_masked_null_residuals(capsys):
     assert report["residual_max"] is None and report["residual_mean"] is None
 
 
+def test_canonicalize_far_base_point_masks_nothing(capsys):
+    # Phi = z, z0 = 100: every node is reachable, though ulp(z0) sqrt(Phi) exceeds 32 eps |s|
+    code, stdout, _ = run(capsys, "canonicalize", "--f", "1", "--g", "z^2/2", "--z0", "100")
+    report = json.loads(stdout)
+    assert code == 0 and report["invalid_samples"] == 0
+    assert report["residual_max"] < 1e-12 and report["residual_mean"] <= report["residual_max"]
+
+
 def test_verify_canonical_enneper_passes(capsys):
     code, stdout, _ = run(
         capsys, "verify", "--canonical", "--g", "z",
