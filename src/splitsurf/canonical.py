@@ -22,7 +22,7 @@ from .algebra import sqrt as sc_sqrt
 from . import holofn
 from .holofn import PLUS, MINUS, Const, HoloExpr, Z
 from .weierstrass import GeneratingData, SurfacePatch, _eval_grid
-from .geometry import forms_grid
+from .geometry import FormsGrid, forms_grid
 
 __all__ = [
     "BranchError",
@@ -112,59 +112,69 @@ _KNOTS = 32
 _NEWTON_TOL = 32 * np.finfo(float).eps
 
 
-def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
-    """x with w0 + sign * int_{x0}^{x} sqrt(Phi) = w on one null side, where
-    Phi is that side's component of f g'.
+def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: SplitComplex):
+    """z with w0 + sign * int_{z0}^{z} sqrt(Phi) = w, Phi = f g', per null side.
 
-    The integral is tabulated on _KNOTS uniform knots per side of x0, and a
-    side's span doubles until the table covers every target or a gap of it
-    fails.  Each distinct target then takes Newton steps with the exact
-    derivative sqrt(Phi), bracketed by the table, one integrate_sweep over x0
-    and the open iterates per step; a step that leaves the bracket or does
-    not halve the error bisects instead.  When a bracket shrinks to
-    _NEWTON_TOL relative width before its target converges, the last iterate
-    is kept if both ends are reachable; if an end lies beyond a failed gap,
-    past a cone exit Phi <= _CONE_EPS or a singularity, the target is NaN,
-    as is a non-finite target.  Returns x and |w(x) - w|, shaped like w.
+    Each null side is a real problem from x0, its coordinate of z0, and the
+    two run in lockstep: each tabulation pass and each Newton step is one
+    integrate_sweep call with a problem per side.  The integral is tabulated
+    on _KNOTS uniform knots per side of x0, and a side's span doubles until
+    the table covers every target or a gap of it fails.  Each distinct
+    target then takes Newton steps with the exact derivative sqrt(Phi),
+    bracketed by the table; a step that leaves the bracket or does not halve
+    the error bisects instead.  When a bracket shrinks to _NEWTON_TOL
+    relative width before its target converges, the last iterate is kept if
+    both ends are reachable; if an end lies beyond a failed gap, past a cone
+    exit Phi <= _CONE_EPS or a singularity, the target is NaN, as is a
+    non-finite target.  Returns z and the larger side's |w(x) - w|, shaped
+    like w.
     """
-    def rate(x):
+    def rate(x, side):
         val = np.broadcast_to(phi.eval_null(x, side), np.shape(x))
         return np.sqrt(np.where(val > _CONE_EPS, val, np.nan))
 
-    def integral(xs):
-        knots, at = np.unique(np.append(xs, x0), return_inverse=True)
-        return holofn.integrate_sweep(rate, knots, at[-1])[0][at[:-1]]
+    rates = [lambda x, side=side: rate(x, side) for side in (PLUS, MINUS)]
 
-    targets, at = np.unique(np.asarray(w, float), return_inverse=True)
-    y = sign * (targets - w0)  # the integral from x0 each target needs
+    # the distinct targets of both sides in one array, the PLUS side first
+    x0 = np.array([float(z0.p), float(z0.q)])
+    (tp, at_p), (tq, at_q) = (np.unique(np.asarray(t, float), return_inverse=True) for t in (w.p, w.q))
+    sd = np.repeat([PLUS, MINUS], [len(tp), len(tq)])
+    y = sign * (np.concatenate([tp, tq]) - np.array([w0.p, w0.q])[sd])  # integral from x0 each target needs
     open_ = np.isfinite(y)
-    y_lo, y_hi = np.min(y[open_], initial=0.0), np.max(y[open_], initial=0.0)
-    ramp = np.arange(1, _KNOTS + 1) / _KNOTS
-    span = np.full(2, (max(-y_lo, y_hi) or 1.0) / rate(np.array([x0]))[0])
+    y_lo, y_hi = ([red(y[open_ & (sd == s)], initial=0.0) for s in (PLUS, MINUS)] for red in (np.min, np.max))
+    span = np.array([[(max(-y_lo[s], y_hi[s]) or 1.0) / rate(x0[s:s + 1], s)[0]] * 2 for s in (PLUS, MINUS)])
+    steps = np.arange(-_KNOTS, _KNOTS + 1) / _KNOTS
     while True:
-        knots = np.concatenate([x0 - span[0] * ramp[::-1], [x0], x0 + span[1] * ramp])
-        table, ok = holofn.integrate_sweep(rate, knots, _KNOTS)
-        short = np.array([ok[0] and table[0] > y_lo, ok[-1] and table[-1] < y_hi])
+        knots = x0[:, None] + np.where(steps < 0, span[:, :1], span[:, 1:]) * steps
+        table, ok = map(np.array, zip(*holofn.integrate_sweep(rates, knots, [_KNOTS, _KNOTS])))
+        short = np.stack([ok[:, 0] & (table[:, 0] > y_lo), ok[:, -1] & (table[:, -1] < y_hi)], axis=1)
         if not short.any():
             break
         span[short] *= 2.0
 
     # bracket knots[k - 1] < x <= knots[k]; an end may lie beyond a failed gap
-    k = np.flatnonzero(ok)[0] + np.searchsorted(table[ok], y)
-    k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, len(knots) - 1)
-    lo, hi, lo_ok, hi_ok = knots[k_lo], knots[k_hi], ok[k_lo], ok[k_hi]
-    x = np.interp(y, table[ok], knots[ok])
+    x, lo, hi = np.empty((3, len(y)))
+    lo_ok, hi_ok = np.empty((2, len(y)), bool)
+    for s, (kn, tab, ok_s) in enumerate(zip(knots, table, ok)):
+        on = sd == s
+        k = np.flatnonzero(ok_s)[0] + np.searchsorted(tab[ok_s], y[on])
+        k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, len(kn) - 1)
+        lo[on], hi[on], lo_ok[on], hi_ok[on] = kn[k_lo], kn[k_hi], ok_s[k_lo], ok_s[k_hi]
+        x[on] = np.interp(y[on], tab[ok_s], kn[ok_s])
     last = np.full(len(y), np.inf)
     out, res = np.full((2, len(y)), np.nan)
     while open_.any():
         i = np.flatnonzero(open_)
-        xi = x[i]
-        err = integral(xi) - y[i]
-        slope = rate(xi)
+        xi, si = x[i], sd[i]
+        xs = np.split(xi, [np.count_nonzero(si == PLUS)])
+        pts, at = zip(*(np.unique(np.append(xs[s], x0[s]), return_inverse=True) for s in (PLUS, MINUS)))
+        runs = holofn.integrate_sweep(rates, pts, [a[-1] for a in at])
+        err = np.concatenate([F[a[:-1]] for (F, _), a in zip(runs, at)]) - y[i]
+        slope = np.concatenate([rate(xs[s], s) for s in (PLUS, MINUS)])
         good = np.isfinite(err) & np.isfinite(slope)
         # a reachable iterate replaces the end on its side of the root, an
         # unreachable one the end on its side of x0
-        up = np.where(good, err > 0.0, xi > x0)
+        up = np.where(good, err > 0.0, xi > x0[si])
         hi[i[up]], hi_ok[i[up]] = xi[up], good[up]
         lo[i[~up]], lo_ok[i[~up]] = xi[~up], good[~up]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -179,7 +189,8 @@ def _invert_side(phi: HoloExpr, side, x0: float, w0: float, sign: int, w):
         out[i[done]] = xi[done]
         res[i[done]] = np.abs(err[done])
         open_[i[done | shut]] = False
-    return out[at].reshape(np.shape(w))[()], res[at].reshape(np.shape(w))[()]
+    p, q = at_p.reshape(np.shape(w.p)), len(tp) + at_q.reshape(np.shape(w.q))
+    return from_null(out[p][()], out[q][()]), np.maximum(res[p], res[q])[()]
 
 
 def canonicalize(
@@ -197,7 +208,7 @@ def canonicalize(
     grid; w0 may lie outside the rectangle.  sign selects the branch
     z' = sign / sqrt(f g'); both choices differ by a canonical-parameter
     gauge.  A symbolically constant f g' gives the affine map; otherwise
-    each null side is the inverse of a quadrature (_invert_side), and z is
+    each null side is the inverse of a quadrature (_invert), and z is
     NaN at the nodes that side cannot reach.  Raises BranchError when
     f g'(z0) is outside the square-root cone, or a constant f g' is.
     """
@@ -225,9 +236,7 @@ def canonicalize(
         raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
 
     def invert(w):
-        p, res_p = _invert_side(phi, PLUS, float(z0.p), float(w0.p), sign, w.p)
-        q, res_q = _invert_side(phi, MINUS, float(z0.q), float(w0.q), sign, w.q)
-        return from_null(p, q), np.maximum(res_p, res_q)
+        return _invert(phi, z0, w0, sign, w)
 
     def z_prime_of(z):
         # z' = sign / sqrt(f g'(z)), exact per null side
@@ -378,10 +387,14 @@ class CoefficientReport:
 
 
 def verify_canonical_coefficients(
-    patch: SurfacePatch, method: str = "auto", gate: np.ndarray | None = None
+    patch: SurfacePatch | FormsGrid, method: str = "auto", gate: np.ndarray | None = None
 ) -> CoefficientReport:
-    """Check a patch against the canonical first/second form shapes."""
-    grid = forms_grid(patch, method)
+    """Check a patch against the canonical first/second form shapes.
+
+    patch may also be the FormsGrid already computed from a patch; method
+    then goes unused.
+    """
+    grid = patch if isinstance(patch, FormsGrid) else forms_grid(patch, method)
     valid = grid.valid if gate is None else (grid.valid & gate)
     E, F, G, L, M, N, K = grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K
     with np.errstate(invalid="ignore"):
@@ -444,13 +457,14 @@ def canonical_pde_residual(
             def at(c):
                 return m_of(K(U + c * h, V) if axis_u else K(U, V + c * h))
 
-            return (-at(2) + 16 * at(1) - 30 * at(0) + 16 * at(-1) - at(-2)) / (
+            return (-at(2) + 16 * at(1) - 30 * m0 + 16 * at(-1) - at(-2)) / (
                 12.0 * h**2
             )
 
         k0 = np.asarray(K(U, V), float)
         s = _branch_sign(k0, sign)
         with np.errstate(invalid="ignore", divide="ignore"):
+            m0 = m_of(k0)
             ok = (s * k0) > 0.0
             resid = second(True) - second(False) - 2.0 * np.sqrt(np.where(ok, s * k0, np.nan))
         return SampledField(us, vs, np.where(ok, resid, np.nan))

@@ -199,9 +199,9 @@ def read_csv_patch(path: str) -> SurfacePatch:
             raise DomainError("%s: %s" % (path, _bad_csv_line(fh, cols) or exc)) from None
     if not np.all(np.isfinite(table[:, :2])):
         raise DomainError("%s: u and v must be finite on every row" % path)
-    us, vs = np.unique(table[:, 0]), np.unique(table[:, 1])
+    (us, iu), (vs, iv) = (np.unique(table[:, k], return_inverse=True) for k in (0, 1))
     points = np.full((len(us), len(vs), 3), np.nan)
-    points[np.searchsorted(us, table[:, 0]), np.searchsorted(vs, table[:, 1])] = table[:, 2:]
+    points[iu, iv] = table[:, 2:]
     return SurfacePatch.from_points(us, vs, points)
 
 
@@ -317,7 +317,7 @@ def cmd_verify(args) -> int:
         "pass": grid.metric_violations == 0,
     }
     if data is not None and data.is_canonical:
-        rep = verify_canonical_coefficients(patch, method)
+        rep = verify_canonical_coefficients(grid)
         gates["canonical_coefficients"] = dict(
             rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
         )

@@ -958,83 +958,109 @@ _GK_WG[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 MAX_PANELS = 200
 
 
-def _gk_panels(fun, a, b):
-    """K15 values, |K15 - G7| error estimates and finiteness of panels [a, b].
+def _gk_panels(funs, owner, a, b):
+    """K15 values and |K15 - G7| errors of panels [a, b] per component, the
+    panels finite in every component, and whether there is one component.
 
-    fun sees all panels at once as a (panels, 15) array.  A panel with a
-    non-finite value is not good; an expression's eval_null gives NaN where
-    its path meets a null-line denominator or a negative square root.
+    funs[k] sees the panels of problem owner == k as one (panels, 15) array;
+    an expression's eval_null gives NaN where its path meets a null-line
+    denominator or a negative square root.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _GK_NODES
-    vals = np.broadcast_to(np.asarray(fun(x), float), x.shape)
-    good = np.all(np.isfinite(vals), axis=1)
+    vals = None
+    for k in np.flatnonzero(np.bincount(owner)):
+        sel = owner == k
+        out = funs[k](x[sel])
+        single = not isinstance(out, list)
+        vals = np.empty((1 if single else len(out),) + x.shape) if vals is None else vals
+        vals[:, sel] = out
+    good = np.isfinite(vals).all(axis=(0, 2))
     vals = np.where(good[:, None], vals, 0.0)
     k15 = half * (vals @ _GK_WK)
     err = np.abs(k15 - half * (vals @ _GK_WG))
-    return k15, err, good & np.isfinite(err)
+    return k15.T, err.T, good & np.isfinite(err).all(axis=0), single
 
 
-def _blocked(failed, origin):
-    """Gaps that failed or lie beyond a failed gap, seen from knot `origin`."""
-    right = np.logical_or.accumulate(failed[origin:])
-    left = np.logical_or.accumulate(failed[:origin][::-1])[::-1]
-    return np.concatenate([left, right])
+def _blocked(failed, pivot):
+    """Gaps that failed or lie beyond a failed gap of their problem, seen
+    from its origin; pivot[i] is the first gap right of gap i's origin."""
+    seen = np.concatenate([[0], np.cumsum(failed)])  # failed gaps before gap i
+    at = seen[pivot]
+    return np.where(np.arange(len(failed)) >= pivot, seen[1:] > at, seen[:-1] < at)
 
 
-def integrate_sweep(fun, knots, origin: int, tol: float = 1e-10):
-    """Integrals of a vectorized real function from knots[origin] to every knot.
+def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
+    """Integrals of vectorized real functions from knots[origin] to every knot.
 
-    knots must be sorted ascending.  Every gap [knots[i], knots[i+1]] is
-    integrated by adaptive G7/K15 panels until the sum of its panel error
-    estimates is at most tol (absolute); all gaps share one batch per
-    bisection round.  In each round a gap bisects the panels whose error
-    exceeds its equal share tol / (panels in the gap).  A gap fails when it
-    would need more than MAX_PANELS panels, its bisection underflows, or fun
-    gives non-finite values on it.  A
-    failed gap makes every knot beyond it, seen from the origin, unreachable,
-    and the gaps beyond it are dropped from the batch at once.
+    fun, ascending knots and an origin index make one problem, or are
+    equal-length sequences of problems.  fun returns values broadcastable to
+    its argument, or a list of such arrays, one per component, as many for
+    every problem.  The open gaps of all problems bisect in one G7/K15 batch
+    per round, and a gap's components share its panels.  A gap converges
+    when each component's summed error estimate is at most tol (absolute);
+    until then it bisects the panels where a component's error exceeds
+    tol / (panels in the gap).  It fails when it would need more than
+    MAX_PANELS panels, its bisection underflows, or a component is
+    non-finite on it; the knots of its problem beyond it, seen from that
+    problem's origin, are then unreachable and leave the batch.
 
-    Returns (F, reachable): F[i] is the integral from knots[origin] to
-    knots[i], accumulated gap by gap outward from the origin, and NaN where
-    reachable[i] is False.
+    Returns (F, reachable), or a list of them for a sequence of problems.
+    F[..., i], with a leading component axis for a list, is the integral
+    from knots[origin] to knots[i], summed gap by gap outward from the
+    origin, and NaN where reachable[i] is False.
     """
-    knots = np.asarray(knots, float)
-    n_gaps = len(knots) - 1
-    gap_val = np.zeros(n_gaps)
-    failed = np.zeros(n_gaps, bool)
-    open_ = np.ones(n_gaps, bool)
-    # leaves of the open gaps: gap index, a, b, K15 value, error estimate
-    leaves = (np.empty(0, int), np.empty(0), np.empty(0), np.empty(0), np.empty(0))
-    new = (np.arange(n_gaps), knots[:-1], knots[1:])
+    funs, knots, origins = ([fun], [knots], [origin]) if callable(fun) else (fun, knots, origin)
+    knots = [np.asarray(k, float) for k in knots]
+    sizes = [len(k) - 1 for k in knots]
+    owner = np.repeat(np.arange(len(knots)), sizes)
+    first = np.cumsum([0, *sizes])  # first gap of each problem
+    pivot = (first[:-1] + np.asarray(origins, int))[owner]
+    n_gaps = len(owner)
+    gap_val, single = np.zeros((n_gaps, 1)), True  # until an integrand is called
+    failed, open_ = np.zeros(n_gaps, bool), np.ones(n_gaps, bool)
+    # leaves of the open gaps: gap index, a, b, K15 values, error estimates
+    leaves = None
+    new = (np.arange(n_gaps), *(np.concatenate(ends) for ends in zip(*((k[:-1], k[1:]) for k in knots))))
     while new[0].size:
-        val, err, good = _gk_panels(fun, new[1], new[2])
+        val, err, good, single = _gk_panels(funs, owner[new[0]], new[1], new[2])
         failed[new[0][~good]] = True
-        leaves = tuple(np.concatenate(pair) for pair in zip(leaves, new + (val, err)))
+        new += (val, err)
+        if leaves is None:
+            leaves, gap_val = new, np.zeros((n_gaps, val.shape[1]))
+        else:
+            leaves = tuple(map(np.concatenate, zip(leaves, new)))
         gap, a, b, val, err = leaves
+        # per-gap sums of every component: one bincount over (gap, component)
+        flat = (gap[:, None] * val.shape[1] + np.arange(val.shape[1])).ravel()
         count = np.bincount(gap, minlength=n_gaps)
-        done = open_ & ~failed & (np.bincount(gap, err, n_gaps) <= tol)
-        gap_val[done] = np.bincount(gap, val, n_gaps)[done]
+        err_sum = np.bincount(flat, err.ravel(), gap_val.size).reshape(gap_val.shape)
+        done = open_ & ~failed & (err_sum <= tol).all(axis=1)
+        gap_val[done] = np.bincount(flat, val.ravel(), gap_val.size).reshape(gap_val.shape)[done]
         open_ &= ~done
-        split = open_[gap]
-        split[split] = err[split] > tol / count[gap[split]]
+        split = open_[gap] & (err > (tol / count[gap])[:, None]).any(axis=1)
         mid = 0.5 * (a + b)
         failed[gap[split & ((mid == a) | (mid == b))]] = True
         failed |= open_ & (count + np.bincount(gap[split], minlength=n_gaps) > MAX_PANELS)
-        open_ &= ~_blocked(failed, origin)
+        if failed.any():
+            open_ &= ~_blocked(failed, pivot)
         split &= open_[gap]
-        leaves = tuple(x[open_[gap] & ~split] for x in leaves)
+        keep = open_[gap] & ~split
+        leaves = tuple(x[keep] for x in leaves)
         g, lo, mi, hi = gap[split], a[split], mid[split], b[split]
         new = (np.concatenate([g, g]), np.concatenate([lo, mi]), np.concatenate([mi, hi]))
     # a gap still open split nothing: its error sum exceeds tol by rounding only
-    reach_gap = ~_blocked(failed | open_, origin)
-    out = np.zeros(n_gaps + 1)
-    out[origin + 1 :] = np.cumsum(gap_val[origin:])
-    out[:origin] = -np.cumsum(gap_val[:origin][::-1])[::-1]
-    reachable = np.concatenate([reach_gap[:origin], [True], reach_gap[origin:]])
-    out[~reachable] = np.nan
-    return out, reachable
+    reach_gap = ~_blocked(failed | open_, pivot)
+    out = []
+    for o, lo, hi in zip(origins, first[:-1], first[1:]):
+        vals, reach = gap_val[lo:hi], reach_gap[lo:hi]
+        reachable = np.concatenate([reach[:o], [True], reach[o:]])
+        values = np.concatenate([-np.cumsum(vals[:o][::-1], axis=0)[::-1], np.zeros((1, vals.shape[1])),
+                                 np.cumsum(vals[o:], axis=0)])
+        values[~reachable] = np.nan
+        out.append((values[:, 0] if single else values.T, reachable))
+    return out[0] if callable(fun) else out
 
 
 def integrate_real(fun, a: float, b: float, tol: float = 1e-10) -> float:

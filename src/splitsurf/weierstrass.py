@@ -144,22 +144,20 @@ def _eval_grid(expr: HoloExpr, zg: SplitComplex):
     return vals, np.isfinite(vals.re) & np.isfinite(vals.im)
 
 
-def _null_sweep(expr: HoloExpr, zg: SplitComplex, z0: SplitComplex, tol: float):
-    """Integral of expr from z0 to every node of zg, and its reachability.
+def _null_sweep(exprs, zg: SplitComplex, z0: SplitComplex, tol: float):
+    """Integrals of exprs from z0 to every node of zg, and their common reachability.
 
-    The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side
-    is one cumulative sweep over the distinct grid values of its null
-    coordinate.
+    The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)): one sweep per
+    side over the distinct grid values of its null coordinate, on panels all
+    components share, and both sides in one integrate_sweep call.
     """
-    sides = []
-    for side, t, t0 in ((PLUS, zg.p, z0.p), (MINUS, zg.q, z0.q)):
-        knots, at = np.unique(np.append(t, float(t0)), return_inverse=True)
-        values, reach = integrate_sweep(
-            lambda s: expr.eval_null(s, side), knots, int(at[-1]), tol
-        )
-        sides.append((values[at[:-1]].reshape(t.shape), reach[at[:-1]].reshape(t.shape)))
-    (fp, reach_p), (fq, reach_q) = sides
-    return SplitComplex.from_null(fp, fq), reach_p & reach_q
+    knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
+                      for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
+    funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
+    sides = integrate_sweep(funs, knots, [int(i[-1]) for i in at], tol)
+    (fp, reach_p), (fq, reach_q) = ((v[:, i[:-1]].reshape((-1,) + zg.shape), r[i[:-1]].reshape(zg.shape))
+                                    for (v, r), i in zip(sides, at))
+    return [SplitComplex.from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
 
 
 def evaluate_surface(
@@ -172,11 +170,11 @@ def evaluate_surface(
 
     domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
     Components with a symbolic antiderivative are evaluated in closed form.
-    The rest are integrated in null coordinates: x(z) - x(z0) is
-    from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one batched
-    Gauss-Kronrod sweep over the gaps between the sorted distinct grid values
-    of p (or q) and p0 (or q0), accumulated outward from the base point.  tol
-    bounds the summed error estimate of each such gap.
+    The rest go through one integrate_sweep call: x(z) - x(z0) is
+    from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one problem
+    over the gaps between the sorted distinct grid values of p (or q) and p0
+    (or q0), whose panels all those components share.  tol bounds each
+    component's summed error estimate per gap.
 
     A node is valid when the integrand is finite there, its tangent plane
     does not degenerate (|E| > 1e-12 |x_u|^2, with the Euclidean length of
@@ -214,16 +212,18 @@ def evaluate_surface(
             <= _SING_EPS * (tangent[0] ** 2 + tangent[1] ** 2 + tangent[2] ** 2)
         )
 
+    antis = [antiderivative(e) for e in exprs]
+    swept = [k for k, anti in enumerate(antis) if anti is None]
+    integrals, ok = _null_sweep([exprs[k] for k in swept], zg, z0, tol) if swept else ([], True)
+    integrals = dict(zip(swept, integrals))
+    valid &= ok
     points = np.empty((n, m, 3))
-    for k, e in enumerate(exprs):
-        anti = antiderivative(e)
+    for k, anti in enumerate(antis):
         if anti is not None:
             vals, ok = _eval_grid(anti, zg)
-            vals = vals - anti.eval(z0)
-        else:
-            vals, ok = _null_sweep(e, zg, z0, tol)
-        points[:, :, k] = _part_re_im(vals, data.part)[0]
-        valid &= ok
+            integrals[k] = vals - anti.eval(z0)
+            valid &= ok
+        points[:, :, k] = _part_re_im(integrals[k], data.part)[0]
     valid &= np.all(np.isfinite(points), axis=-1)
     points = np.where(valid[:, :, None], points, np.nan)
     return SurfacePatch(us, vs, points, valid, data)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from splitsurf import holofn
 from splitsurf.algebra import splitc
 from splitsurf.holofn import PLUS, expr_to_poly, integrate_real, parse
 from splitsurf.canonical import (
@@ -138,6 +139,19 @@ def test_cone_exit_masks_unreachable_nodes():
     assert np.max(np.abs(res.z_values.p[reachable] - p)) < 1e-12
     assert np.max(np.abs(res.z_values.q[reachable] - q)) < 1e-12
     assert res.max_residual < 1e-12
+
+
+def test_cone_exit_inverts_both_sides_in_lockstep(monkeypatch):
+    # one integrate_sweep call per tabulation pass and Newton step serves
+    # both null sides, so the sides' steps are not summed
+    calls = []
+    sweep = holofn.integrate_sweep
+    monkeypatch.setattr(holofn, "integrate_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+    res = canonicalize(parse("1"), parse("z^2/2"), **CONE_EXIT)
+    S, T = cone_exit_grid()
+    assert np.array_equal(np.isfinite(res.z_values.re), (S > -2 / 3) & (T > -2 / 3))
+    assert int(np.isfinite(res.z_values.re).sum()) == 243
+    assert len(calls) <= 46
 
 
 def test_canonical_curvature_field_masks_cone_exit():

@@ -284,6 +284,38 @@ def test_integrate_sweep_blocks_knots_beyond_a_failed_gap():
     assert np.max(np.abs(np.diff(values[:6]) - alone)) < 1e-14
 
 
+def test_integrate_sweep_batch_equals_problems_run_alone():
+    # a smooth problem and one whose gap [0.25, 0.5] holds the pole of
+    # 1/(t - 0.3), left of its origin t = 1, with different knots, in one call
+    smooth = (np.cos, np.linspace(-2.0, 1.0, 13), 7)
+    pole = (lambda t: 1.0 / (t - 0.3), np.linspace(-1.0, 1.0, 9), 8)
+    batch = integrate_sweep(*zip(smooth, pole))
+    for (fun, knots, origin), (values, reach) in zip((smooth, pole), batch):
+        alone, reach_alone = integrate_sweep(fun, knots, origin)
+        assert np.array_equal(reach, reach_alone)
+        assert np.max(np.abs(values[reach] - alone[reach])) < 1e-14
+        assert np.all(np.isnan(values[~reach]))
+    # the failed gap blocks only the knots of its own problem
+    assert batch[0][1].all()
+    assert np.array_equal(batch[1][1], pole[1] > 0.3)
+
+
+def test_integrate_sweep_components_share_panels():
+    knots = np.linspace(-1.0, 1.0, 9)
+    values, reach = integrate_sweep(lambda t: [np.cos(t), 1.0 / (t - 0.3)], knots, 4)
+    # the gap holding the pole fails for both components
+    assert values.shape == (2, 9)
+    assert np.array_equal(reach, knots < 0.3)
+    assert np.all(np.isnan(values[:, ~reach]))
+    assert np.max(np.abs(values[0, reach] - (np.sin(knots[reach]) - np.sin(0.0)))) < 1e-10
+    # smooth components agree with integrate_real from the origin, one by one
+    values, reach = integrate_sweep(lambda t: [np.cos(t), np.exp(-t * t)], knots, 4)
+    assert reach.all()
+    for k, fun in enumerate((np.cos, lambda t: np.exp(-t * t))):
+        alone = [integrate_real(fun, 0.0, b) for b in knots]
+        assert np.max(np.abs(values[k] - alone)) < 1e-10
+
+
 def test_integrate_real_gives_up_within_the_panel_budget():
     # 1/(t - c)^2 near a pole 5e-6 outside [1/4, 1/2]: the integral is ~2e5,
     # so the absolute tol lies below its roundoff; the bounded search raises

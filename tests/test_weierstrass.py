@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from splitsurf import weierstrass
 from splitsurf.algebra import splitc
 from splitsurf.canonical import canonical_curvature_field
 from splitsurf.holofn import antiderivative, integrate_path, parse
@@ -220,3 +221,15 @@ def test_pole_just_beyond_lattice_line_fails_only_past_it():
     exact = _pole_patch_exact(c, P, Q)
     assert np.max(np.abs(patch.points[patch.valid] - exact[patch.valid])) < 1e-9
     assert np.all(np.isnan(patch.points[~patch.valid]))
+
+
+def test_swept_components_take_one_engine_call(monkeypatch):
+    # f = 1, g = 1/(z - c): the components without a closed form and both
+    # null sides go through one integrate_sweep call
+    calls = []
+    sweep = weierstrass.integrate_sweep
+    monkeypatch.setattr(weierstrass, "integrate_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+    data = GeneratingData.general(parse("1"), parse("1/(z-0.43125)"))
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (33, 33))
+    assert len(calls) == 1
+    assert int(patch.valid.sum()) == 487
