@@ -153,14 +153,11 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
         span[short] *= 2.0
 
     # bracket knots[k - 1] < x <= knots[k]; an end may lie beyond a failed gap
-    x, lo, hi = np.empty((3, len(y)))
-    lo_ok, hi_ok = np.empty((2, len(y)), bool)
-    for s, (kn, tab, ok_s) in enumerate(zip(knots, table, ok)):
-        on = sd == s
-        k = np.flatnonzero(ok_s)[0] + np.searchsorted(tab[ok_s], y[on])
-        k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, len(kn) - 1)
-        lo[on], hi[on], lo_ok[on], hi_ok[on] = kn[k_lo], kn[k_hi], ok_s[k_lo], ok_s[k_hi]
-        x[on] = np.interp(y[on], tab[ok_s], kn[ok_s])
+    k = np.concatenate([np.flatnonzero(ok[s])[0] + np.searchsorted(table[s, ok[s]], y[sd == s])
+                        for s in (PLUS, MINUS)])
+    k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, 2 * _KNOTS)
+    lo, hi, lo_ok, hi_ok = knots[sd, k_lo], knots[sd, k_hi], ok[sd, k_lo], ok[sd, k_hi]
+    x = np.concatenate([np.interp(y[sd == s], table[s, ok[s]], knots[s, ok[s]]) for s in (PLUS, MINUS)])
     last = np.full(len(y), np.inf)
     out, res = np.full((2, len(y)), np.nan)
     while open_.any():

@@ -959,28 +959,31 @@ MAX_PANELS = 200
 
 
 def _gk_panels(funs, owner, a, b):
-    """K15 values and |K15 - G7| errors of panels [a, b] per component, the
-    panels finite in every component, and whether there is one component.
-
-    funs[k] sees the panels of problem owner == k as one (panels, 15) array;
-    an expression's eval_null gives NaN where its path meets a null-line
-    denominator or a negative square root.
-    """
+    """K15 values and |K15 - G7| errors, shaped (panels, components), of the
+    panels [a, b]; the panels finite in every component; whether there is
+    one component.  funs[k] gets the panels of owner == k as one (panels, 15)
+    array; an expression's eval_null is NaN on a path across a singular line."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _GK_NODES
-    vals = None
+    k15, good = None, np.empty(len(a), bool)
+    # one problem at a time, its values freed before the next, bounds the memory
     for k in np.flatnonzero(np.bincount(owner)):
         sel = owner == k
-        out = funs[k](x[sel])
+        x = mid[sel, None] + half[sel, None] * _GK_NODES
+        out = funs[k](x)
         single = not isinstance(out, list)
-        vals = np.empty((1 if single else len(out),) + x.shape) if vals is None else vals
-        vals[:, sel] = out
-    good = np.isfinite(vals).all(axis=(0, 2))
-    vals = np.where(good[:, None], vals, 0.0)
-    k15 = half * (vals @ _GK_WK)
-    err = np.abs(k15 - half * (vals @ _GK_WG))
-    return k15.T, err.T, good & np.isfinite(err).all(axis=0), single
+        vals = np.empty((1 if single else len(out),) + x.shape)
+        vals[:] = out
+        del out
+        ok = np.isfinite(vals).all(axis=(0, 2))
+        vals[:, ~ok] = 0.0
+        k15_k = half[sel] * (vals @ _GK_WK)
+        err_k = np.abs(k15_k - half[sel] * (vals @ _GK_WG))
+        if k15 is None:
+            k15, err = np.empty((2, len(a), len(vals)))
+        k15[sel], err[sel], good[sel] = k15_k.T, err_k.T, ok & np.isfinite(err_k).all(axis=0)
+        del vals
+    return k15, err, good, single
 
 
 def _blocked(failed, pivot):
