@@ -1025,7 +1025,7 @@ def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
     failed, open_ = np.zeros(n_gaps, bool), np.ones(n_gaps, bool)
     # leaves of the open gaps: gap index, a, b, K15 values, error estimates
     leaves = None
-    new = (np.arange(n_gaps), *(np.concatenate(ends) for ends in zip(*((k[:-1], k[1:]) for k in knots))))
+    new = (np.arange(n_gaps), np.concatenate([k[:-1] for k in knots]), np.concatenate([k[1:] for k in knots]))
     while new[0].size:
         val, err, good, single = _gk_panels(funs, owner[new[0]], new[1], new[2])
         failed[new[0][~good]] = True
