@@ -963,13 +963,13 @@ def _gk_panels(funs, owner, a, b):
     panels [a, b]; the panels finite in every component; whether there is
     one component.  funs[k] gets the panels of owner == k as one (panels, 15)
     array; an expression's eval_null is NaN on a path across a singular line."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     k15, good = None, np.empty(len(a), bool)
     # one problem at a time, its values freed before the next, bounds the memory
     for k in np.flatnonzero(np.bincount(owner)):
         sel = owner == k
-        x = mid[sel, None] + half[sel, None] * _GK_NODES
+        h = half[sel]
+        x = mid[sel, None] + h[:, None] * _GK_NODES
         out = funs[k](x)
         single = not isinstance(out, list)
         vals = np.empty((1 if single else len(out),) + x.shape)
@@ -977,8 +977,8 @@ def _gk_panels(funs, owner, a, b):
         del out
         ok = np.isfinite(vals).all(axis=(0, 2))
         vals[:, ~ok] = 0.0
-        k15_k = half[sel] * (vals @ _GK_WK)
-        err_k = np.abs(k15_k - half[sel] * (vals @ _GK_WG))
+        k15_k = h * (vals @ _GK_WK)
+        err_k = np.abs(k15_k - h * (vals @ _GK_WG))
         if k15 is None:
             k15, err = np.empty((2, len(a), len(vals)))
         k15[sel], err[sel], good[sel] = k15_k.T, err_k.T, ok & np.isfinite(err_k).all(axis=0)
