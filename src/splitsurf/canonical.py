@@ -21,7 +21,7 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from .algebra import sqrt as sc_sqrt
 from . import holofn
 from .holofn import PLUS, MINUS, Const, HoloExpr, Z
-from .weierstrass import GeneratingData, SurfacePatch, _eval_grid
+from .weierstrass import GeneratingData, SurfacePatch, _NullIndex
 from .geometry import FormsGrid, forms_grid
 
 __all__ = [
@@ -69,7 +69,7 @@ class CanonicalizationResult:
     """
 
     def __init__(self, us, vs, w0, z0, sign, z_values, z_prime, g_tilde_values,
-                 g_tilde_expr, residual, affine, z_at, z_prime_at):
+                 g_tilde_expr, residual, affine, z_at, z_prime_at, index):
         self.us = us
         self.vs = vs
         self.w0 = w0
@@ -83,6 +83,7 @@ class CanonicalizationResult:
         self.affine = affine
         self._z_at = z_at
         self._z_prime_at = z_prime_at
+        self._index = index  # the null sides of z_values, for per-side evaluation
 
     @property
     def max_residual(self) -> float:
@@ -126,8 +127,9 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
     relative width before its target converges, the last iterate is kept if
     both ends are reachable; if an end lies beyond a failed gap, past a cone
     exit Phi <= _CONE_EPS or a singularity, the target is NaN, as is a
-    non-finite target.  Returns z and the larger side's |w(x) - w|, shaped
-    like w.
+    non-finite target.  Returns the null sides of z, as a _NullIndex whose
+    knots are z+ at the distinct targets of w.p and z- at those of w.q, and
+    the larger side's |w(x) - w|, shaped like w.
     """
     def rate(x, side):
         val = np.broadcast_to(phi.eval_null(x, side), np.shape(x))
@@ -186,8 +188,9 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
         out[i[done]] = xi[done]
         res[i[done]] = np.abs(err[done])
         open_[i[done | shut]] = False
-    p, q = at_p.reshape(np.shape(w.p)), len(tp) + at_q.reshape(np.shape(w.q))
-    return from_null(out[p][()], out[q][()]), np.maximum(res[p], res[q])[()]
+    p, q = at_p.reshape(np.shape(w.p)), at_q.reshape(np.shape(w.q))
+    n = len(tp)
+    return _NullIndex((out[:n], out[n:]), (p, q)), np.maximum(res[p], res[n + q])[()]
 
 
 def canonicalize(
@@ -232,18 +235,18 @@ def canonicalize(
     if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
         raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
 
-    def invert(w):
-        return _invert(phi, z0, w0, sign, w)
+    def z_of(index):
+        return from_null(*(k[a] for k, a in zip(index.knots, index.at)))
 
-    def z_prime_of(z):
+    def z_prime_of(index):
         # z' = sign / sqrt(f g'(z)), exact per null side
-        val = phi.eval(z)
-        return from_null(sign / np.sqrt(val.p), sign / np.sqrt(val.q))
+        return from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
 
-    zvals, res = invert(wgrid)
+    index, res = _invert(phi, z0, w0, sign, wgrid)
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, z_prime_of(zvals), g.eval(zvals),
-        None, res, False, lambda w: invert(w)[0], lambda w: z_prime_of(invert(w)[0]),
+        us, vs, w0, z0, sign, z_of(index), z_prime_of(index), from_null(*index.sides(g)),
+        None, res, False, lambda w: z_of(_invert(phi, z0, w0, sign, w)[0]),
+        lambda w: z_prime_of(_invert(phi, z0, w0, sign, w)[0]), index,
     )
 
 
@@ -268,7 +271,7 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
         raise BranchError("affine solution rejected by the residual check")
     return CanonicalizationResult(
         us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g.subs(Const(shift) + Const(r) * Z),
-        res, True, z_at, z_prime_at,
+        res, True, z_at, z_prime_at, _NullIndex((zvals.p, zvals.q), (..., ...)),
     )
 
 
@@ -313,39 +316,32 @@ def canonical_curvature_field(
     vs = np.linspace(v0, v1, m)
     U, V = np.meshgrid(us, vs, indexing="ij")
     if data.is_canonical:
-        zvals = SplitComplex(U, V)
+        # z = w: evaluated per node, since sorting the grid costs more than
+        # it saves on the 41^2 equivalence fields
+        index = _NullIndex((U + V, U - V), (..., ...))
     else:
         w0 = w0 if w0 is not None else data.base_point
         z0 = z0 if z0 is not None else data.base_point
-        result = canonicalize(data.f, data.g, w0=w0, z0=z0, domain=domain, grid=grid, sign=sign)
-        zvals = result.z_values
-    return SampledField(us, vs, _curvature_at(data, zvals, gate))
+        index = canonicalize(data.f, data.g, w0=w0, z0=z0, domain=domain, grid=grid, sign=sign)._index
+    return SampledField(us, vs, _curvature_at(data, index, gate))
 
 
-def _curvature_at(data: GeneratingData, zvals: SplitComplex, gate: float) -> np.ndarray:
-    """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node; NaN where a factor is
-    singular or 1 - |g|^2 is within `gate` of zero."""
-    gvals, okg = _eval_grid(data.g, zvals)
-    gpvals, okp = _eval_grid(data.g.derivative(), zvals)
-    if data.f is not None:
-        fvals, okf = _eval_grid(data.f, zvals)
-        fm2 = fvals.modulus2
-        ok = okg & okp & okf
-    else:
-        fm2 = None
-        ok = okg & okp
-
-    gm2 = gvals.modulus2
-    gpm2 = gpvals.modulus2
+def _curvature_at(data: GeneratingData, index: _NullIndex, gate: float) -> np.ndarray:
+    """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node of the null sides of z in
+    index, with |h|^2 = h+ h-; NaN where a factor is singular or 1 - |g|^2 is
+    within `gate` of zero."""
+    sides = [index.sides(e) for e in (data.g, data.g.derivative(), data.f) if e is not None]
+    ok = np.logical_and.reduce([np.isfinite(v) for side in sides for v in side])
     with np.errstate(invalid="ignore", divide="ignore"):
+        gm2, gpm2, *fm2 = (a * b for a, b in sides)
         gap = 1.0 - gm2
-        if fm2 is None:
+        if not fm2:
             # f = 1/g': |f|^2 = 1/|g'|^2
             K = -16.0 * gpm2 * gpm2 / gap**4
             ok = ok & (np.abs(gpm2) > 1e-300)
         else:
-            K = -16.0 * gpm2 / (fm2 * gap**4)
-            ok = ok & (np.abs(fm2) > 1e-300)
+            K = -16.0 * gpm2 / (fm2[0] * gap**4)
+            ok = ok & (np.abs(fm2[0]) > 1e-300)
         ok = ok & np.isfinite(K) & (np.abs(gap) > gate)
     return np.where(ok, K, np.nan)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
-from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
+from .weierstrass import GeneratingData, Part, SurfacePatch, _NullIndex, evaluate_surface
 from .geometry import DegenerateNormal, forms_grid
 from .canonical import (
     BranchError,
@@ -290,7 +290,8 @@ def cmd_canonicalize(args) -> int:
 
 def _curvature_callable(data: GeneratingData, gate: float):
     def K(U, V):
-        return _curvature_at(data, SplitComplex(np.asarray(U, float), np.asarray(V, float)), gate)
+        U, V = np.asarray(U, float), np.asarray(V, float)
+        return _curvature_at(data, _NullIndex((U + V, U - V), (..., ...)), gate)
 
     return K
 

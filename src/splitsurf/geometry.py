@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weierstrass import GeneratingData, SurfacePatch, curve_expressions, _eval_grid, _part_re_im
+from .weierstrass import GeneratingData, SurfacePatch, curve_expressions, _eval_grid, _null_index, _part_re_im
 
 __all__ = [
     "DegenerateNormal",
@@ -38,15 +38,20 @@ def minkowski_inner(x, y):
     """<x, y> = -x1 y1 + x2 y2 + x3 y3, over the last axis."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    return np.sum(_ETA * x * y, axis=-1)
+    # the order and signs of a length-3 np.sum of _ETA * x * y, bit for bit
+    return 0.0 - x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
 def lorentz_cross(x, y):
     """The product characterized by <cross(x,y), w> = det[x; y; w] for all w."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    c = np.cross(x, y)
-    return c * _ETA
+    (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    c = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    np.multiply(x1 * y2 - x2 * y1, -1.0, out=c[..., 0])  # as np.cross(x, y) * _ETA
+    np.subtract(x2 * y0, x0 * y2, out=c[..., 1])
+    np.subtract(x0 * y1, x1 * y0, out=c[..., 2])
+    return c
 
 
 @dataclass(frozen=True)
@@ -123,12 +128,12 @@ def _analytic_first(patch: SurfacePatch, second: bool = False):
     """(x_u, x_v) from the curve derivative, or (x_uu, x_uv) from its
     derivative when `second`, and the mask of nodes where they are finite."""
     data: GeneratingData = patch.provenance
-    zg = patch.zgrid()
+    index = patch._index or _null_index(patch.zgrid(), data.base_point)
     xu = np.empty(patch.points.shape)
     xv = np.empty(patch.points.shape)
     ok = np.ones(patch.shape, bool)
     for k, e in enumerate(curve_expressions(data)):
-        vals, good = _eval_grid(e.derivative() if second else e, zg)
+        vals, good = _eval_grid(e.derivative() if second else e, index)
         xu[:, :, k], xv[:, :, k] = _part_re_im(vals, data.part)
         ok &= good
     return xu, xv, ok

@@ -100,10 +100,6 @@ class HoloExpr:
     def eval_null(self, t, side):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def eval_direct(self, z) -> SplitComplex:
-        """Evaluate with plain split-complex arithmetic (cross-check path)."""
-        raise NotImplementedError
-
     def derivative(self) -> "HoloExpr":
         raise NotImplementedError
 
@@ -159,9 +155,6 @@ class Const(HoloExpr):
             return np.full(t.shape, v)
         return v
 
-    def eval_direct(self, z):
-        return self.value
-
     def derivative(self):
         return Const(splitc(0.0))
 
@@ -189,9 +182,6 @@ class Const(HoloExpr):
 class Var(HoloExpr):
     def eval_null(self, t, side):
         return t
-
-    def eval_direct(self, z):
-        return SplitComplex._coerce(z)
 
     def derivative(self):
         return Const(splitc(1.0))
@@ -238,9 +228,6 @@ class Add(_Binary):
     def eval_null(self, t, side):
         return self.a.eval_null(t, side) + self.b.eval_null(t, side)
 
-    def eval_direct(self, z):
-        return self.a.eval_direct(z) + self.b.eval_direct(z)
-
     def derivative(self):
         return _add(self.a.derivative(), self.b.derivative())
 
@@ -258,9 +245,6 @@ class Sub(_Binary):
     def eval_null(self, t, side):
         return self.a.eval_null(t, side) - self.b.eval_null(t, side)
 
-    def eval_direct(self, z):
-        return self.a.eval_direct(z) - self.b.eval_direct(z)
-
     def derivative(self):
         return _sub(self.a.derivative(), self.b.derivative())
 
@@ -274,9 +258,6 @@ class Neg(HoloExpr):
 
     def eval_null(self, t, side):
         return -self.a.eval_null(t, side)
-
-    def eval_direct(self, z):
-        return -self.a.eval_direct(z)
 
     def derivative(self):
         return _neg(self.a.derivative())
@@ -305,9 +286,6 @@ class Mul(_Binary):
     def eval_null(self, t, side):
         return self.a.eval_null(t, side) * self.b.eval_null(t, side)
 
-    def eval_direct(self, z):
-        return self.a.eval_direct(z) * self.b.eval_direct(z)
-
     def derivative(self):
         return _add(
             _mul(self.a.derivative(), self.b), _mul(self.a, self.b.derivative())
@@ -331,9 +309,6 @@ class Div(_Binary):
             lambda: self.a.eval_null(t, side) / den,
             lambda: algebra.ZeroDivisor("null-line denominator in subexpression '%s'" % self.b),
         )
-
-    def eval_direct(self, z):
-        return self.a.eval_direct(z) / self.b.eval_direct(z)
 
     def derivative(self):
         num = _sub(
@@ -359,9 +334,6 @@ class Pow(HoloExpr):
             lambda: b**self.n,
             lambda: algebra.ZeroDivisor("null-line base of negative power in '%s'" % self),
         )
-
-    def eval_direct(self, z):
-        return self.base.eval_direct(z) ** self.n
 
     def derivative(self):
         inner = self.base.derivative()
@@ -409,9 +381,6 @@ class Exp(_Call):
     def eval_null(self, t, side):
         return np.exp(self.a.eval_null(t, side))
 
-    def eval_direct(self, z):
-        return algebra.exp(self.a.eval_direct(z))
-
     def derivative(self):
         return _mul(self.a.derivative(), self)
 
@@ -431,9 +400,6 @@ class Sqrt(_Call):
             lambda: np.sqrt(v),
             lambda: algebra.NoSquareRoot("negative null component under sqrt in '%s'" % self),
         )
-
-    def eval_direct(self, z):
-        return algebra.sqrt(self.a.eval_direct(z))
 
     def derivative(self):
         return _div(self.a.derivative(), _mul(Const(splitc(2.0)), self))
@@ -1090,14 +1056,26 @@ def integrate_path(
     """Integral of f along the segment [z0, z1].
 
     Uses the symbolic antiderivative when one exists; otherwise the integral
-    decouples into adaptive quadrature in each null coordinate.  Raises
-    DomainError when a singularity prevents convergence on the segment.
+    decouples into adaptive quadrature in each null coordinate, both sides in
+    one integrate_sweep call.  Raises DomainError when a singularity prevents
+    convergence on the segment.
     """
     z0 = SplitComplex._coerce(z0)
     z1 = SplitComplex._coerce(z1)
     anti = antiderivative(f)
     if anti is not None:
         return anti.eval(z1) - anti.eval(z0)
-    vp = integrate_real(lambda t: f.eval_null(t, PLUS), float(z0.p), float(z1.p), tol)
-    vq = integrate_real(lambda t: f.eval_null(t, MINUS), float(z0.q), float(z1.q), tol)
-    return from_null(vp, vq)
+    ends = [(float(z0.p), float(z1.p)), (float(z0.q), float(z1.q))]
+    knots = [sorted({a, b}) for a, b in ends]  # one knot, and no gap, for a zero-length side
+    funs = [lambda t, side=side: f.eval_null(t, side) for side in (PLUS, MINUS)]
+    runs = integrate_sweep(funs, knots, [k.index(a) for k, (a, _) in zip(knots, ends)], tol)
+    out = []
+    for (value, ok), k, (a, b) in zip(runs, knots, ends):
+        i = k.index(b)
+        if not ok[i]:
+            raise DomainError(
+                "quadrature failed on [%g, %g]: singular or non-finite integrand, "
+                "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
+            )
+        out.append(float(value[i]))
+    return from_null(*out)

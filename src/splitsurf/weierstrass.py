@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SplitComplex, splitc
+from .algebra import SplitComplex, from_null, splitc
 from .holofn import PLUS, MINUS, Const, HoloExpr, antiderivative, integrate_sweep
 
 __all__ = [
@@ -114,6 +114,7 @@ class SurfacePatch:
     points: np.ndarray  # (len(us), len(vs), 3)
     valid: np.ndarray  # bool mask, same leading shape
     provenance: GeneratingData | None = None
+    _index: _NullIndex | None = field(default=None, repr=False, compare=False)
 
     @property
     def h_u(self) -> float:
@@ -138,26 +139,47 @@ class SurfacePatch:
         return cls(np.asarray(us, float), np.asarray(vs, float), points, valid, None)
 
 
-def _eval_grid(expr: HoloExpr, zg: SplitComplex):
+@dataclass(frozen=True)
+class _NullIndex:
+    """Grid nodes by the values of their null coordinates: on side s, node k
+    has coordinate knots[s][at[s][k]] (at[s] is ... when knots[s] already
+    holds one value per node).  An expression is evaluated once per knot and
+    gathered to the nodes."""
+
+    knots: tuple
+    at: tuple
+
+    def sides(self, expr: HoloExpr):
+        """expr's null components (e+, e-) at every node."""
+        return tuple(expr.eval_null(k, side)[a] for side, k, a in zip((PLUS, MINUS), self.knots, self.at))
+
+
+def _null_index(zg: SplitComplex, z0: SplitComplex) -> _NullIndex:
+    """Per side, the sorted distinct values of the node sums p = u+v (q = u-v)
+    with the base point's appended, and every node's place among them."""
+    knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
+                      for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
+    return _NullIndex(knots, tuple(a[:-1].reshape(zg.shape) for a in at))
+
+
+def _eval_grid(expr: HoloExpr, index: _NullIndex):
     """Values of expr on a grid and the mask of nodes where they are finite."""
-    vals = expr.eval(zg)
+    vals = from_null(*index.sides(expr))
     return vals, np.isfinite(vals.re) & np.isfinite(vals.im)
 
 
-def _null_sweep(exprs, zg: SplitComplex, z0: SplitComplex, tol: float):
-    """Integrals of exprs from z0 to every node of zg, and their common reachability.
+def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
+    """Integrals of exprs from z0 to every node of the grid, and their common reachability.
 
     The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)): one sweep per
-    side over the distinct grid values of its null coordinate, on panels all
-    components share, and both sides in one integrate_sweep call.
+    side over the index's knots, on panels all components share, and both
+    sides in one integrate_sweep call.
     """
-    knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
-                      for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
+    origins = [int(np.searchsorted(k, float(t0))) for k, t0 in zip(index.knots, (z0.p, z0.q))]
     funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
-    sides = integrate_sweep(funs, knots, [int(i[-1]) for i in at], tol)
-    (fp, reach_p), (fq, reach_q) = ((v[:, i[:-1]].reshape((-1,) + zg.shape), r[i[:-1]].reshape(zg.shape))
-                                    for (v, r), i in zip(sides, at))
-    return [SplitComplex.from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
+    sides = integrate_sweep(funs, index.knots, origins, tol)
+    (fp, reach_p), (fq, reach_q) = ((v[:, a], r[a]) for (v, r), a in zip(sides, index.at))
+    return [from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
 
 
 def evaluate_surface(
@@ -169,6 +191,8 @@ def evaluate_surface(
     """Sample the selected part of the integral curve over a rectangle.
 
     domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
+    Every grid expression is evaluated once per distinct value of p = u+v
+    and of q = u-v, from one index of the grid that the patch keeps.
     Components with a symbolic antiderivative are evaluated in closed form.
     The rest go through one integrate_sweep call: x(z) - x(z0) is
     from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one problem
@@ -191,14 +215,14 @@ def evaluate_surface(
     us = np.linspace(u0, u1, n)
     vs = np.linspace(v0, v1, m)
     U, V = np.meshgrid(us, vs, indexing="ij")
-    zg = SplitComplex(U, V)
     z0 = data.base_point
+    index = _null_index(SplitComplex(U, V), z0)
 
     exprs = curve_expressions(data)
     psi_vals = []
     valid = np.ones((n, m), bool)
     for e in exprs:
-        vals, ok = _eval_grid(e, zg)
+        vals, ok = _eval_grid(e, index)
         psi_vals.append(vals)
         valid &= ok
 
@@ -214,17 +238,17 @@ def evaluate_surface(
 
     antis = [antiderivative(e) for e in exprs]
     swept = [k for k, anti in enumerate(antis) if anti is None]
-    integrals, ok = _null_sweep([exprs[k] for k in swept], zg, z0, tol) if swept else ([], True)
+    integrals, ok = _null_sweep([exprs[k] for k in swept], index, z0, tol) if swept else ([], True)
     integrals = dict(zip(swept, integrals))
     valid &= ok
     points = np.empty((n, m, 3))
     for k, anti in enumerate(antis):
         if anti is not None:
-            vals, ok = _eval_grid(anti, zg)
+            vals, ok = _eval_grid(anti, index)
             integrals[k] = vals - anti.eval(z0)
             valid &= ok
         points[:, :, k] = _part_re_im(integrals[k], data.part)[0]
     valid &= np.all(np.isfinite(points), axis=-1)
     points = np.where(valid[:, :, None], points, np.nan)
-    return SurfacePatch(us, vs, points, valid, data)
+    return SurfacePatch(us, vs, points, valid, data, index)
 

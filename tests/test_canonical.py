@@ -1,11 +1,14 @@
+import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from splitsurf import holofn
-from splitsurf.algebra import splitc
-from splitsurf.holofn import PLUS, expr_to_poly, integrate_real, parse
+from splitsurf import canonical, holofn
+from splitsurf.algebra import from_null, splitc
+from splitsurf.equivalence import surfaces_coincide
+from splitsurf.holofn import MINUS, PLUS, Add, Const, Div, Mul, Neg, Pow, Sub, Var, expr_to_poly, integrate_real, parse
 from splitsurf.canonical import (
     BranchError,
     CanonicalGauge,
@@ -161,6 +164,89 @@ def test_canonical_curvature_field_masks_cone_exit():
     finite = np.isfinite(field.values)
     assert int(finite.sum()) == 243
     assert not np.any(finite & ((S < -2 / 3) | (T < -2 / 3)))
+
+
+def _per_node_curvature(data, index, gate):
+    # the former per-node K: every factor evaluated at z = from_null(z+, z-),
+    # with |h|^2 = re^2 - im^2
+    z = from_null(*(k[a] for k, a in zip(index.knots, index.at)))
+    g, gp, f = (e.eval(z) for e in (data.g, data.g.derivative(), data.f))
+    ok = np.logical_and.reduce([np.isfinite(x) for v in (g, gp, f) for x in (v.re, v.im)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gap = 1.0 - g.modulus2
+        K = -16.0 * gp.modulus2 / (f.modulus2 * gap**4)
+        ok &= (np.abs(f.modulus2) > 1e-300) & np.isfinite(K) & (np.abs(gap) > gate)
+    return np.where(ok, K, np.nan)
+
+
+def _exact_null(e, t, side):
+    # e's null component at a float t, in exact rational arithmetic
+    if isinstance(e, Const):
+        return Fraction(float(e.value.p if side == PLUS else e.value.q))
+    if isinstance(e, Var):
+        return Fraction(float(t))
+    if isinstance(e, Neg):
+        return -_exact_null(e.a, t, side)
+    if isinstance(e, Pow):
+        return _exact_null(e.base, t, side) ** e.n
+    op = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}[type(e)]
+    return op(_exact_null(e.a, t, side), _exact_null(e.b, t, side))
+
+
+# the cone exit, and (1, g) against its reparametrization (a, g(a w)) at 41^2
+REPARAM_G = "(z^2+1.0*z+(-0.2+0.1J))"
+CANONICAL_ROUTE_CASES = [
+    ("1", "z^2/2", CONE_EXIT, 243),
+    ("1", REPARAM_G, dict(domain=(0.0, 0.4, -0.2, 0.2), grid=(41, 41)), 1681),
+    ("1.1", REPARAM_G.replace("z", "(1.1*z)"), dict(domain=(0.0, 0.4, -0.2, 0.2), grid=(41, 41)), 1681),
+]
+
+
+@pytest.mark.parametrize("f, g, kw, finite", CANONICAL_ROUTE_CASES)
+def test_canonical_route_evaluates_per_null_side(f, g, kw, finite):
+    f, g = parse(f), parse(g)
+    res = canonicalize(f, g, **kw)
+    z = res.z_values
+    assert int(np.isfinite(z.re).sum()) == finite
+    phi = (f * g.derivative()).eval(z)
+    per_node = {"z_prime": from_null(1.0 / np.sqrt(phi.p), 1.0 / np.sqrt(phi.q)), "g_tilde_values": g.eval(z)}
+    for name, expect in per_node.items():
+        got = getattr(res, name)
+        assert np.array_equal(np.isnan(got.re), np.isnan(z.re))
+        assert np.array_equal(np.isnan(expect.re), np.isnan(z.re))
+        scale = np.hypot(expect.re, expect.im)
+        for a, b in ((got.re, expect.re), (got.im, expect.im)):
+            assert np.nanmax(np.abs(a - b) / scale) <= 1e-14
+
+    data = GeneratingData.general(f, g, base_point=kw.get("z0", splitc(0)))
+    K = canonical_curvature_field(data, kw["domain"], kw["grid"], w0=kw.get("w0")).values
+    assert np.array_equal(np.isnan(K), np.isnan(_per_node_curvature(data, res._index, 0.1)))
+    assert int(np.isfinite(K).sum()) > 0
+    # against K in exact arithmetic from the same null sides of z
+    index = res._index
+    sides = [k[a] for k, a in zip(index.knots, index.at)]
+    for i, j in np.argwhere(np.isfinite(K)):
+        h = [[_exact_null(e, t[i, j], side) for side, t in zip((PLUS, MINUS), sides)]
+             for e in (g, g.derivative(), f)]
+        exact = -16 * h[1][0] * h[1][1] / (h[2][0] * h[2][1] * (1 - h[0][0] * h[0][1]) ** 4)
+        assert abs((Fraction(float(K[i, j])) - exact) / exact) <= 1e-14
+
+
+@pytest.mark.parametrize("f1, g1, f2, g2, base, domain, grid", [
+    ("1", REPARAM_G, "1.1", REPARAM_G.replace("z", "(1.1*z)"), 0.0, (0.0, 0.4, -0.2, 0.2), (41, 41)),
+    ("1", "(0.8*z+(0.05+0.07J))", "1", "1.7*(0.8*z+(0.05+0.07J))", 0.0, (0.0, 0.4, -0.2, 0.2), (41, 41)),
+    # w0 = z0 = 1: the cone exit crosses the domain at u +- v = 1/3
+    ("1", "z^2/2", "1", "z^2/2+0.05", 1.0, (0.3, 1.3, -0.3, 0.3), (21, 13)),
+])
+def test_surfaces_coincide_decisions_match_per_node_curvature(monkeypatch, f1, g1, f2, g2, base, domain, grid):
+    d1, d2 = (GeneratingData.general(parse(f), parse(g), base_point=splitc(base))
+              for f, g in ((f1, g1), (f2, g2)))
+    got = surfaces_coincide(d1, d2, domain, grid)
+    monkeypatch.setattr(canonical, "_curvature_at", _per_node_curvature)
+    expect = surfaces_coincide(d1, d2, domain, grid)
+    assert got.coincide == expect.coincide
+    assert got.gauge == expect.gauge
+    assert abs(got.discrepancy - expect.discrepancy) <= 1e-12 * max(1.0, expect.discrepancy)
 
 
 def test_all_masked_max_residual_is_nan_without_warning():

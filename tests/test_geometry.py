@@ -36,6 +36,43 @@ def test_lorentz_cross_examples():
         assert np.allclose(lorentz_cross(b, a), -c)
 
 
+_ETA = np.array([-1.0, 1.0, 1.0])
+
+
+def _random_vectors(rng, shape):
+    # magnitudes over ten decades, with NaN and signed-zero entries
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    for value, share in ((np.nan, 0.1), (0.0, 0.1), (-0.0, 0.1)):
+        x[rng.random(shape) < share] = value
+    return x
+
+
+@pytest.mark.parametrize("shape_x, shape_y", [
+    ((41, 33, 3), (41, 33, 3)),
+    ((3,), (41, 33, 3)),
+    ((41, 33, 3), (3,)),
+    ((7, 3), (7, 3)),
+    ((3,), (3,)),
+])
+def test_kernels_bit_equal_the_reduction_and_np_cross(shape_x, shape_y):
+    rng = np.random.default_rng(sum(shape_x) + 7 * sum(shape_y))
+    for _ in range(10):
+        x, y = _random_vectors(rng, shape_x), _random_vectors(rng, shape_y)
+        with np.errstate(invalid="ignore"):
+            inner = np.asarray(np.sum(_ETA * x * y, axis=-1))
+            cross = np.cross(x, y) * _ETA
+            got_inner, got_cross = np.asarray(minkowski_inner(x, y)), lorentz_cross(x, y)
+        assert got_inner.shape == inner.shape and got_inner.tobytes() == inner.tobytes()
+        assert got_cross.shape == cross.shape and got_cross.tobytes() == cross.tobytes()
+
+
+def test_kernels_take_lists():
+    x, y = [0.5, -1.0, 2.0], [1.5, 0.25, -3.0]
+    assert minkowski_inner(x, y) == np.sum(_ETA * np.array(x) * np.array(y))
+    assert lorentz_cross(x, y).tobytes() == (np.cross(x, y) * _ETA).tobytes()
+    assert lorentz_cross([x, y], y).tobytes() == (np.cross([x, y], y) * _ETA).tobytes()
+
+
 def test_flat_plane_has_zero_second_form():
     us = np.linspace(-1, 1, 9)
     vs = np.linspace(-1, 1, 9)

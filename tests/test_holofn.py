@@ -1,9 +1,10 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from splitsurf import holofn
+from splitsurf import algebra, holofn
 from splitsurf.algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from splitsurf.holofn import (
     Add,
@@ -16,7 +17,10 @@ from splitsurf.holofn import (
     Neg,
     Pow,
     Sqrt,
+    Sub,
     Var,
+    MINUS,
+    PLUS,
     Z,
     antiderivative,
     integrate_path,
@@ -121,12 +125,28 @@ def test_operators_build_the_smart_constructor_nodes():
         Z**0.5
 
 
+def _direct(e, z):
+    """e at z by plain split-complex arithmetic, one tree node at a time."""
+    binary = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return z
+    if type(e) in binary:
+        return binary[type(e)](_direct(e.a, z), _direct(e.b, z))
+    if isinstance(e, Neg):
+        return -_direct(e.a, z)
+    if isinstance(e, Pow):
+        return _direct(e.base, z) ** e.n
+    return {Exp: algebra.exp, Sqrt: algebra.sqrt}[type(e)](_direct(e.a, z))
+
+
 def test_eval_null_decomposition_matches_direct():
     rng = np.random.default_rng(2)
-    f = parse("exp(z) * (z^2 - 3) / (z + 10) + sqrt(z + 9)")
+    f = parse("exp(z) * (z^2 - 3) / (z + 10) + sqrt(z + 9) - (z - 4)^-2")
     for _ in range(50):
         z = splitc(*rng.uniform(-2, 2, 2))
-        direct = f.eval_direct(z)
+        direct = _direct(f, z)
         vianull = f.eval(z)
         assert float((direct - vianull).mag) < 1e-12 * max(1.0, float(direct.mag))
 
@@ -251,6 +271,40 @@ def test_integrate_path_singular_segment():
     f = parse("1/(z - 0.5)")
     with pytest.raises(DomainError):
         integrate_path(f, splitc(0), splitc(1))
+
+
+def _path_by_two_real_integrals(f, z0, z1, tol=1e-10):
+    # the former integrate_path: one integrate_real call per null side
+    vp = integrate_real(lambda t: f.eval_null(t, PLUS), float(z0.p), float(z1.p), tol)
+    vq = integrate_real(lambda t: f.eval_null(t, MINUS), float(z0.q), float(z1.q), tol)
+    return from_null(vp, vq)
+
+
+@pytest.mark.parametrize("text, z1", [
+    ("sqrt(z + 3)", splitc(0.7, 0.2)),
+    ("sqrt(z + 3)", splitc(-0.4, 0.9)),
+    ("sqrt(z + 3)", splitc(0.3, 0.3)),  # q side of zero length
+    ("1/(z - 0.3)", splitc(0.1, 0.1)),  # the pole lies beyond both ends
+    ("1/(z - 0.3)", splitc(-0.2, 0.4)),
+])
+def test_integrate_path_one_sweep_equals_two_real_integrals(text, z1):
+    f = parse(text)
+    assert antiderivative(f) is None
+    got = integrate_path(f, splitc(0.05, -0.02), z1)
+    expect = _path_by_two_real_integrals(f, splitc(0.05, -0.02), z1)
+    assert (got.re, got.im) == (expect.re, expect.im)
+
+
+@pytest.mark.parametrize("z1", [splitc(0.1, 0.4), splitc(0.1, -0.4), splitc(0.5, 0.0)])
+def test_integrate_path_raises_where_either_side_fails(z1):
+    # 1/(z - 0.3) is singular on p = 0.3 and on q = 0.3: the segment crosses
+    # the first line, the second, or both
+    f = parse("1/(z - 0.3)")
+    with pytest.raises(DomainError) as expect:
+        _path_by_two_real_integrals(f, splitc(0), z1)
+    with pytest.raises(DomainError) as got:
+        integrate_path(f, splitc(0), z1)
+    assert str(got.value) == str(expect.value)
 
 
 def test_integrate_real_basic():
