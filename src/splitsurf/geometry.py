@@ -27,8 +27,6 @@ __all__ = [
     "curvatures",
 ]
 
-_ETA = np.array([-1.0, 1.0, 1.0])
-
 
 class DegenerateNormal(ArithmeticError):
     """The candidate normal is lightlike or zero: forms are undefined there."""
@@ -38,7 +36,8 @@ def minkowski_inner(x, y):
     """<x, y> = -x1 y1 + x2 y2 + x3 y3, over the last axis."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    # the order and signs of a length-3 np.sum of _ETA * x * y, bit for bit
+    # bit for bit the operand order and signs of np.sum(eta * x * y, axis=-1),
+    # eta = (-1, 1, 1)
     return 0.0 - x[..., 0] * y[..., 0] + x[..., 1] * y[..., 1] + x[..., 2] * y[..., 2]
 
 
@@ -48,7 +47,7 @@ def lorentz_cross(x, y):
     y = np.asarray(y, float)
     (x0, x1, x2), (y0, y1, y2) = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
     c = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    np.multiply(x1 * y2 - x2 * y1, -1.0, out=c[..., 0])  # as np.cross(x, y) * _ETA
+    np.multiply(x1 * y2 - x2 * y1, -1.0, out=c[..., 0])  # as np.cross(x, y) * eta
     np.subtract(x2 * y0, x0 * y2, out=c[..., 1])
     np.subtract(x0 * y1, x1 * y0, out=c[..., 2])
     return c
