@@ -147,7 +147,7 @@ class _NullIndex:
     gathered to the nodes."""
 
     knots: tuple
-    at: tuple
+    at: np.ndarray | tuple
 
     def sides(self, expr: HoloExpr):
         """expr's null components (e+, e-) at every node."""
