@@ -323,14 +323,14 @@ def canonical_curvature_field(
         w0 = w0 if w0 is not None else data.base_point
         z0 = z0 if z0 is not None else data.base_point
         index = canonicalize(data.f, data.g, w0=w0, z0=z0, domain=domain, grid=grid, sign=sign)._index
-    return SampledField(us, vs, _curvature_at(data, index, gate))
+    return SampledField(us, vs, _curvature_at((data.g, data.g.derivative(), data.f), index, gate))
 
 
-def _curvature_at(data: GeneratingData, index: _NullIndex, gate: float) -> np.ndarray:
+def _curvature_at(exprs, index: _NullIndex, gate: float) -> np.ndarray:
     """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node of the null sides of z in
-    index, with |h|^2 = h+ h-; NaN where a factor is singular or 1 - |g|^2 is
-    within `gate` of zero."""
-    sides = [index.sides(e) for e in (data.g, data.g.derivative(), data.f) if e is not None]
+    index, with |h|^2 = h+ h-, from exprs = (g, g', f or None); NaN where a
+    factor is singular or 1 - |g|^2 is within `gate` of zero."""
+    sides = [index.sides(e) for e in exprs if e is not None]
     ok = np.logical_and.reduce([np.isfinite(v) for side in sides for v in side])
     with np.errstate(invalid="ignore", divide="ignore"):
         gm2, gpm2, *fm2 = (a * b for a, b in sides)
@@ -560,13 +560,6 @@ class FieldMatch:
     overlap: int
 
 
-def _overlap_slices(n1, n2, d):
-    """Index ranges pairing field1[i] with field2[i - d]."""
-    start1 = max(0, d)
-    end1 = min(n1, n2 + d)
-    return slice(start1, end1), slice(start1 - d, end1 - d)
-
-
 def compare_curvature_fields(
     field1: SampledField,
     field2: SampledField,
@@ -586,85 +579,99 @@ def compare_curvature_fields(
 
     Masked FFT correlations (Padfield, IEEE TIP 2012) give every translation
     the RMS of K1 - K2 over its shared nodes, less a rounding margin: a lower
-    bound on its max discrepancy.  Translations are evaluated exactly in
-    increasing bound order until the next bound exceeds the best discrepancy
-    found, which returns the exhaustive answer.  Gauges off the lattice are
-    not recovered.  Raises InconclusiveOverlap when no translation qualifies.
+    bound on its max discrepancy, kept as one map per eps.  The translation
+    with the least bound is evaluated exactly first; then only those whose
+    bound does not exceed the best discrepancy found, in increasing bound
+    order, in blocks that gather their shared nodes at once.  Every
+    translation that can win is evaluated, so the answer is the exhaustive
+    one.  Gauges off the lattice are not recovered.  Raises
+    InconclusiveOverlap when no translation qualifies.
     """
     h = field1.h_u
     for other in (field1.h_v, field2.h_u, field2.h_v):
         if abs(other - h) > 1e-9 * max(1.0, abs(h)):
             raise ValueError("fields must share one common grid step")
     axis_floor = max(2, int(np.sqrt(min_overlap)))
-    vals1 = field1.values
-    n1, m1 = vals1.shape
-    n2, m2 = field2.values.shape
+    vals1, vals2 = field1.values, field2.values
+    (n1, m1), (n2, m2) = vals1.shape, vals2.shape
     shape = (n1 + n2 - 1, m1 + m2 - 1)
-
-    def spectrum(x):
-        return np.fft.rfft2(x, shape)
-
-    ok1 = np.isfinite(vals1)
-    a = np.where(ok1, vals1, 0.0)
-    ok2 = np.isfinite(field2.values)
-    b = np.where(ok2, field2.values, 0.0)
-    spec_ok1, spec_a2, spec_a = spectrum(ok1.astype(float)), spectrum(a * a), spectrum(a)
-    # An FFT correlation of x and y over N entries errs by at most about
-    # eps log2(N) |x|_2 |y|_1 per entry, and each term of the sum of squares
-    # below has |x|_2 |y|_1 <= N (sum a^2 + sum b^2).  Errors measured on
-    # fields spanning five decades stay below 1e-4 of this margin, so no
-    # bound exceeds the exact discrepancy.
-    size = shape[0] * shape[1]
-    margin = 4.0 * np.finfo(float).eps * np.log2(size) * size * (np.sum(a * a) + np.sum(b * b))
-
     # entry k of a full correlation holds the index shift d = k - (n2 - 1)
     shifts_u = np.arange(shape[0]) - (n2 - 1)
     shifts_v = np.arange(shape[1]) - (m2 - 1)
     span_u = np.minimum(n1, n2 + shifts_u) - np.maximum(0, shifts_u)
     span_v = np.minimum(m1, m2 + shifts_v) - np.maximum(0, shifts_v)
-    axis_ok = (span_u >= axis_floor)[:, None] & (span_v >= axis_floor)[None, :]
-
-    oriented = {}
-    cands, bounds = [], []  # per eps: (eps, du, dv) arrays and discrepancy bounds
-    for eps in (1, -1):
-        if eps == 1:
-            oriented[eps] = (field2.us, field2.vs, field2.values)
-            ok_e, b_e = ok2, b
-        else:
-            oriented[eps] = (-field2.us[::-1], -field2.vs[::-1], field2.values[::-1, ::-1])
-            ok_e, b_e = ok2[::-1, ::-1], b[::-1, ::-1]
-        # correlation with the second field is convolution with it reversed
-        spec_ok2, spec_b2, spec_b = (spectrum(x[::-1, ::-1]) for x in (ok_e.astype(float), b_e * b_e, b_e))
-        count = np.rint(np.fft.irfft2(spec_ok1 * spec_ok2, shape))
-        # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
-        ssd = np.fft.irfft2(spec_a2 * spec_ok2 + spec_ok1 * spec_b2 - 2.0 * spec_a * spec_b, shape)
-        ku, kv = np.nonzero(axis_ok & (count >= min_overlap))
-        with np.errstate(invalid="ignore"):
-            bounds.append(np.sqrt(np.maximum(ssd[ku, kv] - margin, 0.0) / count[ku, kv]))
-        cands.append(np.stack([np.full(len(ku), eps), shifts_u[ku], shifts_v[kv]], axis=1))
-
-    cands = np.concatenate(cands)
-    if not len(cands):
-        raise InconclusiveOverlap(
-            "no gauge alignment shares %d valid nodes" % min_overlap
-        )
-    bounds = np.concatenate(bounds)
+    nodes = np.outer(span_u, span_v).ravel()
+    ok1, ok2 = np.isfinite(vals1), np.isfinite(vals2)
+    a, b = np.where(ok1, vals1, 0.0), np.where(ok2, vals2, 0.0)
+    count, ssd = np.empty((2,) + shape), np.empty((2,) + shape)  # maps, eps = +1 first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a2, b2 = a * a, b * b
+        # An FFT correlation of x and y over N entries errs by at most about
+        # eps log2(N) |x|_2 |y|_1 per entry, and each term of the sum of squares
+        # below has |x|_2 |y|_1 <= N (sum a^2 + sum b^2).  Errors measured on
+        # fields spanning five decades stay below 1e-4 of this margin, so no
+        # bound exceeds the exact discrepancy.
+        size = shape[0] * shape[1]
+        margin = 4.0 * np.finfo(float).eps * np.log2(size) * size * (np.sum(a2) + np.sum(b2))
+        # One batched transform per field of its mask, square and value.
+        # Correlation with field2 is convolution with field2 reversed, whose
+        # spectrum is phase * conj(spec2); for eps = -1 it is with field2 itself.
+        s1, spec2 = np.fft.rfft2([ok1, a2, a], shape), np.fft.rfft2([ok2, b2, b], shape)
+        phase = np.exp(-2j * np.pi * ((n2 - 1) * np.arange(shape[0]) % shape[0] / shape[0]))[:, None] * np.exp(
+            -2j * np.pi * ((m2 - 1) * np.arange(spec2.shape[2]) % shape[1] / shape[1]))
+        for e, s2 in enumerate((phase * np.conj(spec2), spec2)):
+            # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
+            count[e], ssd[e] = np.fft.irfft2([s1[0] * s2[0], s1[1] * s2[0] + s1[0] * s2[1] - 2.0 * s1[2] * s2[2]], shape)
+        del s1, spec2, s2
+        count = np.rint(count)
+        qualify = (span_u >= axis_floor)[:, None] & (span_v >= axis_floor) & (count >= min_overlap)
+        # a NaN sum (overflowing squares) counts as 0, so it is always
+        # evaluated; a translation that does not qualify gets a NaN bound
+        bound = np.where(qualify, np.sqrt(np.fmax(ssd - margin, 0.0) / count), np.nan).ravel()
+    if not qualify.any():
+        raise InconclusiveOverlap("no gauge alignment shares %d valid nodes" % min_overlap)
+    # missing nodes as NaN; both orientations of field2 in one flat array
+    flat1 = np.where(ok1, vals1, np.nan).ravel()
+    flat2 = np.where(ok2, vals2, np.nan)
+    flat2 = np.concatenate([flat2.ravel(), flat2[::-1, ::-1].ravel()])
+    us2, vs2 = (field2.us, -field2.us[::-1]), (field2.vs, -field2.vs[::-1])
     best = None
-    # a NaN bound (overflowing squares) never stops the pass, so it stays exact
-    for k in np.argsort(bounds, kind="stable"):
-        if best is not None and bounds[k] > best[0][0]:
-            break
-        eps, du, dv = (int(c) for c in cands[k])
-        us2, vs2, vals2 = oriented[eps]
-        su1, su2 = _overlap_slices(n1, n2, du)
-        sv1, sv2 = _overlap_slices(m1, m2, dv)
-        x = vals1[su1, sv1]
-        y = vals2[su2, sv2]
-        both = np.isfinite(x) & np.isfinite(y)
-        disc = float(np.max(np.abs(x[both] - y[both])))
-        A = float(field1.us[su1.start] - us2[su2.start])
-        B = float(field1.vs[sv1.start] - vs2[sv2.start])
-        key = (disc, round((abs(A) + abs(B)) / h, 6), 0 if eps == 1 else 1, du, dv)
-        if best is None or key < best[0]:
-            best = (key, FieldMatch(disc < tol, CanonicalGauge(eps, A, B), disc, int(np.sum(both))))
+
+    def evaluate(ks):
+        """Exact discrepancies of translations ks, gathered at once; keeps the least key."""
+        nonlocal best
+        e, ku, kv = np.unravel_index(ks, count.shape)
+        du, dv, sz = shifts_u[ku], shifts_v[kv], nodes[ks % nodes.size]
+        i0, j0, starts = np.maximum(0, du), np.maximum(0, dv), np.cumsum(sz) - sz
+        r, c = np.divmod(np.arange(starts[-1] + sz[-1]) - np.repeat(starts, sz), np.repeat(span_v[kv], sz))
+        base1, base2 = i0 * m1 + j0, e * (n2 * m2) + (i0 - du) * m2 + j0 - dv
+        with np.errstate(over="ignore"):
+            d = np.abs(flat1[r * m1 + c + np.repeat(base1, sz)] - flat2[r * m2 + c + np.repeat(base2, sz)])
+        disc = np.fmax.reduceat(d, starts)
+        least = float(disc.min())
+        if best is not None and least > best[0][0]:
+            return
+        # Python keys only for the block's least-discrepancy ties
+        for t in np.flatnonzero(disc == least):
+            A = float(field1.us[i0[t]] - us2[e[t]][i0[t] - du[t]])
+            B = float(field1.vs[j0[t]] - vs2[e[t]][j0[t] - dv[t]])
+            key = (least, round((abs(A) + abs(B)) / h, 6), int(e[t]), int(du[t]), int(dv[t]))
+            if best is None or key < best[0]:
+                shared = int(np.count_nonzero(~np.isnan(d[starts[t]:starts[t] + sz[t]])))
+                best = (key, FieldMatch(least < tol, CanonicalGauge(1 - 2 * int(e[t]), A, B), least, shared))
+
+    first = np.nanargmin(bound)
+    evaluate(np.array([first]))
+    # then, in bound order, every translation whose bound does not exceed the
+    # best discrepancy, in blocks of at most 4096 gathered nodes (or one)
+    rest = np.flatnonzero(bound <= best[0][0])
+    rest = rest[rest != first]
+    rest = rest[np.argsort(bound[rest], kind="stable")]
+    ends = np.cumsum(nodes[rest % nodes.size])
+    pos = 0
+    while pos < len(rest) and bound[rest[pos]] <= best[0][0]:
+        end = np.searchsorted(ends, (ends[pos - 1] if pos else 0) + 4096, "right")
+        end = min(max(pos + 1, end), np.searchsorted(bound[rest], best[0][0], "right"))
+        evaluate(rest[pos:end])
+        pos = end
     return best[1]

@@ -289,9 +289,11 @@ def cmd_canonicalize(args) -> int:
 
 
 def _curvature_callable(data: GeneratingData, gate: float):
+    exprs = (data.g, data.g.derivative(), data.f)
+
     def K(U, V):
         U, V = np.asarray(U, float), np.asarray(V, float)
-        return _curvature_at(data, _NullIndex((U + V, U - V), (..., ...)), gate)
+        return _curvature_at(exprs, _NullIndex((U + V, U - V), (..., ...)), gate)
 
     return K
 

@@ -166,11 +166,11 @@ def test_canonical_curvature_field_masks_cone_exit():
     assert not np.any(finite & ((S < -2 / 3) | (T < -2 / 3)))
 
 
-def _per_node_curvature(data, index, gate):
-    # the former per-node K: every factor evaluated at z = from_null(z+, z-),
-    # with |h|^2 = re^2 - im^2
+def _per_node_curvature(exprs, index, gate):
+    # the former per-node K: every factor of exprs = (g, g', f) evaluated at
+    # z = from_null(z+, z-), with |h|^2 = re^2 - im^2
     z = from_null(*(k[a] for k, a in zip(index.knots, index.at)))
-    g, gp, f = (e.eval(z) for e in (data.g, data.g.derivative(), data.f))
+    g, gp, f = (e.eval(z) for e in exprs)
     ok = np.logical_and.reduce([np.isfinite(x) for v in (g, gp, f) for x in (v.re, v.im)])
     with np.errstate(invalid="ignore", divide="ignore"):
         gap = 1.0 - g.modulus2
@@ -220,7 +220,7 @@ def test_canonical_route_evaluates_per_null_side(f, g, kw, finite):
 
     data = GeneratingData.general(f, g, base_point=kw.get("z0", splitc(0)))
     K = canonical_curvature_field(data, kw["domain"], kw["grid"], w0=kw.get("w0")).values
-    assert np.array_equal(np.isnan(K), np.isnan(_per_node_curvature(data, res._index, 0.1)))
+    assert np.array_equal(np.isnan(K), np.isnan(_per_node_curvature((g, g.derivative(), f), res._index, 0.1)))
     assert int(np.isfinite(K).sum()) > 0
     # against K in exact arithmetic from the same null sides of z
     index = res._index
@@ -509,7 +509,8 @@ def brute_force_match(field1, field2, tol=1e-4, min_overlap=9):
                 both = np.isfinite(x) & np.isfinite(y)
                 if both.sum() < min_overlap:
                     continue
-                disc = float(np.max(np.abs(x[both] - y[both])))
+                with np.errstate(over="ignore"):
+                    disc = float(np.max(np.abs(x[both] - y[both])))
                 A = float(field1.us[i0] - us2[i0 - du])
                 B = float(field1.vs[j0] - vs2[j0 - dv])
                 key = (disc, round((abs(A) + abs(B)) / field1.h_u, 6), 0 if eps == 1 else 1, du, dv)
@@ -644,3 +645,63 @@ def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
     match = compare_curvature_fields(field1, field2)
     assert match.matched and match.gauge.eps == 1
     assert abs(match.gauge.A - 0.025) < 1e-12 and match.gauge.B == 0.0
+
+
+# fixed edge cases the random families never draw
+
+
+def _same_as_brute_force(field1, field2, min_overlap=9):
+    match = compare_curvature_fields(field1, field2, min_overlap=min_overlap)
+    assert match == brute_force_match(field1, field2, min_overlap=min_overlap)
+    assert match.overlap >= min_overlap
+    return match
+
+
+def test_compare_fields_overflowing_differences():
+    # every difference 1e308 - (-1e308) overflows, so every discrepancy is inf
+    # and |A| + |B| decides; the alignment with the least |A| + |B| at least
+    # axis_floor wide shares fewer than min_overlap nodes and must not win
+    rng = np.random.default_rng(5)
+    v1 = _holes(rng, np.full((10, 10), 1e308), 0.3)
+    v2 = _holes(rng, np.full((10, 10), -1e308), 0.3)
+    match = _same_as_brute_force(_field(v1, 0.0, 0.0), _field(v2, 9 * _H, 9 * _H))
+    assert match.discrepancy == np.inf and not match.matched
+
+
+def test_compare_fields_overflowing_squares():
+    # |K| ~ 1e160: the squares overflow and every FFT bound is NaN
+    rng = np.random.default_rng(6)
+    big = _holes(rng, 1e160 * (1.0 + 0.1 * rng.normal(size=(30, 30))), 0.1)
+    field1, field2 = _field(big[:14, :12], 0.0, 0.0), _field(big[3:15, 2:16], 0.0, 0.0)
+    match = _same_as_brute_force(field1, field2)
+    assert match.matched and match.discrepancy == 0.0 and (match.gauge.A, match.gauge.B) != (0.0, 0.0)
+
+
+def test_compare_fields_infinite_entries_are_missing():
+    rng = np.random.default_rng(7)
+    big = rng.normal(size=(30, 30))
+    v1, v2 = big[:12, :12].copy(), big[2:14, 5:17].copy()
+    # +inf in one field, -inf in the other: most pair with finite nodes
+    v1[rng.random(v1.shape) < 0.15] = np.inf
+    v2[rng.random(v2.shape) < 0.15] = -np.inf
+    match = _same_as_brute_force(_field(v1, 0.0, 0.0), _field(v2, 0.0, 0.0))
+    assert match.matched and match.overlap == int((np.isfinite(v1[2:, 5:]) & np.isfinite(v2[:10, :7])).sum())
+
+
+def test_compare_fields_unequal_shapes():
+    big = np.random.default_rng(8).normal(size=(30, 30))
+    field1 = _field(big[4:11, 2:21], 0.0, 0.0)
+    field2 = _field(big[0:16, 10:16][::-1, ::-1].copy(), 0.0, 0.0)
+    match = _same_as_brute_force(field1, field2)
+    assert match.matched and match.gauge.eps == -1 and match.overlap == 7 * 6
+
+
+def test_compare_fields_inconclusive_below_min_overlap():
+    # eight finite nodes in the first field: no alignment can share nine
+    values = np.full((6, 6), np.nan)
+    values[1:3, 1:5] = 1.0
+    field1, field2 = _field(values, 0.0, 0.0), _field(np.ones((6, 6)), 0.0, 0.0)
+    with pytest.raises(InconclusiveOverlap):
+        brute_force_match(field1, field2)
+    with pytest.raises(InconclusiveOverlap):
+        compare_curvature_fields(field1, field2)
