@@ -602,6 +602,7 @@ def compare_curvature_fields(
     span_v = np.minimum(m1, m2 + shifts_v) - np.maximum(0, shifts_v)
     nodes = np.outer(span_u, span_v).ravel()
     ok1, ok2 = np.isfinite(vals1), np.isfinite(vals2)
+    holes = not (ok1.all() and ok2.all())
     a, b = np.where(ok1, vals1, 0.0), np.where(ok2, vals2, 0.0)
     count, ssd = np.empty((2,) + shape), np.empty((2,) + shape)  # maps, eps = +1 first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -621,9 +622,10 @@ def compare_curvature_fields(
             -2j * np.pi * ((m2 - 1) * np.arange(spec2.shape[2]) % shape[1] / shape[1]))
         for e, s2 in enumerate((phase * np.conj(spec2), spec2)):
             # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
-            count[e], ssd[e] = np.fft.irfft2([s1[0] * s2[0], s1[1] * s2[0] + s1[0] * s2[1] - 2.0 * s1[2] * s2[2]], shape)
+            ssd[e] = np.fft.irfft2(s1[1] * s2[0] + s1[0] * s2[1] - 2.0 * s1[2] * s2[2], shape)
+            # without missing nodes every node of an overlap is shared
+            count[e] = np.rint(np.fft.irfft2(s1[0] * s2[0], shape)) if holes else nodes.reshape(shape)
         del s1, spec2, s2
-        count = np.rint(count)
         qualify = (span_u >= axis_floor)[:, None] & (span_v >= axis_floor) & (count >= min_overlap)
         # a NaN sum (overflowing squares) counts as 0, so it is always
         # evaluated; a translation that does not qualify gets a NaN bound
