@@ -650,10 +650,10 @@ def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
 # fixed edge cases the random families never draw
 
 
-def _same_as_brute_force(field1, field2, min_overlap=9):
-    match = compare_curvature_fields(field1, field2, min_overlap=min_overlap)
-    assert match == brute_force_match(field1, field2, min_overlap=min_overlap)
-    assert match.overlap >= min_overlap
+def _same_as_brute_force(field1, field2):
+    match = compare_curvature_fields(field1, field2)
+    assert match == brute_force_match(field1, field2)
+    assert match.overlap >= 9
     return match
 
 
