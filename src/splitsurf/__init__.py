@@ -25,8 +25,6 @@ from .holofn import (
     ExprSyntaxError,
     HoloExpr,
     antiderivative,
-    derivative,
-    evaluate,
     integrate_path,
     parse,
 )

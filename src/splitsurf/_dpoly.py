@@ -114,9 +114,6 @@ class DPoly:
         c = SplitComplex._coerce(c)
         return DPoly(self.plus * c.p, self.minus * c.q)
 
-    def shift_mul_x(self) -> "DPoly":
-        return DPoly(np.concatenate(([0.0], self.plus)), np.concatenate(([0.0], self.minus)))
-
     # -- calculus -------------------------------------------------------------
     def deriv(self) -> "DPoly":
         ks = np.arange(1, len(self.plus))

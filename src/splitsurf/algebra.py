@@ -8,8 +8,6 @@ Components may be numpy arrays, in which case all operations act elementwise.
 
 from __future__ import annotations
 
-import re as _regex
-
 import numpy as np
 
 __all__ = [
@@ -207,35 +205,6 @@ class SplitComplex:
         return SplitComplex(np.ravel(self.re), np.ravel(self.im))
 
     # -- text ---------------------------------------------------------------
-    _LITERAL = _regex.compile(
-        r"""^\s*
-            (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-            \s*
-            (?:(?P<sign>[+-])?\s*
-               (?P<im>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*[jJ])?
-            \s*$""",
-        _regex.VERBOSE,
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "SplitComplex":
-        """Parse literals of the form ``a``, ``a+bJ``, ``a-bJ`` or ``bJ``."""
-        m = cls._LITERAL.match(text)
-        if not m or (m.group("re") is None and "j" not in text.lower()):
-            raise ValueError("not a split-complex literal: %r" % text)
-        has_j = "j" in text.lower()
-        re_txt, sign, im_txt = m.group("re"), m.group("sign"), m.group("im")
-        if not has_j:
-            return cls(float(re_txt), 0.0)
-        if re_txt is not None and sign is None and im_txt is None:
-            # "2J": the leading number is the imaginary part
-            return cls(0.0, float(re_txt))
-        re_val = float(re_txt) if re_txt is not None else 0.0
-        im_val = float(im_txt) if im_txt is not None else 1.0
-        if sign == "-":
-            im_val = -im_val
-        return cls(re_val, im_val)
-
     def __str__(self):
         if self._is_array:
             return "SplitComplex(re=%r, im=%r)" % (self.re, self.im)

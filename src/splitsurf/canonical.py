@@ -14,6 +14,7 @@ minimal timelike surface satisfies in canonical parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,6 +57,7 @@ class InconclusiveOverlap(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class CanonicalizationResult:
     """Sampled reparametrization z(w) and the transported generating function.
 
@@ -68,22 +70,20 @@ class CanonicalizationResult:
     z is set by integrate_sweep's 1e-10 absolute tolerance on s.
     """
 
-    def __init__(self, us, vs, w0, z0, sign, z_values, z_prime, g_tilde_values,
-                 g_tilde_expr, residual, affine, z_at, z_prime_at, index):
-        self.us = us
-        self.vs = vs
-        self.w0 = w0
-        self.z0 = z0
-        self.sign_choice = sign
-        self.z_values = z_values
-        self.z_prime = z_prime
-        self.g_tilde_values = g_tilde_values
-        self.g_tilde_expr = g_tilde_expr
-        self.residual = residual
-        self.affine = affine
-        self._z_at = z_at
-        self._z_prime_at = z_prime_at
-        self._index = index  # the null sides of z_values, for per-side evaluation
+    us: np.ndarray
+    vs: np.ndarray
+    w0: SplitComplex
+    z0: SplitComplex
+    sign_choice: int
+    z_values: SplitComplex
+    z_prime: SplitComplex
+    g_tilde_values: SplitComplex
+    g_tilde_expr: HoloExpr | None
+    residual: np.ndarray
+    affine: bool
+    _z_at: Callable
+    _z_prime_at: Callable
+    _index: _NullIndex  # the null sides of z_values, for per-side evaluation
 
     @property
     def max_residual(self) -> float:
@@ -300,15 +300,14 @@ def canonical_curvature_field(
     domain: tuple[float, float, float, float],
     grid: tuple[int, int] = (41, 41),
     w0=None,
-    z0=None,
-    sign: int = +1,
     gate: float = 0.1,
 ) -> SampledField:
     """Gauss curvature in canonical parameters, K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4).
 
     For canonical data the parameters are already canonical (z = w); general
-    pairs are canonicalized first.  Nodes within `gate` of the blow-up locus
-    1 - |g|^2 = 0 are masked NaN.
+    pairs are canonicalized first, with z(w0) = data.base_point (w0 defaults
+    to the base point) on the branch sign +1.  Nodes within `gate` of the
+    blow-up locus 1 - |g|^2 = 0 are masked NaN.
     """
     u0, u1, v0, v1 = map(float, domain)
     n, m = grid
@@ -321,8 +320,7 @@ def canonical_curvature_field(
         index = _NullIndex((U + V, U - V), (..., ...))
     else:
         w0 = w0 if w0 is not None else data.base_point
-        z0 = z0 if z0 is not None else data.base_point
-        index = canonicalize(data.f, data.g, w0=w0, z0=z0, domain=domain, grid=grid, sign=sign)._index
+        index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
     return SampledField(us, vs, _curvature_at((data.g, data.g.derivative(), data.f), index, gate))
 
 
@@ -380,14 +378,11 @@ class CoefficientReport:
 
 
 def verify_canonical_coefficients(
-    patch: SurfacePatch | FormsGrid, method: str = "auto", gate: np.ndarray | None = None
+    patch: SurfacePatch | FormsGrid, gate: np.ndarray | None = None
 ) -> CoefficientReport:
-    """Check a patch against the canonical first/second form shapes.
-
-    patch may also be the FormsGrid already computed from a patch; method
-    then goes unused.
-    """
-    grid = patch if isinstance(patch, FormsGrid) else forms_grid(patch, method)
+    """Check a patch, or the FormsGrid already computed from one, against
+    the canonical first/second form shapes."""
+    grid = patch if isinstance(patch, FormsGrid) else forms_grid(patch)
     valid = grid.valid if gate is None else (grid.valid & gate)
     E, F, G, L, M, N, K = grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K
     with np.errstate(invalid="ignore"):
@@ -524,27 +519,17 @@ def apply_gauge(gauge: CanonicalGauge, obj):
     The sample values are untouched; only the coordinate labels change, so
     difference-based reports are invariant up to node reindexing.
     """
-    if callable(obj) and not isinstance(obj, (SampledField, SurfacePatch)):
-        return lambda u, v: obj(*gauge.map_to_old(u, v))
-    eps, A, B = gauge.eps, gauge.A, gauge.B
+    if not isinstance(obj, (SampledField, SurfacePatch)):
+        if callable(obj):
+            return lambda u, v: obj(*gauge.map_to_old(u, v))
+        raise TypeError("cannot gauge objects of type %s" % type(obj).__name__)
+    # u_new = eps (u - A): eps = -1 reverses both axes
+    flip = slice(None, None, gauge.eps)
+    us, vs = gauge.eps * (obj.us - gauge.A), gauge.eps * (obj.vs - gauge.B)
     if isinstance(obj, SampledField):
-        us = eps * (obj.us - A)
-        vs = eps * (obj.vs - B)
-        vals = obj.values
-        if eps == -1:
-            us, vs, vals = us[::-1], vs[::-1], vals[::-1, ::-1]
-        return SampledField(us, vs, vals.copy())
-    if isinstance(obj, SurfacePatch):
-        us = eps * (obj.us - A)
-        vs = eps * (obj.vs - B)
-        pts = obj.points
-        val = obj.valid
-        if eps == -1:
-            us, vs = us[::-1], vs[::-1]
-            pts, val = pts[::-1, ::-1], val[::-1, ::-1]
-        # analytic provenance no longer matches the relabeled parameters
-        return SurfacePatch(us, vs, pts.copy(), val.copy(), None)
-    raise TypeError("cannot gauge objects of type %s" % type(obj).__name__)
+        return SampledField(us[flip], vs[flip], obj.values[flip, flip].copy())
+    # analytic provenance no longer matches the relabeled parameters
+    return SurfacePatch(us[flip], vs[flip], obj.points[flip, flip].copy(), obj.valid[flip, flip].copy(), None)
 
 
 # ---------------------------------------------------------------------------

@@ -303,14 +303,12 @@ def cmd_verify(args) -> int:
     data = None
     if args.from_csv:
         patch = read_csv_patch(args.from_csv)
-        method = "fd"
     else:
         if args.g is None:
             raise _UsageError("provide --g (with --f or --canonical) or --from-csv")
         data = _load_data(args)
         patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid))
-        method = "auto"
-    grid = forms_grid(patch, method)
+    grid = forms_grid(patch)
     if not np.any(grid.valid):
         raise DomainError("no valid interior nodes to verify")
     max_h = float(np.nanmax(np.abs(grid.H)))
@@ -324,12 +322,8 @@ def cmd_verify(args) -> int:
         gates["canonical_coefficients"] = dict(
             rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
         )
-        u0, u1, v0, v1 = _parse_domain(args.domain)
-        n, m = _parse_grid(args.grid)
         resid = canonical_pde_residual(
-            _curvature_callable(data, args.pde_gate),
-            sign="auto", h=1e-3,
-            us=np.linspace(u0, u1, n), vs=np.linspace(v0, v1, m),
+            _curvature_callable(data, args.pde_gate), sign="auto", h=1e-3, us=patch.us, vs=patch.vs
         )
         if np.any(np.isfinite(resid.values)):
             max_resid = float(np.nanmax(np.abs(resid.values)))
@@ -351,7 +345,7 @@ def cmd_verify(args) -> int:
         )
         other = evaluate_surface(flipped, _parse_domain(args.domain), _parse_grid(args.grid))
         kg1 = grid.K
-        kg2 = forms_grid(other, method).K
+        kg2 = forms_grid(other).K
         both = np.isfinite(kg1) & np.isfinite(kg2)
         opposition = bool(np.all(kg1[both] * kg2[both] < 0.0)) if np.any(both) else False
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -476,29 +470,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-_VALUE_FLAGS = {"--domain", "--base", "--w0", "--z0", "--alpha", "--phi", "--tol",
-                "--tol-h", "--tol-coeff", "--tol-pde", "--pde-gate"}
+def _value_flags(parser) -> set:
+    """Option strings of every action of parser and its subcommands that takes a value."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _value_flags(sub)
+        elif action.nargs != 0:
+            flags.update(action.option_strings)
+    return flags
 
 
-def _join_negative_values(argv):
-    """Let value flags accept arguments that begin with a minus sign."""
+def _join_negative_values(argv, flags):
+    """Join each flag in flags to a following value that begins with a single
+    minus sign, so that argparse does not read the value as an option."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok in _VALUE_FLAGS
-            and nxt is not None
-            and len(nxt) > 1
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
-            out.append(tok + "=" + nxt)
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -506,7 +498,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_negative_values(list(argv))
+    argv = _join_negative_values(argv, _value_flags(parser))
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -216,7 +216,6 @@ class CoincidenceResult:
     coincide: bool
     gauge: CanonicalGauge | None
     discrepancy: float
-    witness: MotionWitness | None = None
 
 
 def surfaces_coincide(
@@ -227,17 +226,14 @@ def surfaces_coincide(
     tol: float = 1e-4,
     gate: float = 0.1,
     min_overlap: int = 9,
-    moebius: MoebiusParams | None = None,
 ) -> CoincidenceResult:
     """Decide whether two datasets generate the same surface up to position.
 
     Both are brought to canonical parameters and their curvature fields are
     compared modulo the canonical gauge; equal fields identify the surface.
+    For a known fractional transform m, motion_witness(m) gives the motion.
     """
     f1 = canonical_curvature_field(data1, domain, grid, gate=gate)
     f2 = canonical_curvature_field(data2, domain, grid, gate=gate)
     match = compare_curvature_fields(f1, f2, tol=tol, min_overlap=min_overlap)
-    witness = None
-    if moebius is not None and moebius.form == MoebiusForm.FRACTIONAL:
-        witness = motion_witness(moebius)
-    return CoincidenceResult(match.matched, match.gauge, match.discrepancy, witness)
+    return CoincidenceResult(match.matched, match.gauge, match.discrepancy)

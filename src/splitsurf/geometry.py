@@ -1,11 +1,11 @@
 """Minkowski surface geometry: fundamental forms, normals, curvatures.
 
 The ambient metric is <x,y> = -x1 y1 + x2 y2 + x3 y3 (first coordinate
-timelike).  Forms can be computed from sampled points by second-order
-central differences, from the generating data analytically, or mixed:
+timelike).  The stencil comes from the patch, not from an argument: a
+patch without generating data (read from points) gets second-order central
+differences; a generated patch on square grid steps gets "mixed" forms,
 analytic first derivatives with finite-difference second derivatives of the
-sampled points (the default for generated patches, and the one minimality
-checks run on).
+sampled points; any other generated patch gets fully analytic forms.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class FundamentalForms:
     U: np.ndarray
     method: str
 
-    def curvatures(self):
-        return curvatures(self)
-
 
 def curvatures(ff) -> tuple[float, float]:
     """(K, H) from form coefficients: K=(LN-M^2)/(EG-F^2), H=(EN-2FM+GL)/(2(EG-F^2))."""
@@ -108,19 +105,14 @@ class FormsGrid:
         )
 
 
-def _resolve_method(patch: SurfacePatch, method: str) -> str:
-    if method == "auto":
-        if patch.provenance is None:
-            return "fd"
-        # differenced second derivatives only keep the L = N cancellation
-        # exact on square grid steps; otherwise stay fully analytic
-        square = abs(patch.h_u - patch.h_v) <= 1e-12 * max(patch.h_u, patch.h_v)
-        return "mixed" if square else "analytic"
-    if method in ("fd", "analytic", "mixed"):
-        if method != "fd" and patch.provenance is None:
-            raise ValueError("patch has no generating data; only method='fd' applies")
-        return method
-    raise ValueError("method must be one of auto, fd, analytic, mixed")
+def _resolve_method(patch: SurfacePatch) -> str:
+    """The stencil for a patch: fd without generating data, else mixed on square steps, else analytic."""
+    if patch.provenance is None:
+        return "fd"
+    # differenced second derivatives only keep the L = N cancellation
+    # exact on square grid steps; otherwise stay fully analytic
+    square = abs(patch.h_u - patch.h_v) <= 1e-12 * max(patch.h_u, patch.h_v)
+    return "mixed" if square else "analytic"
 
 
 def _analytic_first(patch: SurfacePatch, second: bool = False):
@@ -158,9 +150,9 @@ def _fd_second(points, hu, hv):
     return xuu, xuv, xvv
 
 
-def forms_grid(patch: SurfacePatch, method: str = "auto") -> FormsGrid:
-    """Fundamental forms at every node where the chosen stencil is available."""
-    method = _resolve_method(patch, method)
+def forms_grid(patch: SurfacePatch) -> FormsGrid:
+    """Fundamental forms at every node where the patch's stencil is available."""
+    method = _resolve_method(patch)
     pts = patch.points
     if method == "fd":
         xu, xv = _fd_first(pts, patch.h_u, patch.h_v)
@@ -212,11 +204,10 @@ def forms_grid(patch: SurfacePatch, method: str = "auto") -> FormsGrid:
     )
 
 
-def fundamental_forms(patch: SurfacePatch, at: tuple[int, int], method: str = "auto") -> FundamentalForms:
-    """Forms at one grid node; the node (and its stencil, for fd) must be valid."""
-    method = _resolve_method(patch, method)
+def fundamental_forms(patch: SurfacePatch, at: tuple[int, int]) -> FundamentalForms:
+    """Forms at one grid node; the node (and its stencil, unless analytic) must be valid."""
     i, j = at
     n, m = patch.shape
-    if method != "analytic" and not (0 < i < n - 1 and 0 < j < m - 1):
+    if _resolve_method(patch) != "analytic" and not (0 < i < n - 1 and 0 < j < m - 1):
         raise ValueError("finite-difference forms need an interior node")
-    return forms_grid(patch, method).at(i, j)
+    return forms_grid(patch).at(i, j)

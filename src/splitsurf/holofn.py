@@ -41,8 +41,6 @@ __all__ = [
     "ExprSyntaxError",
     "DomainError",
     "parse",
-    "evaluate",
-    "derivative",
     "antiderivative",
     "integrate_path",
     "integrate_real",
@@ -115,9 +113,6 @@ class HoloExpr:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, self.to_str())
-
-    def antiderivative(self):
-        return antiderivative(self)
 
     # operators go through the smart constructors, as the parser does
     def __add__(self, other):
@@ -503,10 +498,6 @@ def _sqrt(a):
     return Sqrt(a)
 
 
-def const(value) -> Const:
-    return Const(SplitComplex._coerce(value))
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -673,19 +664,6 @@ def parse_constant(text: str) -> SplitComplex:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation wrappers
-# ---------------------------------------------------------------------------
-
-
-def evaluate(f: HoloExpr, z) -> SplitComplex:
-    return f.eval(z)
-
-
-def derivative(f: HoloExpr) -> HoloExpr:
-    return f.derivative()
-
-
-# ---------------------------------------------------------------------------
 # the integration-closed fragment: sums of p(z) * exp(a z)
 # ---------------------------------------------------------------------------
 
@@ -833,16 +811,14 @@ def expr_to_poly(e: HoloExpr) -> DPoly | None:
 
 def constant_value(e: HoloExpr) -> SplitComplex | None:
     """The constant value of `e` when it reduces symbolically to one."""
-    poly = expr_to_poly(e)
-    if poly is not None and poly.degree == 0:
-        return poly.coeff(0)
     ep = _to_exp_poly(e)
-    if ep is not None:
-        nonzero = {k: p for k, p in ep.items() if not p.is_zero(0.0)}
-        if not nonzero:
-            return splitc(0.0)
-        if set(nonzero) == {_ZERO_KEY} and nonzero[_ZERO_KEY].degree == 0:
-            return nonzero[_ZERO_KEY].coeff(0)
+    if ep is None:
+        return None
+    nonzero = {k: p for k, p in ep.items() if not p.is_zero(0.0)}
+    if not nonzero:
+        return splitc(0.0)
+    if set(nonzero) == {_ZERO_KEY} and nonzero[_ZERO_KEY].degree == 0:
+        return nonzero[_ZERO_KEY].coeff(0)
     return None
 
 
@@ -1032,6 +1008,13 @@ def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
     return out[0] if callable(fun) else out
 
 
+def _quadrature_failed(a: float, b: float) -> DomainError:
+    return DomainError(
+        "quadrature failed on [%g, %g]: singular or non-finite integrand, "
+        "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
+    )
+
+
 def integrate_real(fun, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Gauss-Kronrod integral of a vectorized real function on [a, b].
 
@@ -1043,10 +1026,7 @@ def integrate_real(fun, a: float, b: float, tol: float = 1e-10) -> float:
     origin = int(b < a)
     value, ok = integrate_sweep(fun, sorted((a, b)), origin, tol)
     if not ok[1 - origin]:
-        raise DomainError(
-            "quadrature failed on [%g, %g]: singular or non-finite integrand, "
-            "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
-        )
+        raise _quadrature_failed(a, b)
     return float(value[1 - origin])
 
 
@@ -1073,9 +1053,6 @@ def integrate_path(
     for (value, ok), k, (a, b) in zip(runs, knots, ends):
         i = k.index(b)
         if not ok[i]:
-            raise DomainError(
-                "quadrature failed on [%g, %g]: singular or non-finite integrand, "
-                "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
-            )
+            raise _quadrature_failed(a, b)
         out.append(float(value[i]))
     return from_null(*out)

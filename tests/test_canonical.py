@@ -22,7 +22,7 @@ from splitsurf.canonical import (
     compare_curvature_fields,
     verify_canonical_coefficients,
 )
-from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
+from splitsurf.weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
 
 
 def enneper_K(U, V):
@@ -430,7 +430,7 @@ def test_gauge_on_surface_patch():
 
     grid = forms_grid(gauged)
     assert grid.method == "fd"
-    base = forms_grid(patch, "fd")
+    base = forms_grid(SurfacePatch.from_points(patch.us, patch.vs, patch.points))
     assert np.allclose(
         np.nan_to_num(grid.K), np.nan_to_num(base.K[::-1, ::-1]), atol=1e-12
     )

@@ -87,6 +87,26 @@ def test_generate_parse_error_exit_3(tmp_path, capsys):
 def test_usage_error_exit_3(capsys):
     code, _, err = run(capsys, "generate", "--g", "z", "--domain", "1:0:0:1", "--out", "x.obj")
     assert code == 3
+    # a value that begins with "--" is the next option, not a value
+    code, _, err = run(capsys, "generate", "--g", "--grid", "5x5", "--out", "x.obj")
+    assert code == 3 and "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--f", "1", "--g", "-0.5*z"),
+    ("generate", "--f", "1", "--g", "-z"),
+    ("generate", "--f", "-2*z", "--g", "z"),
+    ("transform", "--g", "z", "--phi", "-0.3"),
+])
+def test_values_beginning_with_minus_match_the_equals_form(tmp_path, capsys, argv):
+    out = tmp_path / "mesh.obj"
+    extra = ("--grid", "9x9", "--out", str(out)) if argv[0] == "generate" else ()
+    seen = []
+    for pairs in (argv[1:], ["%s=%s" % pair for pair in zip(argv[1::2], argv[2::2])]):
+        code, stdout, err = run(capsys, argv[0], *pairs, "--domain", "-0.4:0.4:-0.4:0.4", *extra)
+        assert code == 0, err
+        seen.append((stdout, out.read_bytes() if extra else None))
+    assert seen[0] == seen[1]
 
 
 def test_canonicalize_worked_example(capsys):

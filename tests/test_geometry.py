@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from splitsurf import geometry
+from splitsurf.cli import read_csv_patch, write_csv
 from splitsurf.holofn import parse
 from splitsurf.geometry import (
     DegenerateNormal,
@@ -79,7 +81,7 @@ def test_flat_plane_has_zero_second_form():
     U, V = np.meshgrid(us, vs, indexing="ij")
     points = np.stack([V, U, np.zeros_like(U)], axis=-1)  # x(u,v) = (v, u, 0)
     patch = SurfacePatch.from_points(us, vs, points)
-    ff = fundamental_forms(patch, (4, 4), method="fd")
+    ff = fundamental_forms(patch, (4, 4))
     assert abs(ff.L) < 1e-12 and abs(ff.M) < 1e-12 and abs(ff.N) < 1e-12
     assert curvatures(ff) == (0.0, 0.0)
 
@@ -129,14 +131,35 @@ def test_normal_orthogonality():
         assert abs(minkowski_inner(ff.U, ff.U) - 1.0) < 1e-9
 
 
+def _fd_and_analytic(patch):
+    """fd forms of the patch's points, and analytic forms forced on the patch."""
+    fd = forms_grid(SurfacePatch.from_points(patch.us, patch.vs, patch.points))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_resolve_method", lambda patch: "analytic")
+        return fd, forms_grid(patch)
+
+
+def test_stencil_comes_from_the_patch(tmp_path):
+    data = GeneratingData.canonical(parse("z"))
+    square = evaluate_surface(data, (-0.4, 0.4, -0.4, 0.4), (9, 9))
+    wide = evaluate_surface(data, (-0.4, 0.4, -0.2, 0.2), (9, 9))  # h_u = 2 h_v
+    write_csv(str(tmp_path / "square.csv"), square)
+    assert forms_grid(read_csv_patch(str(tmp_path / "square.csv"))).method == "fd"
+    assert forms_grid(square).method == "mixed"
+    assert forms_grid(wide).method == "analytic"
+    # differenced second derivatives need an interior node; analytic ones do not
+    with pytest.raises(ValueError):
+        fundamental_forms(square, (0, 4))
+    assert fundamental_forms(wide, (0, 4)).method == "analytic"
+
+
 def test_fd_vs_analytic_first_form_agreement():
     # closed-form sampled points, tiny step: O(h^2) truncation ~ 3e-9
     h = 1e-4
     patch = evaluate_surface(
         GeneratingData.general(parse("1"), parse("z")), (0.2 - 2 * h, 0.2 + 2 * h, 0.1 - 2 * h, 0.1 + 2 * h), (5, 5)
     )
-    fd = forms_grid(patch, "fd")
-    an = forms_grid(patch, "analytic")
+    fd, an = _fd_and_analytic(patch)
     i = j = 2
     for name in ("E", "F", "G"):
         assert abs(getattr(fd, name)[i, j] - getattr(an, name)[i, j]) < 1e-7
@@ -150,8 +173,7 @@ def test_fd_convergence_order():
     def fd_error(h):
         dom = (center[0] - 2 * h, center[0] + 2 * h, center[1] - 2 * h, center[1] + 2 * h)
         patch = evaluate_surface(data, dom, (5, 5))
-        fd = forms_grid(patch, "fd")
-        an = forms_grid(patch, "analytic")
+        fd, an = _fd_and_analytic(patch)
         return abs(fd.E[2, 2] - an.E[2, 2])
 
     e1, e2 = fd_error(2e-3), fd_error(1e-3)
@@ -166,7 +188,7 @@ def test_degenerate_normal_raises():
     points = np.stack([U, U, V], axis=-1)
     patch = SurfacePatch.from_points(us, vs, points)
     with pytest.raises(DegenerateNormal):
-        fundamental_forms(patch, (2, 2), method="fd")
+        fundamental_forms(patch, (2, 2))
 
 
 def test_minimality_on_generated_patches():

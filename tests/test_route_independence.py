@@ -40,8 +40,15 @@ def _per_node_routes(zg):
 def _outputs(data, domain, grid):
     patch = evaluate_surface(data, domain, grid)
     out = {"points": patch.points, "valid": patch.valid}
+    derived = geometry._resolve_method
     for method in ("auto", "analytic", "fd"):
-        fg = forms_grid(patch, method)
+        # the stencil comes from the patch: force each one in turn
+        if method != "auto":
+            geometry._resolve_method = lambda patch, method=method: method
+        try:
+            fg = forms_grid(patch)
+        finally:
+            geometry._resolve_method = derived
         for name in ("E", "F", "G", "L", "M", "N", "K", "H", "U", "valid"):
             out["%s.%s" % (method, name)] = getattr(fg, name)
         out[method + ".violations"] = np.array(fg.metric_violations)
