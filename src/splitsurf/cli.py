@@ -323,7 +323,9 @@ def cmd_verify(args) -> int:
             rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
         )
         resid = canonical_pde_residual(
-            _curvature_callable(data, args.pde_gate), sign="auto", h=1e-3, us=patch.us, vs=patch.vs
+            _curvature_callable(data, args.pde_gate),
+            sign="auto", h=1e-3,
+            us=patch.us, vs=patch.vs,
         )
         if np.any(np.isfinite(resid.values)):
             max_resid = float(np.nanmax(np.abs(resid.values)))

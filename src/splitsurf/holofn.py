@@ -300,8 +300,8 @@ class Div(_Binary):
     def eval_null(self, t, side):
         den = self.b.eval_null(t, side)
         return _masked(
-            np.abs(den) < NULL_EPS,
-            lambda: self.a.eval_null(t, side) / den,
+            np.abs(den) < NULL_EPS, den,
+            lambda d: self.a.eval_null(t, side) / d,
             lambda: algebra.ZeroDivisor("null-line denominator in subexpression '%s'" % self.b),
         )
 
@@ -325,8 +325,8 @@ class Pow(HoloExpr):
         if self.n >= 0:
             return b**self.n
         return _masked(
-            np.abs(b) < NULL_EPS,
-            lambda: b**self.n,
+            np.abs(b) < NULL_EPS, b,
+            lambda x: x**self.n,
             lambda: algebra.ZeroDivisor("null-line base of negative power in '%s'" % self),
         )
 
@@ -350,14 +350,15 @@ class Pow(HoloExpr):
         return s
 
 
-def _masked(bad, value, error):
-    """value() with NaN where bad on arrays; on a scalar, raise error() if bad."""
+def _masked(bad, operand, op, error):
+    """op(operand) with NaN where bad on arrays, where op sees 1.0 at the bad
+    nodes so that values it discards cannot overflow; on a scalar, raise error() if bad."""
     if np.ndim(bad) == 0:
         if bad:
             raise error()
-        return value()
+        return op(operand)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(bad, np.nan, value())
+        return np.where(bad, np.nan, op(np.where(bad, 1.0, operand)))
 
 
 class _Call(HoloExpr):
@@ -391,8 +392,8 @@ class Sqrt(_Call):
     def eval_null(self, t, side):
         v = self.a.eval_null(t, side)
         return _masked(
-            v < 0.0,
-            lambda: np.sqrt(v),
+            v < 0.0, v,
+            np.sqrt,
             lambda: algebra.NoSquareRoot("negative null component under sqrt in '%s'" % self),
         )
 

@@ -74,11 +74,12 @@ def test_eval_examples():
 
 
 @pytest.mark.parametrize(
-    "text", ["1/(z-0.25)^2 + sqrt(z+0.5)", "(z-0.5)^-3", "1/(1/(z-0.5)+1)"]
+    "text", ["1/(z-0.25)^2 + sqrt(z+0.5)", "(z-0.5)^-3", "1/(1/(z-0.5)+1)", "(z-1e-307)^-2", "1/(z-1e-310)"]
 )
 def test_array_nan_mask_matches_scalar_raising(text):
     # step 1/8 on [-1, 1]^2: the singular null lines p, q in {-0.5, 0.25, 0.5}
-    # run through lattice nodes
+    # run through lattice nodes, and those at 1e-307 and 1e-310 so close to
+    # p, q = 0 that the discarded values would overflow
     e = parse(text)
     us = np.linspace(-1.0, 1.0, 17)
     U, V = np.meshgrid(us, us, indexing="ij")
