@@ -62,6 +62,18 @@ class SplitComplex:
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
+    @classmethod
+    def _fresh(cls, re, im) -> "SplitComplex":
+        """A value of components this class has just computed: C-contiguous
+        float64 arrays of one shape are stored as they are, without the
+        public constructor's copy."""
+        if not (isinstance(re, np.ndarray) and re.flags.c_contiguous and im.flags.c_contiguous):
+            return cls(re, im)
+        z = object.__new__(cls)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("SplitComplex is immutable")
 
@@ -80,7 +92,7 @@ class SplitComplex:
     def from_null(p, q) -> "SplitComplex":
         p = _as_component(p)
         q = _as_component(q)
-        return SplitComplex((p + q) / 2.0, (p - q) / 2.0)
+        return SplitComplex._fresh((p + q) / 2.0, (p - q) / 2.0)
 
     # -- basic structure ---------------------------------------------------
     def conj(self) -> "SplitComplex":
@@ -113,7 +125,7 @@ class SplitComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return SplitComplex(self.re + other.re, self.im + other.im)
+        return SplitComplex._fresh(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -121,7 +133,7 @@ class SplitComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return SplitComplex(self.re - other.re, self.im - other.im)
+        return SplitComplex._fresh(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -130,13 +142,13 @@ class SplitComplex:
         return other - self
 
     def __neg__(self):
-        return SplitComplex(-self.re, -self.im)
+        return SplitComplex._fresh(-self.re, -self.im)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return SplitComplex(
+        return SplitComplex._fresh(
             self.re * other.re + self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -154,7 +166,7 @@ class SplitComplex:
             )
         m2 = other.modulus2
         num = self * other.conj()
-        return SplitComplex(num.re / m2, num.im / m2)
+        return SplitComplex._fresh(num.re / m2, num.im / m2)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -35,6 +35,7 @@ __all__ = [
     "FieldMatch",
     "canonicalize",
     "canonical_curvature_field",
+    "curvature_callable",
     "verify_canonical_coefficients",
     "canonical_pde_residual",
     "apply_gauge",
@@ -313,15 +314,26 @@ def canonical_curvature_field(
     n, m = grid
     us = np.linspace(u0, u1, n)
     vs = np.linspace(v0, v1, m)
-    U, V = np.meshgrid(us, vs, indexing="ij")
     if data.is_canonical:
-        # z = w: evaluated per node, since sorting the grid costs more than
-        # it saves on the 41^2 equivalence fields
-        index = _NullIndex((U + V, U - V), (..., ...))
-    else:
-        w0 = w0 if w0 is not None else data.base_point
-        index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
+        K = curvature_callable(data, gate)
+        return SampledField(us, vs, K(*np.meshgrid(us, vs, indexing="ij")))
+    w0 = w0 if w0 is not None else data.base_point
+    index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
     return SampledField(us, vs, _curvature_at((data.g, data.g.derivative(), data.f), index, gate))
+
+
+def curvature_callable(data: GeneratingData, gate: float) -> Callable:
+    """K(u, v) at z = u + vJ of data, as _curvature_at computes it; for
+    canonical data z is the canonical parameter.  Evaluated per node, since
+    sorting the nodes by null coordinate costs more than it saves on the
+    41^2 equivalence fields."""
+    exprs = (data.g, data.g.derivative(), data.f)
+
+    def K(U, V):
+        U, V = np.asarray(U, float), np.asarray(V, float)
+        return _curvature_at(exprs, _NullIndex((U + V, U - V), (..., ...)), gate)
+
+    return K
 
 
 def _curvature_at(exprs, index: _NullIndex, gate: float) -> np.ndarray:

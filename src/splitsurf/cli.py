@@ -9,6 +9,7 @@ version field; every command is deterministic given its arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -18,14 +19,14 @@ import numpy as np
 from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
-from .weierstrass import GeneratingData, Part, SurfacePatch, _NullIndex, evaluate_surface
+from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
 from .geometry import DegenerateNormal, forms_grid
 from .canonical import (
     BranchError,
     InconclusiveOverlap,
-    _curvature_at,
     canonical_pde_residual,
     canonicalize,
+    curvature_callable,
     verify_canonical_coefficients,
 )
 from .equivalence import (
@@ -288,16 +289,6 @@ def cmd_canonicalize(args) -> int:
     return 0
 
 
-def _curvature_callable(data: GeneratingData, gate: float):
-    exprs = (data.g, data.g.derivative(), data.f)
-
-    def K(U, V):
-        U, V = np.asarray(U, float), np.asarray(V, float)
-        return _curvature_at(exprs, _NullIndex((U + V, U - V), (..., ...)), gate)
-
-    return K
-
-
 def cmd_verify(args) -> int:
     gates = {}
     data = None
@@ -323,7 +314,7 @@ def cmd_verify(args) -> int:
             rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
         )
         resid = canonical_pde_residual(
-            _curvature_callable(data, args.pde_gate),
+            curvature_callable(data, args.pde_gate),
             sign="auto", h=1e-3,
             us=patch.us, vs=patch.vs,
         )
@@ -496,11 +487,21 @@ def _join_negative_values(argv, flags):
     return out
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _cached_parser():
+    """The parser and its value-taking flags, built on the first call.  A
+    parser keeps no state between parse_args calls: defaults land on each
+    call's namespace, and help and errors go to the sys.stdout and sys.stderr
+    of the call."""
     parser = build_parser()
+    return parser, frozenset(_value_flags(parser))
+
+
+def main(argv=None) -> int:
+    parser, flags = _cached_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_negative_values(argv, _value_flags(parser))
+    argv = _join_negative_values(argv, flags)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -155,6 +155,16 @@ def test_array_elementwise():
         splitc(1) / z  # first element is null
 
 
+def test_array_value_is_immutable():
+    U, V = np.array([1.0, 2.0]), np.array([0.5, -0.5])
+    z = SplitComplex(U, V)
+    p, q = z.p, z.q
+    w = from_null(p, q)
+    U[0] = V[0] = p[0] = q[0] = 7.0
+    assert np.array_equal(z.re, [1.0, 2.0]) and np.array_equal(z.im, [0.5, -0.5])
+    assert np.array_equal(w.re, [1.0, 2.0]) and np.array_equal(w.im, [0.5, -0.5])
+
+
 def test_pow_matches_repeated_mul():
     z = splitc(1.2, -0.4)
     assert close(z**3, z * z * z)

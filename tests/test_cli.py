@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import warnings
 
@@ -5,9 +7,8 @@ import numpy as np
 
 import pytest
 
-from splitsurf.canonical import canonical_curvature_field, canonicalize
+from splitsurf.canonical import canonical_curvature_field, canonicalize, curvature_callable
 from splitsurf.cli import (
-    _curvature_callable,
     main,
     read_csv_patch,
     read_obj_vertices,
@@ -90,6 +91,40 @@ def test_usage_error_exit_3(capsys):
     # a value that begins with "--" is the next option, not a value
     code, _, err = run(capsys, "generate", "--g", "--grid", "5x5", "--out", "x.obj")
     assert code == 3 and "expected one argument" in err
+
+
+def test_repeated_calls_share_one_parser(tmp_path, capsys):
+    # one process, every call through main: the parser built by the first
+    # call carries nothing over to the next
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    code, _, err = run(capsys, "generate", "--g", "z")
+    assert code == 3 and "--out" in err
+    argv = ("generate", "--f", "1", "--g", "z", "--format", "json", "--out", a)
+    code, stdout, _ = run(capsys, *argv)
+    summary = json.loads(stdout)
+    assert code == 0 and summary["vertices"] + summary["invalid_samples"] == 41 * 41
+    with open(a, "rb") as fh:
+        first = fh.read()
+    code, stdout, _ = run(capsys, *argv, "--grid", "5x5")
+    summary = json.loads(stdout)
+    assert code == 0 and summary["vertices"] + summary["invalid_samples"] == 25
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert text.getvalue().startswith("usage: splitsurf") and "generate" in text.getvalue()
+    assert capsys.readouterr().out == ""
+    code, _, _ = run(capsys, *argv)
+    with open(a, "rb") as fh:
+        assert code == 0 and fh.read() == first
+    seen = []
+    for g in (("--g", "-z"), ("--g=-z",)):
+        code, stdout, err = run(capsys, "generate", "--f", "1", *g, "--grid", "5x5",
+                                "--format", "json", "--out", b)
+        assert code == 0, err
+        with open(b, "rb") as fh:
+            seen.append((stdout, fh.read()))
+    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -212,7 +247,7 @@ def test_verify_pde_gate_masks_singular_nodes_only(capsys):
     data = GeneratingData.canonical(parse("1/(z-0.3)"))
     field = canonical_curvature_field(data, (0.5, 0.9, -0.2, 0.2), (9, 9), gate=0.3)
     U, V = np.meshgrid(field.us, field.vs, indexing="ij")
-    K = _curvature_callable(data, 0.3)(U, V)
+    K = curvature_callable(data, 0.3)(U, V)
     assert np.array_equal(K, field.values, equal_nan=True)
     assert int(np.sum(np.isfinite(K))) == 79
     code, stdout, _ = run(
