@@ -96,15 +96,14 @@ def test_usage_error_exit_3(capsys):
 def test_repeated_calls_share_one_parser(tmp_path, capsys):
     # one process, every call through main: the parser built by the first
     # call carries nothing over to the next
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
     code, _, err = run(capsys, "generate", "--g", "z")
     assert code == 3 and "--out" in err
-    argv = ("generate", "--f", "1", "--g", "z", "--format", "json", "--out", a)
+    argv = ("generate", "--f", "1", "--g", "z", "--format", "json", "--out", str(a))
     code, stdout, _ = run(capsys, *argv)
     summary = json.loads(stdout)
     assert code == 0 and summary["vertices"] + summary["invalid_samples"] == 41 * 41
-    with open(a, "rb") as fh:
-        first = fh.read()
+    first = a.read_bytes()
     code, stdout, _ = run(capsys, *argv, "--grid", "5x5")
     summary = json.loads(stdout)
     assert code == 0 and summary["vertices"] + summary["invalid_samples"] == 25
@@ -114,16 +113,13 @@ def test_repeated_calls_share_one_parser(tmp_path, capsys):
     assert exit_info.value.code == 0
     assert text.getvalue().startswith("usage: splitsurf") and "generate" in text.getvalue()
     assert capsys.readouterr().out == ""
-    code, _, _ = run(capsys, *argv)
-    with open(a, "rb") as fh:
-        assert code == 0 and fh.read() == first
+    assert run(capsys, *argv)[0] == 0 and a.read_bytes() == first
     seen = []
     for g in (("--g", "-z"), ("--g=-z",)):
         code, stdout, err = run(capsys, "generate", "--f", "1", *g, "--grid", "5x5",
-                                "--format", "json", "--out", b)
+                                "--format", "json", "--out", str(b))
         assert code == 0, err
-        with open(b, "rb") as fh:
-            seen.append((stdout, fh.read()))
+        seen.append((stdout, b.read_bytes()))
     assert seen[0] == seen[1]
 
 
