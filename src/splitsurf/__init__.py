@@ -36,11 +36,7 @@ from .weierstrass import (
     evaluate_surface,
 )
 from .geometry import (
-    DegenerateNormal,
-    FundamentalForms,
-    curvatures,
     forms_grid,
-    fundamental_forms,
     lorentz_cross,
     minkowski_inner,
 )

@@ -20,7 +20,7 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
 from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
-from .geometry import DegenerateNormal, forms_grid
+from .geometry import forms_grid
 from .canonical import (
     BranchError,
     InconclusiveOverlap,
@@ -46,7 +46,6 @@ _NUMERIC_ERRORS = (
     ZeroDivisor,
     NoSquareRoot,
     BranchError,
-    DegenerateNormal,
     InconclusiveOverlap,
 )
 

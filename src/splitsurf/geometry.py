@@ -6,6 +6,10 @@ patch without generating data (read from points) gets second-order central
 differences; a generated patch on square grid steps gets "mixed" forms,
 analytic first derivatives with finite-difference second derivatives of the
 sampled points; any other generated patch gets fully analytic forms.
+
+`forms_grid` is the one forms path: forms, normal and K, H at every node,
+NaN and not `valid` where the stencil is unavailable, the normal degenerate
+or the metric not timelike.  One node is read by indexing the grid.
 """
 
 from __future__ import annotations
@@ -17,19 +21,11 @@ import numpy as np
 from .weierstrass import GeneratingData, SurfacePatch, curve_expressions, _eval_grid, _null_index, _part_re_im
 
 __all__ = [
-    "DegenerateNormal",
-    "FundamentalForms",
     "FormsGrid",
     "minkowski_inner",
     "lorentz_cross",
-    "fundamental_forms",
     "forms_grid",
-    "curvatures",
 ]
-
-
-class DegenerateNormal(ArithmeticError):
-    """The candidate normal is lightlike or zero: forms are undefined there."""
 
 
 def minkowski_inner(x, y):
@@ -54,26 +50,6 @@ def lorentz_cross(x, y):
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    E: float
-    F: float
-    G: float
-    L: float
-    M: float
-    N: float
-    U: np.ndarray
-    method: str
-
-
-def curvatures(ff) -> tuple[float, float]:
-    """(K, H) from form coefficients: K=(LN-M^2)/(EG-F^2), H=(EN-2FM+GL)/(2(EG-F^2))."""
-    den = ff.E * ff.G - ff.F * ff.F
-    K = (ff.L * ff.N - ff.M * ff.M) / den
-    H = (ff.E * ff.N - 2.0 * ff.F * ff.M + ff.G * ff.L) / (2.0 * den)
-    return K, H
-
-
-@dataclass(frozen=True)
 class FormsGrid:
     """Per-node form coefficients over a patch; NaN where not computed."""
 
@@ -89,20 +65,6 @@ class FormsGrid:
     valid: np.ndarray
     method: str
     metric_violations: int = 0
-
-    def at(self, i: int, j: int) -> FundamentalForms:
-        if not self.valid[i, j]:
-            raise DegenerateNormal("normal degenerate or stencil invalid at (%d, %d)" % (i, j))
-        return FundamentalForms(
-            float(self.E[i, j]),
-            float(self.F[i, j]),
-            float(self.G[i, j]),
-            float(self.L[i, j]),
-            float(self.M[i, j]),
-            float(self.N[i, j]),
-            U=self.U[i, j].copy(),
-            method=self.method,
-        )
 
 
 def _resolve_method(patch: SurfacePatch) -> str:
@@ -202,12 +164,3 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
         nan(E), nan(F), nan(G), nan(L), nan(M), nan(N), K, H,
         np.where(valid[..., None], U, np.nan), valid, method, violations
     )
-
-
-def fundamental_forms(patch: SurfacePatch, at: tuple[int, int]) -> FundamentalForms:
-    """Forms at one grid node; the node (and its stencil, unless analytic) must be valid."""
-    i, j = at
-    n, m = patch.shape
-    if _resolve_method(patch) != "analytic" and not (0 < i < n - 1 and 0 < j < m - 1):
-        raise ValueError("finite-difference forms need an interior node")
-    return forms_grid(patch).at(i, j)

@@ -4,15 +4,7 @@ import pytest
 from splitsurf import geometry
 from splitsurf.cli import read_csv_patch, write_csv
 from splitsurf.holofn import parse
-from splitsurf.geometry import (
-    DegenerateNormal,
-    FundamentalForms,
-    curvatures,
-    forms_grid,
-    fundamental_forms,
-    lorentz_cross,
-    minkowski_inner,
-)
+from splitsurf.geometry import forms_grid, lorentz_cross, minkowski_inner
 from splitsurf.weierstrass import GeneratingData, SurfacePatch, evaluate_surface
 
 
@@ -81,30 +73,27 @@ def test_flat_plane_has_zero_second_form():
     U, V = np.meshgrid(us, vs, indexing="ij")
     points = np.stack([V, U, np.zeros_like(U)], axis=-1)  # x(u,v) = (v, u, 0)
     patch = SurfacePatch.from_points(us, vs, points)
-    ff = fundamental_forms(patch, (4, 4))
-    assert abs(ff.L) < 1e-12 and abs(ff.M) < 1e-12 and abs(ff.N) < 1e-12
-    assert curvatures(ff) == (0.0, 0.0)
+    grid = forms_grid(patch)
+    assert grid.valid[4, 4]
+    assert abs(grid.L[4, 4]) < 1e-12 and abs(grid.M[4, 4]) < 1e-12 and abs(grid.N[4, 4]) < 1e-12
+    assert (grid.K[4, 4], grid.H[4, 4]) == (0.0, 0.0)
 
 
 def test_canonical_enneper_origin_forms():
     patch = evaluate_surface(GeneratingData.canonical(parse("z")), (-0.4, 0.4, -0.4, 0.4), (17, 17))
-    ff = fundamental_forms(patch, (8, 8))
-    K, H = curvatures(ff)
+    grid = forms_grid(patch)
+    assert grid.valid[8, 8]
+    E, F, G = grid.E[8, 8], grid.F[8, 8], grid.G[8, 8]
+    L, M, N = grid.L[8, 8], grid.M[8, 8], grid.N[8, 8]
     # the coefficient shape is pinned against the measured curvature
-    assert abs(-ff.E - 1.0 / np.sqrt(-K)) < 1e-10
-    assert abs(ff.E + ff.G) < 1e-12
-    assert abs(ff.F) < 1e-12
-    assert abs(ff.L + 1.0) < 1e-10
-    assert abs(ff.M) < 1e-10
-    assert abs(ff.N + 1.0) < 1e-10
-    assert abs(H) < 1e-10
-    assert abs(float(minkowski_inner(ff.U, ff.U)) - 1.0) < 1e-9
-
-
-def test_curvature_formula_plugging():
-    ff = FundamentalForms(E=-1, F=0, G=1, L=-1, M=0, N=-1, U=np.array([0, 0, -1.0]), method="fd")
-    K, H = curvatures(ff)
-    assert K == -1.0 and H == 0.0
+    assert abs(-E - 1.0 / np.sqrt(-grid.K[8, 8])) < 1e-10
+    assert abs(E + G) < 1e-12
+    assert abs(F) < 1e-12
+    assert abs(L + 1.0) < 1e-10
+    assert abs(M) < 1e-10
+    assert abs(N + 1.0) < 1e-10
+    assert abs(grid.H[8, 8]) < 1e-10
+    assert abs(float(minkowski_inner(grid.U[8, 8], grid.U[8, 8])) - 1.0) < 1e-9
 
 
 def test_curvature_matches_closed_formula():
@@ -124,11 +113,13 @@ def test_normal_orthogonality():
     from splitsurf.geometry import _analytic_first
 
     xu, xv, _ = _analytic_first(patch)
+    grid = forms_grid(patch)
     for (i, j) in [(3, 3), (5, 2), (4, 6)]:
-        ff = fundamental_forms(patch, (i, j))
-        assert abs(minkowski_inner(ff.U, xu[i, j])) < 1e-9
-        assert abs(minkowski_inner(ff.U, xv[i, j])) < 1e-9
-        assert abs(minkowski_inner(ff.U, ff.U) - 1.0) < 1e-9
+        assert grid.valid[i, j]
+        U = grid.U[i, j]
+        assert abs(minkowski_inner(U, xu[i, j])) < 1e-9
+        assert abs(minkowski_inner(U, xv[i, j])) < 1e-9
+        assert abs(minkowski_inner(U, U) - 1.0) < 1e-9
 
 
 def _fd_and_analytic(patch):
@@ -148,9 +139,8 @@ def test_stencil_comes_from_the_patch(tmp_path):
     assert forms_grid(square).method == "mixed"
     assert forms_grid(wide).method == "analytic"
     # differenced second derivatives need an interior node; analytic ones do not
-    with pytest.raises(ValueError):
-        fundamental_forms(square, (0, 4))
-    assert fundamental_forms(wide, (0, 4)).method == "analytic"
+    assert not forms_grid(square).valid[0, 4]
+    assert forms_grid(wide).valid[0, 4]
 
 
 def test_fd_vs_analytic_first_form_agreement():
@@ -180,15 +170,15 @@ def test_fd_convergence_order():
     assert 3.0 < e1 / e2 < 5.0
 
 
-def test_degenerate_normal_raises():
+def test_degenerate_normal_is_masked():
     us = np.linspace(-1, 1, 5)
     vs = np.linspace(-1, 1, 5)
     U, V = np.meshgrid(us, vs, indexing="ij")
     # x_u = (1, 1, 0) is lightlike and x_u x x_v is null
     points = np.stack([U, U, V], axis=-1)
-    patch = SurfacePatch.from_points(us, vs, points)
-    with pytest.raises(DegenerateNormal):
-        fundamental_forms(patch, (2, 2))
+    grid = forms_grid(SurfacePatch.from_points(us, vs, points))
+    assert not grid.valid[2, 2]
+    assert np.isnan(grid.K[2, 2]) and np.isnan(grid.H[2, 2])
 
 
 def test_minimality_on_generated_patches():
