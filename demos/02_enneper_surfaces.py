@@ -44,8 +44,8 @@ print("K range:", np.nanmin(grid_im.K), "to", np.nanmax(grid_im.K))
 both = grid.valid & grid_im.valid
 print("curvature signs opposed at every common node:", bool(np.all(grid.K[both] * grid_im.K[both] < 0)))
 
-print("\n=== a pair without symbolic antiderivatives ===")
-# rational f forces adaptive quadrature with per-row continuation
+print("\n=== a rational pair ===")
+# rational f: adaptive quadrature along the null coordinates p = u+v, q = u-v
 slow = GeneratingData.general(parse("1/(z-5)"), parse("z"))
 patch_slow = evaluate_surface(slow, (-0.4, 0.4, -0.4, 0.4), (9, 9))
 print("quadrature patch max |H|:", np.nanmax(np.abs(forms_grid(patch_slow).H)))

@@ -24,7 +24,6 @@ from .holofn import (
     DomainError,
     ExprSyntaxError,
     HoloExpr,
-    antiderivative,
     integrate_path,
     parse,
 )
@@ -32,7 +31,6 @@ from .weierstrass import (
     GeneratingData,
     Part,
     SurfacePatch,
-    curve_derivative,
     evaluate_surface,
 )
 from .geometry import (

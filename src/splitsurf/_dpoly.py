@@ -122,12 +122,6 @@ class DPoly:
         minus = self.minus[1:] * km if len(self.minus) > 1 else [0.0]
         return DPoly(plus, minus)
 
-    def integ(self) -> "DPoly":
-        """Antiderivative with zero constant term."""
-        plus = np.concatenate(([0.0], self.plus / np.arange(1, len(self.plus) + 1)))
-        minus = np.concatenate(([0.0], self.minus / np.arange(1, len(self.minus) + 1)))
-        return DPoly(plus, minus)
-
     def __call__(self, z: SplitComplex) -> SplitComplex:
         z = SplitComplex._coerce(z)
         p, q = z.p, z.q

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 import numpy as np
@@ -151,13 +150,6 @@ def write_obj(path: str, patch: SurfacePatch):
             tris = np.stack([x[i, ok] for x in (a, b, c, a, c, d)], axis=-1)
             fh.write(("f %d %d %d\n" * (2 * len(tris))) % tuple(tris.ravel().tolist()))
     return int(valid.sum()), 2 * int(cells.sum())
-
-
-_OBJ_VERTEX = re.compile(r"^v[ \t]+(\S+)[ \t]+(\S+)[ \t]+(\S+)", re.M)
-
-
-def read_obj_vertices(path: str) -> np.ndarray:
-    return np.fromregex(path, _OBJ_VERTEX, "f8,f8,f8").view(float).reshape(-1, 3)
 
 
 _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]

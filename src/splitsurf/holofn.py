@@ -41,9 +41,7 @@ __all__ = [
     "ExprSyntaxError",
     "DomainError",
     "parse",
-    "antiderivative",
     "integrate_path",
-    "integrate_real",
     "integrate_sweep",
     "poly_to_expr",
     "expr_to_poly",
@@ -665,7 +663,7 @@ def parse_constant(text: str) -> SplitComplex:
 
 
 # ---------------------------------------------------------------------------
-# the integration-closed fragment: sums of p(z) * exp(a z)
+# the exp-polynomial fragment: sums of p(z) * exp(a z)
 # ---------------------------------------------------------------------------
 
 _MAX_TERMS = 32
@@ -821,37 +819,6 @@ def constant_value(e: HoloExpr) -> SplitComplex | None:
     if set(nonzero) == {_ZERO_KEY} and nonzero[_ZERO_KEY].degree == 0:
         return nonzero[_ZERO_KEY].coeff(0)
     return None
-
-
-def antiderivative(f: HoloExpr) -> HoloExpr | None:
-    """Symbolic antiderivative on the exp-polynomial fragment, else None.
-
-    Terms p(z)exp(a z) integrate by back-substitution q_n = p_n / a,
-    q_k = (p_k - (k+1) q_{k+1}) / a; a non-invertible exponent coefficient
-    leaves the fragment (the two null components integrate to different
-    shapes), in which case the caller falls back to quadrature.
-    """
-    ep = _to_exp_poly(f)
-    if ep is None:
-        return None
-    out = Const(splitc(0.0))
-    for k, poly in sorted(ep.items()):
-        if poly.is_zero(0.0):
-            continue
-        if k == _ZERO_KEY:
-            out = _add(out, poly_to_expr(poly.integ()))
-            continue
-        a = from_null(k[0], k[1])
-        if not bool(a.is_invertible()):
-            return None
-        cs = poly.coeffs()
-        qs = [splitc(0.0)] * len(cs)
-        for i in range(len(cs) - 1, -1, -1):
-            higher = qs[i + 1] if i + 1 < len(cs) else splitc(0.0)
-            qs[i] = (cs[i] - higher * float(i + 1)) / a
-        qpoly = DPoly.from_coeffs(qs)
-        out = _add(out, _mul(poly_to_expr(qpoly), Exp(_mul(Const(a), Z))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1016,36 +983,17 @@ def _quadrature_failed(a: float, b: float) -> DomainError:
     )
 
 
-def integrate_real(fun, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Gauss-Kronrod integral of a vectorized real function on [a, b].
-
-    The one-gap case of integrate_sweep; raises DomainError where that gap
-    fails.
-    """
-    if a == b:
-        return 0.0
-    origin = int(b < a)
-    value, ok = integrate_sweep(fun, sorted((a, b)), origin, tol)
-    if not ok[1 - origin]:
-        raise _quadrature_failed(a, b)
-    return float(value[1 - origin])
-
-
 def integrate_path(
     f: HoloExpr, z0, z1, tol: float = 1e-10
 ) -> SplitComplex:
     """Integral of f along the segment [z0, z1].
 
-    Uses the symbolic antiderivative when one exists; otherwise the integral
-    decouples into adaptive quadrature in each null coordinate, both sides in
-    one integrate_sweep call.  Raises DomainError when a singularity prevents
-    convergence on the segment.
+    The integral decouples into adaptive quadrature in each null coordinate,
+    both sides in one integrate_sweep call.  Raises DomainError when a
+    singularity prevents convergence on the segment.
     """
     z0 = SplitComplex._coerce(z0)
     z1 = SplitComplex._coerce(z1)
-    anti = antiderivative(f)
-    if anti is not None:
-        return anti.eval(z1) - anti.eval(z0)
     ends = [(float(z0.p), float(z1.p)), (float(z0.q), float(z1.q))]
     knots = [sorted({a, b}) for a, b in ends]  # one knot, and no gap, for a zero-length side
     funs = [lambda t, side=side: f.eval_null(t, side) for side in (PLUS, MINUS)]

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SplitComplex, from_null, splitc
-from .holofn import PLUS, MINUS, Const, HoloExpr, antiderivative, integrate_sweep
+from .holofn import PLUS, MINUS, Const, HoloExpr, integrate_sweep
 
 __all__ = [
     "Part",
     "GeneratingData",
     "SurfacePatch",
     "curve_expressions",
-    "curve_derivative",
     "isotropy_defect",
     "conformal_factor",
     "evaluate_surface",
@@ -79,14 +78,9 @@ def curve_expressions(data: GeneratingData):
     return psi1, psi2, psi3
 
 
-def curve_derivative(data: GeneratingData, z) -> tuple[SplitComplex, SplitComplex, SplitComplex]:
-    """Curve derivative at z: NaN at singular array nodes; a singular scalar raises."""
-    return tuple(e.eval(z) for e in curve_expressions(data))
-
-
 def isotropy_defect(data: GeneratingData, z) -> SplitComplex:
     """-psi1^2 + psi2^2 + psi3^2; identically zero for valid generating data."""
-    p1, p2, p3 = curve_derivative(data, z)
+    p1, p2, p3 = (e.eval(z) for e in curve_expressions(data))
     return -(p1 * p1) + p2 * p2 + p3 * p3
 
 
@@ -195,11 +189,10 @@ def evaluate_surface(
     domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
     Every grid expression is evaluated once per distinct value of p = u+v
     and of q = u-v, from one index of the grid that the patch keeps.
-    Components with a symbolic antiderivative are evaluated in closed form.
-    The rest go through one integrate_sweep call: x(z) - x(z0) is
+    Every component goes through one integrate_sweep call: x(z) - x(z0) is
     from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one problem
     over the gaps between the sorted distinct grid values of p (or q) and p0
-    (or q0), whose panels all those components share.  tol bounds each
+    (or q0), whose panels all three components share.  tol bounds each
     component's summed error estimate per gap.
 
     A node is valid when the integrand is finite there, its tangent plane
@@ -238,18 +231,9 @@ def evaluate_surface(
             <= _SING_EPS * (tangent[0] ** 2 + tangent[1] ** 2 + tangent[2] ** 2)
         )
 
-    antis = [antiderivative(e) for e in exprs]
-    swept = [k for k, anti in enumerate(antis) if anti is None]
-    integrals, ok = _null_sweep([exprs[k] for k in swept], index, z0, tol) if swept else ([], True)
-    integrals = dict(zip(swept, integrals))
+    integrals, ok = _null_sweep(exprs, index, z0, tol)
     valid &= ok
-    points = np.empty((n, m, 3))
-    for k, anti in enumerate(antis):
-        if anti is not None:
-            vals, ok = _eval_grid(anti, index)
-            integrals[k] = vals - anti.eval(z0)
-            valid &= ok
-        points[:, :, k] = _part_re_im(integrals[k], data.part)[0]
+    points = np.stack([_part_re_im(x, data.part)[0] for x in integrals], axis=-1)
     valid &= np.all(np.isfinite(points), axis=-1)
     points = np.where(valid[:, :, None], points, np.nan)
     return SurfacePatch(us, vs, points, valid, data, index)

@@ -8,7 +8,7 @@ import pytest
 from splitsurf import canonical, holofn
 from splitsurf.algebra import from_null, splitc
 from splitsurf.equivalence import surfaces_coincide
-from splitsurf.holofn import MINUS, PLUS, Add, Const, Div, Mul, Neg, Pow, Sub, Var, expr_to_poly, integrate_real, parse
+from splitsurf.holofn import MINUS, PLUS, Add, Const, Div, Mul, Neg, Pow, Sub, Var, expr_to_poly, integrate_sweep, parse
 from splitsurf.canonical import (
     BranchError,
     CanonicalGauge,
@@ -63,7 +63,7 @@ def test_ode_route_against_quadrature_oracle():
         for j in (0, 3, 6):
             s = res.us[i] + res.vs[j]
             p = float(res.z_values.p[i, j])
-            lhs = integrate_real(lambda r: np.sqrt(phi.eval_null(r, PLUS)), 0.0, p, 1e-12)
+            lhs = integrate_sweep(lambda r: np.sqrt(phi.eval_null(r, PLUS)), [0.0, p], 0, 1e-12)[0][1]
             assert abs(lhs - s) < 1e-8
     # transported generating function is 1 + w
     U, V = np.meshgrid(res.us, res.vs, indexing="ij")

@@ -179,6 +179,8 @@ def test_degenerate_normal_is_masked():
     grid = forms_grid(SurfacePatch.from_points(us, vs, points))
     assert not grid.valid[2, 2]
     assert np.isnan(grid.K[2, 2]) and np.isnan(grid.H[2, 2])
+    # a degenerate normal is not counted as a non-timelike metric
+    assert grid.metric_violations == 0
 
 
 def test_minimality_on_generated_patches():

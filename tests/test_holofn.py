@@ -22,9 +22,7 @@ from splitsurf.holofn import (
     MINUS,
     PLUS,
     Z,
-    antiderivative,
     integrate_path,
-    integrate_real,
     integrate_sweep,
     parse,
 )
@@ -197,35 +195,6 @@ def test_hyperbolic_cauchy_riemann():
             assert abs(xv - yu) < 1e-6 * max(1.0, grad)
 
 
-def test_antiderivative_examples():
-    anti = antiderivative(parse("z^2"))
-    z = splitc(0.9, 0.4)
-    assert float((anti.eval(z) - z**3 / 3.0).mag) < 1e-14
-    anti2 = antiderivative(parse("exp(2*z)"))
-    from splitsurf.algebra import exp as sc_exp
-
-    assert float((anti2.eval(z) - sc_exp(z * 2) / 2.0).mag) < 1e-14
-    assert antiderivative(parse("1/(z^2-1)")) is None
-    assert antiderivative(parse("sqrt(z+2)")) is None
-
-
-def test_antiderivative_derivative_roundtrip():
-    rng = np.random.default_rng(4)
-    exprs = [
-        parse("z^3 - 2*z^2 + 7"),
-        parse("(z^2 + 1) * exp(-2*z)"),
-        parse("exp(z) * exp(z) + z"),
-        parse("(1+2J) * z * exp(3*z)"),
-    ]
-    for f in exprs:
-        anti = antiderivative(f)
-        assert anti is not None
-        for _ in range(10):
-            z = splitc(*rng.uniform(-1, 1, 2))
-            err = float((anti.derivative().eval(z) - f.eval(z)).mag)
-            assert err < 1e-10 * max(1.0, float(f.eval(z).mag))
-
-
 def test_integrate_path_closed_forms():
     one = parse("1")
     assert float((integrate_path(one, splitc(0), splitc(1, 1)) - splitc(1, 1)).mag) < 1e-14
@@ -239,7 +208,6 @@ def test_integrate_path_quadrature_vs_simpson_oracle():
     # equal log(3/4) and log(1/2) in the two null coordinates
     expected = from_null(-0.2876820724517809, -0.6931471805599453)
     f = parse("1/(z - (3+1J))")
-    assert antiderivative(f) is None  # forces the quadrature route
     got = integrate_path(f, splitc(0), splitc(1), tol=1e-12)
     assert float((got - expected).mag) < 1e-10
 
@@ -274,11 +242,22 @@ def test_integrate_path_singular_segment():
         integrate_path(f, splitc(0), splitc(1))
 
 
+def _one_gap(fun, a, b, tol=1e-10):
+    """(integral of fun from a to b, whether it converged) from a one-gap integrate_sweep."""
+    origin = int(b < a)
+    values, reachable = integrate_sweep(fun, sorted((a, b)), origin, tol)
+    return float(values[1 - origin]), bool(reachable[1 - origin])
+
+
 def _path_by_two_real_integrals(f, z0, z1, tol=1e-10):
-    # the former integrate_path: one integrate_real call per null side
-    vp = integrate_real(lambda t: f.eval_null(t, PLUS), float(z0.p), float(z1.p), tol)
-    vq = integrate_real(lambda t: f.eval_null(t, MINUS), float(z0.q), float(z1.q), tol)
-    return from_null(vp, vq)
+    # the former integrate_path: one integrate_sweep call per null side
+    out = []
+    for side, a, b in ((PLUS, z0.p, z1.p), (MINUS, z0.q, z1.q)):
+        value, ok = _one_gap(lambda t: f.eval_null(t, side), float(a), float(b), tol)
+        if not ok:
+            raise holofn._quadrature_failed(a, b)
+        out.append(value)
+    return from_null(*out)
 
 
 @pytest.mark.parametrize("text, z1", [
@@ -290,7 +269,6 @@ def _path_by_two_real_integrals(f, z0, z1, tol=1e-10):
 ])
 def test_integrate_path_one_sweep_equals_two_real_integrals(text, z1):
     f = parse(text)
-    assert antiderivative(f) is None
     got = integrate_path(f, splitc(0.05, -0.02), z1)
     expect = _path_by_two_real_integrals(f, splitc(0.05, -0.02), z1)
     assert (got.re, got.im) == (expect.re, expect.im)
@@ -309,9 +287,9 @@ def test_integrate_path_raises_where_either_side_fails(z1):
 
 
 def test_integrate_real_basic():
-    assert abs(integrate_real(np.sin, 0.0, math.pi) - 2.0) < 1e-10
-    assert integrate_real(np.sin, 1.0, 1.0) == 0.0
-    assert abs(integrate_real(np.exp, 1.0, 0.0) + (math.e - 1.0)) < 1e-10
+    assert abs(_one_gap(np.sin, 0.0, math.pi)[0] - 2.0) < 1e-10
+    assert _one_gap(np.sin, 1.0, 1.0) == (0.0, True)
+    assert abs(_one_gap(np.exp, 1.0, 0.0)[0] + (math.e - 1.0)) < 1e-10
 
 
 def test_gauss_kronrod_rules_exact_on_monomials():
@@ -334,8 +312,8 @@ def test_integrate_sweep_blocks_knots_beyond_a_failed_gap():
     assert np.all(np.isnan(values[~reach]))
     exact = np.log(np.abs(knots[reach] - 0.3)) - np.log(0.3)
     assert np.max(np.abs(values[reach] - exact)) < 1e-10
-    # a gap's value is what integrate_real gives on that gap alone
-    alone = [integrate_real(lambda t: 1.0 / (t - 0.3), a, b) for a, b in zip(knots, knots[1:6])]
+    # a gap's value is what a one-gap sweep gives on that gap alone
+    alone = [_one_gap(lambda t: 1.0 / (t - 0.3), a, b)[0] for a, b in zip(knots, knots[1:6])]
     assert np.max(np.abs(np.diff(values[:6]) - alone)) < 1e-14
 
 
@@ -363,22 +341,22 @@ def test_integrate_sweep_components_share_panels():
     assert np.array_equal(reach, knots < 0.3)
     assert np.all(np.isnan(values[:, ~reach]))
     assert np.max(np.abs(values[0, reach] - (np.sin(knots[reach]) - np.sin(0.0)))) < 1e-10
-    # smooth components agree with integrate_real from the origin, one by one
+    # smooth components agree with one-gap sweeps from the origin, one by one
     values, reach = integrate_sweep(lambda t: [np.cos(t), np.exp(-t * t)], knots, 4)
     assert reach.all()
     for k, fun in enumerate((np.cos, lambda t: np.exp(-t * t))):
-        alone = [integrate_real(fun, 0.0, b) for b in knots]
+        alone = [_one_gap(fun, 0.0, b)[0] for b in knots]
         assert np.max(np.abs(values[k] - alone)) < 1e-10
 
 
 def test_integrate_real_gives_up_within_the_panel_budget():
     # 1/(t - c)^2 near a pole 5e-6 outside [1/4, 1/2]: the integral is ~2e5,
-    # so the absolute tol lies below its roundoff; the bounded search raises
-    with pytest.raises(DomainError):
-        integrate_real(lambda t: 1.0 / (t - 0.249995) ** 2, 0.25, 0.5)
-    # a singular integrand met by the batch is a DomainError, not ZeroDivisor
-    with pytest.raises(DomainError):
-        integrate_real(lambda t: parse("1/z").eval_null(t, holofn.PLUS), -1.0, 1.0)
+    # so the absolute tol lies below its roundoff; the bounded search gives up
+    values, reachable = integrate_sweep(lambda t: 1.0 / (t - 0.249995) ** 2, [0.25, 0.5], 0)
+    assert not reachable[1] and np.isnan(values[1])
+    # a singular integrand met by the batch makes its gap unreachable, not ZeroDivisor
+    values, reachable = integrate_sweep(lambda t: parse("1/z").eval_null(t, holofn.PLUS), [-1.0, 1.0], 0)
+    assert not reachable[1] and np.isnan(values[1])
 
 
 def test_parse_constant():

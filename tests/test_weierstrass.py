@@ -6,12 +6,11 @@ import pytest
 from splitsurf import weierstrass
 from splitsurf.algebra import splitc
 from splitsurf.canonical import canonical_curvature_field
-from splitsurf.holofn import antiderivative, integrate_path, parse
+from splitsurf.holofn import integrate_path, parse
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import (
     GeneratingData,
     Part,
-    curve_derivative,
     curve_expressions,
     evaluate_surface,
     isotropy_defect,
@@ -22,12 +21,12 @@ from conftest import enneper_x, enneper_y
 
 def test_curve_derivative_values():
     general = GeneratingData.general(parse("1"), parse("z"))
-    got = curve_derivative(general, splitc(0))
+    got = tuple(e.eval(splitc(0)) for e in curve_expressions(general))
     assert got[0] == splitc(-0.5)
     assert got[1] == splitc(0, 0.5)
     assert got[2] == splitc(0)
     canonical = GeneratingData.canonical(parse("z"))
-    assert curve_derivative(canonical, splitc(0)) == got
+    assert tuple(e.eval(splitc(0)) for e in curve_expressions(canonical)) == got
 
 
 def test_isotropy_identity():
@@ -85,12 +84,11 @@ def test_part_curvature_signs_opposed():
 
 
 def test_quadrature_route_matches_direct_integration():
-    # a rational f has no symbolic antiderivative, forcing the null-coordinate
-    # quadrature sweep; cross-check a node against a one-shot segment
+    # cross-check a node of the null-coordinate sweep against a one-shot
+    # segment, with a rational f
     f = parse("1/(z - 5)")
     g = parse("z")
     data = GeneratingData.general(f, g)
-    assert antiderivative(parse("1/(z-5)")) is None
     patch = evaluate_surface(data, (-0.4, 0.4, -0.4, 0.4), (5, 5), tol=1e-11)
     exprs = curve_expressions(data)
     i, j = 3, 4
@@ -224,12 +222,48 @@ def test_pole_just_beyond_lattice_line_fails_only_past_it():
 
 
 def test_swept_components_take_one_engine_call(monkeypatch):
-    # f = 1, g = 1/(z - c): the components without a closed form and both
-    # null sides go through one integrate_sweep call
-    calls = []
+    # all three components and both null sides go through one integrate_sweep
+    # call, for pole data and for exp-poly data alike
     sweep = weierstrass.integrate_sweep
-    monkeypatch.setattr(weierstrass, "integrate_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
-    data = GeneratingData.general(parse("1"), parse("1/(z-0.43125)"))
-    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (33, 33))
-    assert len(calls) == 1
-    assert int(patch.valid.sum()) == 487
+    for f, g, n_valid in (("1", "1/(z-0.43125)", 487), ("exp(0.5*z)*(1+0.2*z)", "z^2+z", 33 * 33)):
+        calls = []
+        monkeypatch.setattr(weierstrass, "integrate_sweep", lambda *a, **k: calls.append(1) or sweep(*a, **k))
+        patch = evaluate_surface(GeneratingData.general(parse(f), parse(g)), (-1.0, 1.0, -1.0, 1.0), (33, 33))
+        assert len(calls) == 1
+        assert int(patch.valid.sum()) == n_valid
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
+
+
+def _exp_patch_exact(a, gpoly, us, vs):
+    """Real part of the curve of f = exp(a z), g = gpoly(z) (low degree first), from 0.
+
+    Per null side every component is a real function of t = p (J = +1) or
+    t = q (J = -1), integrated over [0, t] by 40-point Gauss-Legendre: exact
+    to rounding for these entire integrands on |t| <= 2.
+    """
+    g = np.polynomial.Polynomial(gpoly)
+
+    def side(t, j):
+        s = 0.5 * t[..., None] * (_GL_NODES + 1.0)
+        f, gs = np.exp(a * s), g(s)
+        psi = [-f * (1 + gs**2) / 2, j * f * (1 - gs**2) / 2, f * gs]
+        return [0.5 * t * (x @ _GL_WEIGHTS) for x in psi]
+
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    return np.stack([(xp + xq) / 2 for xp, xq in zip(side(U + V, 1.0), side(U - V, -1.0))], axis=-1)
+
+
+@pytest.mark.parametrize("a, g, gpoly, n_valid", [
+    # a small exponent, where exp(a z) sum_j (-1)^j p^(j) / a^(j+1) cancels
+    # catastrophically; 1 - |g|^2 vanishes at the nodes (u, v) = (+-1, 0)
+    (0.002, "z^3", [0, 0, 0, 1], 101 * 101 - 2),
+    (0.2, "z^3+z", [0, 1, 0, 1], 101 * 101),
+], ids=["small_exponent", "cubic_g"])
+def test_exp_poly_vertices_match_gauss_legendre(a, g, gpoly, n_valid):
+    data = GeneratingData.general(parse("exp(%r*z)" % a), parse(g))
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (101, 101))
+    assert int(patch.valid.sum()) == n_valid
+    exact = _exp_patch_exact(a, gpoly, patch.us, patch.vs)
+    assert np.max(np.abs(patch.points[patch.valid] - exact[patch.valid])) < 1e-8
