@@ -29,6 +29,13 @@ verdict2 = classify_cubic(moved)
 print(f"verdict: {verdict2.verdict.value}, recovered scale = {verdict2.scale:.12f} (true 2.5)")
 print("normal form:", verdict2.normal_form)
 
+# a boost, then a rotation 0.004 rad from the identity in the (x2, x3) plane:
+# one null side of f keeps only a tiny leading coefficient
+ch, sh, c, s = np.cosh(0.3), np.sinh(0.3), np.cos(0.004), np.sin(0.004)
+small = np.array([[1, 0, 0], [0, c, -s], [0, s, c]]) @ np.array([[ch, sh, 0], [sh, ch, 0], [0, 0, 1]])
+verdict3 = classify_cubic(enneper.apply_motion(small, translation=[0.4, -1.0, 0.2], scale=2.0))
+print(f"rotated 0.004 rad: {verdict3.verdict.value}, recovered scale = {verdict3.scale:.12f} (true 2)")
+
 print("\n=== negative controls ===")
 not_iso = CubicParametrization.from_coeff_maps({(1, 0): 1}, {(0, 1): 1}, {(2, 0): 1})
 print("x = (u, v, u^2):", classify_cubic(not_iso).verdict.value)

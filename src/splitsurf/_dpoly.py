@@ -1,8 +1,8 @@
 """Univariate polynomials with split-complex coefficients.
 
 Stored dense, low degree first.  Because the coefficient algebra splits into
-two real lines (null coordinates), gcd-style questions (exact division,
-square roots) are answered componentwise on ordinary real polynomials.
+two real lines (null coordinates), a DPoly is a pair of ordinary real
+polynomials, one per null side, and every operation acts on each side.
 """
 
 from __future__ import annotations
@@ -128,29 +128,6 @@ class DPoly:
         vp = np.polyval(self.plus[::-1], p)
         vq = np.polyval(self.minus[::-1], q)
         return from_null(vp, vq)
-
-    # -- componentwise euclidean steps ------------------------------------------
-    def divmod_exact(self, other: "DPoly", rel_tol: float = 1e-9):
-        """Divide by `other` requiring a (numerically) zero remainder.
-
-        Returns the quotient, or None when the remainder is not negligible or
-        a component leading coefficient vanishes.
-        """
-        scale = max(self.max_abs, 1.0)
-        parts = []
-        for num, den in ((self.plus, other.plus), (self.minus, other.minus)):
-            if abs(den[-1]) <= rel_tol * max(np.max(np.abs(den)), 1e-300):
-                return None
-            if len(num) < len(den):
-                if np.all(np.abs(num) <= rel_tol * scale):
-                    parts.append(np.zeros(1))
-                    continue
-                return None
-            quot, rem = np.polydiv(num[::-1], den[::-1])
-            if np.any(np.abs(rem) > rel_tol * scale):
-                return None
-            parts.append(np.atleast_1d(quot)[::-1])
-        return DPoly(parts[0], parts[1])
 
     def __repr__(self):
         return "DPoly(%s)" % ", ".join(str(c) for c in self.coeffs())

@@ -6,6 +6,8 @@ generating pair is then read off from
 f = -phi1 + J phi2,  f g^2 = -phi1 - J phi2,  f g = phi3,
 and the only surfaces that occur are homothetic motions of the Enneper
 surface: f = +-(a z + b)^2, g = (c z + d)/(a z + b) with bc - ad != 0.
+The normal form is decided per null side, where it is two real quadratic
+fits accepted by one backward-error test.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import J, splitc
-from .algebra import sqrt as sc_sqrt
 from ._dpoly import DPoly
 from .holofn import HoloExpr, poly_to_expr
 
@@ -198,7 +199,7 @@ class CubicParametrization:
         return np.stack([c(u, v) for c in self.components], axis=-1)
 
 
-def _is_isothermal(x: CubicParametrization, rel_tol: float = COEFF_RTOL):
+def _is_isothermal(x: CubicParametrization):
     xu = [c.deriv_u() for c in x.components]
     xv = [c.deriv_v() for c in x.components]
 
@@ -209,7 +210,7 @@ def _is_isothermal(x: CubicParametrization, rel_tol: float = COEFF_RTOL):
     G = mink(xv, xv)
     F = mink(xu, xv)
     scale = max(E.max_abs, G.max_abs, F.max_abs, 1e-300)
-    return (E + G).is_zero(rel_tol * scale) and F.is_zero(rel_tol * scale)
+    return (E + G).is_zero(COEFF_RTOL * scale) and F.is_zero(COEFF_RTOL * scale)
 
 
 def lift_to_curve(x: CubicParametrization) -> tuple[DPoly, DPoly, DPoly]:
@@ -232,10 +233,13 @@ def lift_to_curve(x: CubicParametrization) -> tuple[DPoly, DPoly, DPoly]:
     return tuple(out)
 
 
-def extract_pair(phi, rel_tol: float = COEFF_RTOL):
+def extract_pair(phi):
     """Generating data from the curve derivative phi = (phi1, phi2, phi3).
 
-    Returns (f, P, Q) with g = P/Q in lowest terms and f = -phi1 + J phi2.
+    Returns (f, P, Q) with f = -phi1 + J phi2 = s Q^2 for one sign s and
+    g = P/Q; a constant f gives Q = sqrt(s f).  Per null side, f is fitted
+    as s (a t + b)^2 and phi3 = f g divided by s (a t + b), each accepted
+    when the rebuilt coefficients match to COEFF_RTOL of that side.
     Raises NotMinimalError when (-phi1+J phi2)(-phi1-J phi2) != phi3^2, and
     DegenerateError when f vanishes or the pair leaves the normal form.
     """
@@ -244,57 +248,76 @@ def extract_pair(phi, rel_tol: float = COEFF_RTOL):
     scale = max(
         (phi1 * phi1).max_abs, (phi2 * phi2).max_abs, (phi3 * phi3).max_abs, 1e-300
     )
-    if not defect.is_zero(rel_tol * scale):
+    if not defect.is_zero(COEFF_RTOL * scale):
         raise NotMinimalError(
             "isotropy identity violated (relative defect %.3g)"
             % (defect.max_abs / scale)
         )
     f = (-phi1) + phi2.scale(J)
-    f = f.chop(rel_tol)
     if f.is_zero(0.0):
         raise DegenerateError("f vanishes identically")
-    if f.degree == 0:
-        f0 = f.coeff(0)
-        if not bool(f0.is_invertible()):
-            raise DegenerateError("constant f lies on a null line")
-        P = phi3.scale(splitc(1.0) / f0).chop(rel_tol)
-        return f, P, DPoly.const(splitc(1.0))
-    s, Q = _signed_poly_sqrt(f, rel_tol)
-    if Q is None:
+    fit = _signed_square(f)
+    if fit is None:
         raise DegenerateError("f is not +-(a z + b)^2: outside the normal form")
-    P = phi3.divmod_exact(Q.scale(splitc(float(s))), rel_tol)
-    if P is None:
+    s, Q = fit
+    P = [_side_quotient(e, q, s) for e, q in ((phi3.plus, Q.plus), (phi3.minus, Q.minus))]
+    if None in P:
         raise DegenerateError("f g is not divisible by the square root of f")
-    return f, P.chop(rel_tol), Q
+    return f, DPoly(*P), Q
 
 
-def _real_quadratic_sqrt(coeffs: np.ndarray, rel_tol: float):
-    """Square root of a real polynomial of degree <= 2, or None."""
-    c = np.zeros(3)
-    c[: len(coeffs)] = coeffs
-    scale = max(np.max(np.abs(c)), 1e-300)
-    if abs(c[2]) <= rel_tol * scale:
-        if abs(c[1]) > rel_tol * scale or c[0] < 0.0:
-            return None
-        return np.array([np.sqrt(max(c[0], 0.0))])
-    if c[2] < 0.0:
+def _side(coeffs, s):
+    """s times the coefficients of one null side, padded to degree 2."""
+    return [s * float(c) for c in coeffs] + [0.0] * (3 - len(coeffs))
+
+
+def _matches(c, rebuilt) -> bool:
+    """Backward-error test on one null side: |c - rebuilt| <= COEFF_RTOL max|c|."""
+    tol = COEFF_RTOL * max(map(abs, c))
+    return all(abs(x - y) <= tol for x, y in zip(c, rebuilt))
+
+
+def _side_square(coeffs, s):
+    """[b, a] with a >= 0 and s (c0, c1, c2) = (b^2, 2ab, a^2), or None.
+
+    The larger root comes from its own square and the smaller from the
+    cross term, so a root far below the other keeps its relative accuracy.
+    """
+    c0, c1, c2 = c = _side(coeffs, s)
+    root = max(c0, c2, 0.0) ** 0.5
+    if root == 0.0:
         return None
-    disc = c[1] * c[1] - 4.0 * c[2] * c[0]
-    if abs(disc) > 4.0 * rel_tol * scale * scale:
-        return None
-    r = np.sqrt(c[2])
-    return np.array([c[1] / (2.0 * r), r])
+    if c2 >= c0:
+        a, b = root, c1 / (2.0 * root)
+    else:
+        b = root if c1 >= 0.0 else -root
+        a = c1 / (2.0 * b)
+    return [b, a] if _matches(c, (b * b, 2.0 * a * b, a * a)) else None
 
 
-def _signed_poly_sqrt(f: DPoly, rel_tol: float):
-    """(s, Q) with f = s Q^2 componentwise, s in {+1,-1}; (0, None) if neither."""
-    for s in (+1, -1):
-        g = f if s > 0 else -f
-        plus = _real_quadratic_sqrt(g.plus, rel_tol)
-        minus = _real_quadratic_sqrt(g.minus, rel_tol)
+def _signed_square(f: DPoly):
+    """(s, Q) with f = s Q^2 on both null sides, s in {+1, -1}; None if neither."""
+    for s in (1, -1):
+        plus, minus = _side_square(f.plus, s), _side_square(f.minus, s)
         if plus is not None and minus is not None:
             return s, DPoly(plus, minus)
-    return 0, None
+    return None
+
+
+def _side_quotient(coeffs, root, s):
+    """[d, c] with s (e0, e1, e2) = (a t + b)(c t + d) for root = [b, a], or None.
+
+    Divides by the larger of a and |b|; accepts on the rebuilt product.
+    """
+    e0, e1, e2 = e = _side(coeffs, s)
+    b, a = _side(root, 1)[:2]
+    if a >= abs(b):
+        c = e2 / a
+        d = (e1 - b * c) / a
+    else:
+        d = e0 / b
+        c = (e1 - a * d) / b
+    return [d, c] if _matches(e, (b * d, a * d + b * c, a * c)) else None
 
 
 @dataclass(frozen=True)
@@ -330,65 +353,40 @@ def _homothety_scale(a, b, c, d):
     return m2, den, (m2**1.5 / den**2 if m2 > 0.0 and den != 0.0 else None)
 
 
-def classify_cubic(x: CubicParametrization, rel_tol: float = COEFF_RTOL) -> ClassificationVerdict:
+def classify_cubic(x: CubicParametrization) -> ClassificationVerdict:
     """Full decision pipeline for a cubic isothermal parametrization."""
     notes = []
     if x.degree < 3:
         notes.append("total degree is %d, not 3" % x.degree)
-    if not _is_isothermal(x, rel_tol):
+    if not _is_isothermal(x):
         return ClassificationVerdict(Verdict.NOT_ISOTHERMAL, notes=tuple(notes))
     psi = lift_to_curve(x)
     phi = tuple(p.deriv() for p in psi)
     try:
-        f, P, Q = extract_pair(phi, rel_tol)
+        f, P, Q = extract_pair(phi)
     except NotMinimalError as exc:
         return ClassificationVerdict(Verdict.NOT_MINIMAL, notes=tuple(notes) + (str(exc),))
     except DegenerateError as exc:
         verdict_notes = tuple(notes) + (str(exc),)
-        fj = phi_f_times_j(phi).chop(rel_tol)
-        if not fj.is_zero(0.0) and _signed_poly_sqrt(fj, rel_tol)[1] is not None:
+        phi1, phi2, _ = phi
+        if _signed_square(((-phi1) + phi2.scale(J)).scale(J)) is not None:
             verdict_notes += (
                 "J*f is a signed square: imaginary-part (positive curvature) "
                 "family; that branch is not classified",
             )
         return ClassificationVerdict(Verdict.DEGENERATE, notes=verdict_notes)
 
-    if P.degree > 1 or Q.degree > 1:
-        return ClassificationVerdict(
-            Verdict.DEGENERATE, notes=tuple(notes) + ("g is not a fractional-linear function",)
-        )
-    # express g = P/Q over the denominator a z + b that squares to +-f
-    if Q.degree == 0 and f.degree == 0:
-        s = 1 if f.coeff(0).p > 0 else -1
-        ssc = splitc(float(s))
-        f0 = f.coeff(0) * ssc
-        if float(f0.modulus2) <= 0.0 or f0.p <= 0.0:
-            flip = _signed_poly_sqrt(f.scale(J), rel_tol)
-            extra = (
-                ("J*f is a signed square: imaginary-part (positive curvature) "
-                 "family; that branch is not classified",)
-                if flip[1] is not None
-                else ()
-            )
-            return ClassificationVerdict(
-                Verdict.DEGENERATE,
-                notes=tuple(notes) + ("constant f is not a signed square",) + extra,
-            )
-        b0 = sc_sqrt(f0)
-        Q = DPoly.const(b0)
-        P = P.scale(b0)
-    else:
-        s = _signed_poly_sqrt(f, rel_tol)[0]
-
+    # g = P/Q over the denominator a z + b that squares to +-f
+    s = _signed_square(f)[0]
     a, b = Q.coeff(1), Q.coeff(0)
     c, d = P.coeff(1), P.coeff(0)
     m2, den, scale = _homothety_scale(a, b, c, d)
     coeff_scale = max(P.max_abs, Q.max_abs, 1.0)
-    if abs(m2) <= (rel_tol * coeff_scale**2) ** 2:
+    if abs(m2) <= (COEFF_RTOL * coeff_scale**2) ** 2:
         return ClassificationVerdict(
             Verdict.DEGENERATE, notes=tuple(notes) + ("bc - ad = 0: the surface is planar",)
         )
-    if scale is None or abs(den) <= rel_tol * coeff_scale**2:
+    if scale is None or abs(den) <= COEFF_RTOL * coeff_scale**2:
         return ClassificationVerdict(
             Verdict.DEGENERATE,
             notes=tuple(notes)
@@ -396,7 +394,7 @@ def classify_cubic(x: CubicParametrization, rel_tol: float = COEFF_RTOL) -> Clas
         )
 
     g_expr = _ratio_expr(P, Q)
-    f_expr = poly_to_expr(f)
+    f_expr = poly_to_expr(f.chop())
     normal = {
         "sign": s,
         "a": str(a),
@@ -407,12 +405,6 @@ def classify_cubic(x: CubicParametrization, rel_tol: float = COEFF_RTOL) -> Clas
     return ClassificationVerdict(
         Verdict.ENNEPER_NEGATIVE, f_expr, g_expr, float(scale), tuple(notes), normal
     )
-
-
-def phi_f_times_j(phi):
-    """J * (-phi1 + J phi2), used to flag the positive-curvature family."""
-    phi1, phi2, _ = phi
-    return ((-phi1) + phi2.scale(J)).scale(J)
 
 
 def _ratio_expr(P: DPoly, Q: DPoly) -> HoloExpr:

@@ -1,5 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsurf.algebra import splitc
 from splitsurf.classify import (
@@ -28,6 +32,36 @@ IMAGINARY_MAPS = (
 
 def enneper_cubic():
     return CubicParametrization.from_coeff_maps(*ENNEPER_MAPS)
+
+
+def boost(phi):
+    """Boost in the timelike x1 and the spacelike x2 direction."""
+    ch, sh = np.cosh(phi), np.sinh(phi)
+    return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rotation(theta):
+    """Rotation in the spacelike (x2, x3) plane."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def pair_cubic(s, a, b, c, d):
+    """Re Psi(u + J v) for f = s (a z + b)^2 and g = (c z + d)/(a z + b).
+
+    Psi' = (-(f + f g^2)/2, J (f - f g^2)/2, f g) is integrated per null
+    side in closed form, and Psi(0) = 0.
+    """
+    Q, P = DPoly.from_coeffs([b, a]), DPoly.from_coeffs([d, c])
+    f, fg2, fg = ((X * Y).scale(splitc(float(s))) for X, Y in ((Q, Q), (P, P), (Q, P)))
+    maps = []
+    for phi in ((f + fg2).scale(splitc(-0.5)), (f - fg2).scale(splitc(0.0, 0.5)), fg):
+        psi = DPoly(*(np.concatenate([[0.0], side / np.arange(1, len(side) + 1)])
+                      for side in (phi.plus, phi.minus)))
+        # Re (c J^j) is c.re for even j and c.im for odd j
+        maps.append({(n - j, j): comb(n, j) * float(psi.coeff(n).im if j % 2 else psi.coeff(n).re)
+                     for n in range(1, psi.degree + 1) for j in range(n + 1)})
+    return CubicParametrization.from_coeff_maps(*maps)
 
 
 def test_lift_third_component():
@@ -70,7 +104,7 @@ def test_extract_pair_homothety_linearity():
     f, P, Q = extract_pair(scaled)
     assert float((f.coeff(0) - splitc(3.0)).mag) < 1e-14
     # g = phi3 / f is unchanged
-    assert float((P.coeff(1) - splitc(1.0)).mag) < 1e-14
+    assert float((P.coeff(1) / Q.coeff(0) - splitc(1.0)).mag) < 1e-14
 
 
 def test_extract_pair_rejects_random_curve():
@@ -114,6 +148,51 @@ def test_classify_motion_invariance():
         verdict = classify_cubic(moved)
         assert verdict.verdict == Verdict.ENNEPER_NEGATIVE
         assert abs(verdict.scale - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "phi, theta, scale, translation",
+    [(phi, theta, scale, (0.0, 0.0, 0.0))
+     for phi in (-2.0, 0.3, 2.0) for theta in (1e-9, 1e-6, 4e-3, 0.4, 3.0) for scale in (1e-3, 2.0, 1e3)]
+    + [(0.3, 0.004, 2.0, (0.4, -1.0, 0.2))],
+)
+def test_classify_small_and_large_motions_recover_scale(phi, theta, scale, translation):
+    # a rotation near the identity leaves a tiny leading coefficient on one
+    # null side of f; it must still be read as the square of a t + b
+    moved = enneper_cubic().apply_motion(rotation(theta) @ boost(phi), translation, scale)
+    verdict = classify_cubic(moved)
+    assert verdict.verdict == Verdict.ENNEPER_NEGATIVE
+    assert abs(verdict.scale - scale) <= 1e-9 * scale
+
+
+angle = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-9.0, 0.5)).map(lambda t: t[0] * 10.0 ** t[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle, st.floats(-2.0, 2.0), angle, st.floats(-3.0, 3.0),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_classify_random_lorentz_motion_recovers_scale(alpha, phi, beta, log_scale, translation):
+    # every element of SO+(1,2) is a rotation, a boost and a rotation
+    scale = 10.0**log_scale
+    matrix = rotation(alpha) @ boost(phi) @ rotation(beta)
+    verdict = classify_cubic(enneper_cubic().apply_motion(matrix, translation, scale))
+    assert verdict.verdict == Verdict.ENNEPER_NEGATIVE
+    assert abs(verdict.scale - scale) <= 1e-9 * scale
+
+
+def test_classify_near_constant_f():
+    # f = s (a z + b)^2 with |a| <= 1e-6 on both null sides is almost constant
+    a, b = splitc(4e-7, -3e-7), splitc(1.3, 0.2)
+    c, d = splitc(0.4, -0.1), splitc(-0.2, 0.5)
+    U, V = np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5))
+    enneper_pair = pair_cubic(1, splitc(0.0), splitc(1.0), splitc(1.0), splitc(0.0))
+    assert np.allclose(enneper_pair.eval(U, V), enneper_cubic().eval(U, V), rtol=0, atol=1e-15)
+    expected = abs(float((b * c - a * d).modulus2)) ** 1.5 / (float(a.modulus2) - float(c.modulus2)) ** 2
+    for s in (1, -1):
+        verdict = classify_cubic(pair_cubic(s, a, b, c, d))
+        assert verdict.verdict == Verdict.ENNEPER_NEGATIVE
+        assert verdict.normal_form["sign"] == s
+        assert abs(verdict.scale - expected) <= 1e-9 * expected
 
 
 def test_classify_not_isothermal():
