@@ -82,8 +82,6 @@ class CanonicalizationResult:
     g_tilde_expr: HoloExpr | None
     residual: np.ndarray
     affine: bool
-    _z_at: Callable
-    _z_prime_at: Callable
     _index: _NullIndex  # the null sides of z_values, for per-side evaluation
 
     @property
@@ -99,12 +97,6 @@ class CanonicalizationResult:
     def _finite_residual(self, stat) -> float:
         finite = self.residual[np.isfinite(self.residual)]
         return float(stat(finite)) if finite.size else float("nan")
-
-    def z_at(self, w) -> SplitComplex:
-        return self._z_at(SplitComplex._coerce(w))
-
-    def z_prime_at(self, w) -> SplitComplex:
-        return self._z_prime_at(SplitComplex._coerce(w))
 
 
 # uniform tabulation knots on each side of the base point
@@ -236,18 +228,12 @@ def canonicalize(
     if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
         raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
 
-    def z_of(index):
-        return from_null(*(k[a] for k, a in zip(index.knots, index.at)))
-
-    def z_prime_of(index):
-        # z' = sign / sqrt(f g'(z)), exact per null side
-        return from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
-
     index, res = _invert(phi, z0, w0, sign, wgrid)
+    z = from_null(*(k[a] for k, a in zip(index.knots, index.at)))
+    # z' = sign / sqrt(f g'(z)), exact per null side
+    z_prime = from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, z_of(index), z_prime_of(index), from_null(*index.sides(g)),
-        None, res, False, lambda w: z_of(_invert(phi, z0, w0, sign, w)[0]),
-        lambda w: z_prime_of(_invert(phi, z0, w0, sign, w)[0]), index,
+        us, vs, w0, z0, sign, z, z_prime, from_null(*index.sides(g)), None, res, False, index,
     )
 
 
@@ -259,20 +245,14 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
     r = sc_sqrt(splitc(1.0) / gamma)
     r = r if sign > 0 else -r
     shift = z0 - r * w0
-
-    def z_at(w):
-        return shift + r * w
-
-    def z_prime_at(w):
-        return r if w.shape == () else SplitComplex(np.full(w.shape, r.re), np.full(w.shape, r.im))
-
-    zvals, zprime = z_at(wgrid), z_prime_at(wgrid)
+    zvals = shift + r * wgrid
+    zprime = SplitComplex(np.full(wgrid.shape, r.re), np.full(wgrid.shape, r.im))
     res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
     if np.nanmax(res) > 1e-8:
         raise BranchError("affine solution rejected by the residual check")
     return CanonicalizationResult(
         us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g.subs(Const(shift) + Const(r) * Z),
-        res, True, z_at, z_prime_at, _NullIndex((zvals.p, zvals.q), (..., ...)),
+        res, True, _NullIndex((zvals.p, zvals.q), (..., ...)),
     )
 
 

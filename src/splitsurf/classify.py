@@ -241,7 +241,8 @@ def extract_pair(phi):
     as s (a t + b)^2 and phi3 = f g divided by s (a t + b), each accepted
     when the rebuilt coefficients match to COEFF_RTOL of that side.
     Raises NotMinimalError when (-phi1+J phi2)(-phi1-J phi2) != phi3^2, and
-    DegenerateError when f vanishes or the pair leaves the normal form.
+    DegenerateError when f vanishes, f or f g = phi3 has degree above 2,
+    or the pair leaves the normal form.
     """
     phi1, phi2, phi3 = phi
     defect = phi1 * phi1 - phi2 * phi2 - phi3 * phi3
@@ -256,6 +257,9 @@ def extract_pair(phi):
     f = (-phi1) + phi2.scale(J)
     if f.is_zero(0.0):
         raise DegenerateError("f vanishes identically")
+    for name, poly in (("f", f), ("f g", phi3)):
+        if poly.degree > 2:
+            raise DegenerateError("%s has degree %d, above 2: outside the normal form" % (name, poly.degree))
     fit = _signed_square(f)
     if fit is None:
         raise DegenerateError("f is not +-(a z + b)^2: outside the normal form")
@@ -381,7 +385,7 @@ def classify_cubic(x: CubicParametrization) -> ClassificationVerdict:
     a, b = Q.coeff(1), Q.coeff(0)
     c, d = P.coeff(1), P.coeff(0)
     m2, den, scale = _homothety_scale(a, b, c, d)
-    coeff_scale = max(P.max_abs, Q.max_abs, 1.0)
+    coeff_scale = max(P.max_abs, Q.max_abs)
     if abs(m2) <= (COEFF_RTOL * coeff_scale**2) ** 2:
         return ClassificationVerdict(
             Verdict.DEGENERATE, notes=tuple(notes) + ("bc - ad = 0: the surface is planar",)

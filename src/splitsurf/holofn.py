@@ -663,125 +663,26 @@ def parse_constant(text: str) -> SplitComplex:
 
 
 # ---------------------------------------------------------------------------
-# the exp-polynomial fragment: sums of p(z) * exp(a z)
+# the polynomial fragment
 # ---------------------------------------------------------------------------
 
-_MAX_TERMS = 32
 _MAX_DEGREE = 64
 
 
-def _key(a: SplitComplex):
-    return (float(a.p), float(a.q))
-
-
-_ZERO_KEY = (0.0, 0.0)
-
-
-def _ep_merge(x, y, sgn=1.0):
-    out = dict(x)
-    for k, poly in y.items():
-        cur = out.get(k)
-        add = poly if sgn > 0 else -poly
-        out[k] = add if cur is None else cur + add
-    if len(out) > _MAX_TERMS:
+def _times(a, b):
+    """a * b; None when a factor is None or the product exceeds _MAX_DEGREE."""
+    if a is None or b is None:
         return None
-    return out
+    prod = a * b
+    return prod if prod.degree <= _MAX_DEGREE else None
 
 
-def _ep_mul(x, y):
-    """Product of two exp-polynomials; None when an input is None or the
-    product exceeds _MAX_DEGREE or _MAX_TERMS."""
-    if x is None or y is None:
+def _over(a, b):
+    """a scaled by 1/b for an invertible constant b; None otherwise."""
+    if b is None or b.degree > 0:
         return None
-    out = {}
-    for ka, pa in x.items():
-        for kb, pb in y.items():
-            k = (ka[0] + kb[0], ka[1] + kb[1])
-            prod = pa * pb
-            if prod.degree > _MAX_DEGREE:
-                return None
-            cur = out.get(k)
-            out[k] = prod if cur is None else cur + prod
-    if len(out) > _MAX_TERMS:
-        return None
-    return out
-
-
-def _to_exp_poly(e):
-    """Rewrite as {exp coefficient -> DPoly} or None when outside the fragment."""
-    if isinstance(e, Const):
-        return {_ZERO_KEY: DPoly.const(e.value)}
-    if isinstance(e, Var):
-        return {_ZERO_KEY: DPoly.x()}
-    if isinstance(e, Add) or isinstance(e, Sub):
-        xa = _to_exp_poly(e.a)
-        xb = _to_exp_poly(e.b)
-        if xa is None or xb is None:
-            return None
-        return _ep_merge(xa, xb, 1.0 if isinstance(e, Add) else -1.0)
-    if isinstance(e, Neg):
-        xa = _to_exp_poly(e.a)
-        if xa is None:
-            return None
-        return {k: -p for k, p in xa.items()}
-    if isinstance(e, Mul):
-        return _ep_mul(_to_exp_poly(e.a), _to_exp_poly(e.b))
-    if isinstance(e, Div):
-        xb = _to_exp_poly(e.b)
-        inv = _invert_single_term(xb)
-        if inv is None:
-            return None
-        xa = _to_exp_poly(e.a)
-        if xa is None:
-            return None
-        kinv, cinv = inv
-        return {
-            (k[0] + kinv[0], k[1] + kinv[1]): p.scale(cinv) for k, p in xa.items()
-        }
-    if isinstance(e, Pow):
-        if e.n >= 0:
-            xb = _to_exp_poly(e.base)
-            out = {_ZERO_KEY: DPoly.const(splitc(1.0))}
-            for _ in range(e.n):
-                out = _ep_mul(out, xb)
-            return out
-        inv = _invert_single_term(_to_exp_poly(Pow(e.base, -e.n)))
-        if inv is None:
-            return None
-        k, c = inv
-        return {k: DPoly.const(c)}
-    if isinstance(e, Exp):
-        xa = _to_exp_poly(e.a)
-        if xa is None or set(xa) != {_ZERO_KEY}:
-            return None
-        lin = xa[_ZERO_KEY]
-        if lin.degree > 1:
-            return None
-        b = lin.coeff(0)
-        a = lin.coeff(1)
-        return {_key(a): DPoly.const(algebra.exp(b))}
-    if isinstance(e, Sqrt):
-        xa = _to_exp_poly(e.a)
-        if xa is None or set(xa) != {_ZERO_KEY} or xa[_ZERO_KEY].degree > 0:
-            return None
-        c = xa[_ZERO_KEY].coeff(0)
-        if c.p < 0.0 or c.q < 0.0:
-            return None
-        return {_ZERO_KEY: DPoly.const(algebra.sqrt(c))}
-    return None
-
-
-def _invert_single_term(ep):
-    """Inverse of c * exp(a z); None unless ep is exactly one constant term."""
-    if ep is None or len(ep) != 1:
-        return None
-    (k, poly), = ep.items()
-    if poly.degree > 0:
-        return None
-    c = poly.coeff(0)
-    if not bool(c.is_invertible()):
-        return None
-    return (-k[0], -k[1]), splitc(1.0) / c
+    c = b.coeff(0)
+    return a.scale(splitc(1.0) / c) if bool(c.is_invertible()) else None
 
 
 def poly_to_expr(poly: DPoly) -> HoloExpr:
@@ -795,30 +696,52 @@ def poly_to_expr(poly: DPoly) -> HoloExpr:
 
 
 def expr_to_poly(e: HoloExpr) -> DPoly | None:
-    """The polynomial equal to `e`, or None when `e` is not polynomial."""
-    ep = _to_exp_poly(e)
-    if ep is None:
-        return None
-    poly = DPoly.zero()
-    for k, p in ep.items():
-        if k == _ZERO_KEY:
-            poly = poly + p
-        elif not p.is_zero(0.0):
+    """The polynomial equal to `e`, or None when `e` is outside the fragment.
+
+    The fragment is constants, z, + - *, integer powers, division by an
+    invertible constant, and exp or sqrt of a constant, up to degree
+    _MAX_DEGREE.  Every zero coefficient comes out as +0.0.
+    """
+    if isinstance(e, Const):
+        out = DPoly.const(e.value)
+    elif isinstance(e, Var):
+        out = DPoly.x()
+    elif isinstance(e, Pow):
+        base = expr_to_poly(e.base)
+        out = DPoly.const(splitc(1.0))
+        for _ in range(abs(e.n)):
+            out = _times(out, base)
+        if e.n < 0:
+            out = _over(DPoly.const(splitc(1.0)), out)
+    elif isinstance(e, Neg):
+        a = expr_to_poly(e.a)
+        out = None if a is None else -a
+    elif isinstance(e, (Exp, Sqrt)):
+        a = expr_to_poly(e.a)
+        if a is None or a.degree > 0:
             return None
-    return poly
+        c = a.coeff(0)
+        if isinstance(e, Sqrt) and (c.p < 0.0 or c.q < 0.0):
+            return None
+        out = DPoly.const(algebra.exp(c) if isinstance(e, Exp) else algebra.sqrt(c))
+    else:
+        a = expr_to_poly(e.a)
+        b = None if a is None else expr_to_poly(e.b)
+        if b is None:
+            return None
+        if isinstance(e, Mul):
+            out = _times(a, b)
+        elif isinstance(e, Div):
+            out = _over(a, b)
+        else:
+            out = a + b if isinstance(e, Add) else a - b
+    return None if out is None else DPoly.zero() + out
 
 
 def constant_value(e: HoloExpr) -> SplitComplex | None:
     """The constant value of `e` when it reduces symbolically to one."""
-    ep = _to_exp_poly(e)
-    if ep is None:
-        return None
-    nonzero = {k: p for k, p in ep.items() if not p.is_zero(0.0)}
-    if not nonzero:
-        return splitc(0.0)
-    if set(nonzero) == {_ZERO_KEY} and nonzero[_ZERO_KEY].degree == 0:
-        return nonzero[_ZERO_KEY].coeff(0)
-    return None
+    poly = expr_to_poly(e)
+    return poly.coeff(0) if poly is not None and poly.degree == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ def test_worked_affine_example():
     assert poly is not None and poly.degree == 1
     assert float((poly.coeff(0) - splitc(0)).mag) < 1e-10
     assert float((poly.coeff(1) - splitc(1 / np.sqrt(2))).mag) < 1e-10
-    # z(w) itself: z(0) = -1, z'(w) = 1/sqrt(2)
-    assert float((res.z_at(splitc(0)) - splitc(-1)).mag) < 1e-12
-    assert float((res.z_prime_at(splitc(0)) - splitc(1 / np.sqrt(2))).mag) < 1e-12
+    # z(w) itself at the grid node w = 0: z(0) = -1, z'(w) = 1/sqrt(2)
+    assert res.us[16] == 0.0 and res.vs[16] == 0.0
+    assert float((res.z_values[16, 16] - splitc(-1)).mag) < 1e-12
+    assert float((res.z_prime[16, 16] - splitc(1 / np.sqrt(2))).mag) < 1e-12
 
 
 def test_identity_when_already_canonical():
@@ -258,25 +259,17 @@ def test_all_masked_max_residual_is_nan_without_warning():
     assert np.all(np.isnan(res.z_values.re))
 
 
-def test_quadrature_route_z_at_and_z_prime_at():
+def test_quadrature_route_base_node_and_ode_residual():
     f, g = parse("exp(z)"), parse("z^2+3*z")
-    w0, z0 = splitc(0.1, 0.05), splitc(0.25, -0.125)
-    res = canonicalize(f, g, w0=w0, z0=z0, domain=(-0.3, 0.5, -0.3, 0.3), grid=(17, 13))
+    domain, grid = (-0.3, 0.5, -0.3, 0.3), (17, 13)
+    # w0 on the grid node (8, 7), which must map to z0 exactly
+    w0 = splitc(np.linspace(-0.3, 0.5, 17)[8], np.linspace(-0.3, 0.3, 13)[7])
+    z0 = splitc(0.25, -0.125)
+    res = canonicalize(f, g, w0=w0, z0=z0, domain=domain, grid=grid)
     assert not res.affine
-    U, V = np.meshgrid(res.us, res.vs, indexing="ij")
-    wgrid = splitc(U, V)
-    at_nodes = res.z_at(wgrid)
-    assert np.array_equal(at_nodes.re, res.z_values.re)
-    assert np.array_equal(at_nodes.im, res.z_values.im)
-    prime = res.z_prime_at(wgrid)
-    assert np.array_equal(prime.re, res.z_prime.re)
-    assert np.array_equal(prime.im, res.z_prime.im)
-    single = res.z_at(splitc(res.us[3], res.vs[5]))
-    assert float((single - splitc(res.z_values.re[3, 5], res.z_values.im[3, 5])).mag) < 1e-14
-    assert res.z_at(w0) == z0
+    assert res.z_values[8, 7] == z0
     phi = f * g.derivative()
-    for z, zp in ((res.z_values, res.z_prime), (res.z_at(w0), res.z_prime_at(w0))):
-        assert np.max(((zp * zp) * phi.eval(z) - 1.0).mag) <= 1e-13
+    assert np.max(((res.z_prime * res.z_prime) * phi.eval(res.z_values) - 1.0).mag) <= 1e-13
 
 
 def test_quadrature_route_sign_symmetry():
@@ -284,10 +277,11 @@ def test_quadrature_route_sign_symmetry():
     f, g = parse("exp(z)"), parse("exp(z)")
     w0 = splitc(0.1, -0.05)
     kwargs = dict(w0=w0, z0=splitc(0), domain=(-0.35, 0.35, -0.35, 0.35), grid=(15, 15))
-    plus = canonicalize(f, g, sign=+1, **kwargs)
     minus = canonicalize(f, g, sign=-1, **kwargs)
-    U, V = np.meshgrid(minus.us, minus.vs, indexing="ij")
-    mirrored = plus.z_at(splitc(2 * 0.1 - U, 2 * -0.05 - V))
+    # node (i, j) of the mirrored domain is 2 w0 minus node (14 - i, 14 - j)
+    kwargs["domain"] = (2 * 0.1 - 0.35, 2 * 0.1 + 0.35, 2 * -0.05 - 0.35, 2 * -0.05 + 0.35)
+    plus = canonicalize(f, g, sign=+1, **kwargs)
+    mirrored = plus.z_values[::-1, ::-1]
     assert np.max((minus.z_values - mirrored).mag) < 1e-12
 
 
@@ -313,14 +307,20 @@ def test_quadrature_route_large_rate_times_base_point(f, g, z0, closed_form):
 def test_quadrature_route_non_finite_w_gives_nan():
     res = canonicalize(parse("1"), parse("z^2/2"), w0=splitc(0), z0=splitc(1),
                        domain=(-0.3, 0.3, -0.3, 0.3), grid=(5, 5))
+    phi = parse("1") * parse("z^2/2").derivative()
+
+    def z_at(w):
+        index, _ = canonical._invert(phi, res.z0, res.w0, +1, w)
+        return from_null(*(k[a] for k, a in zip(index.knots, index.at)))
+
     for w in (splitc(np.nan, 0), splitc(np.inf, 0.1)):
-        assert np.isnan(res.z_at(w).re)
-    pair = res.z_at(splitc(np.array([0.1, np.nan]), 0.0))
+        assert np.isnan(z_at(w).re)
+    pair = z_at(splitc(np.array([0.1, np.nan]), 0.0))
     assert np.isfinite(pair.re[0]) and np.isnan(pair.re[1])
-    assert np.isnan(res.z_prime_at(splitc(np.nan, 0)).re)
     masked = canonicalize(parse("1"), parse("z^2/2"), w0=splitc(np.nan), z0=splitc(1),
                           domain=(-0.3, 0.3, -0.3, 0.3), grid=(5, 5))
     assert np.all(np.isnan(masked.z_values.re)) and np.isnan(masked.max_residual)
+    assert np.all(np.isnan(masked.z_prime.re))
 
 
 def test_verify_coefficients_principal_and_asymptotic():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from splitsurf.algebra import splitc
 from splitsurf.classify import (
     CubicParametrization,
+    DegenerateError,
     NotMinimalError,
     Verdict,
     classify_cubic,
@@ -117,6 +118,18 @@ def test_extract_pair_rejects_random_curve():
         extract_pair(phi)
 
 
+def test_extract_pair_rejects_degree_above_two():
+    # phi = (-z^3, 0, z^3) is isotropic, with f = z^3
+    z3 = DPoly.from_coeffs([0.0, 0.0, 0.0, 1.0])
+    with pytest.raises(DegenerateError, match="f has degree 3, above 2: outside the normal form"):
+        extract_pair((-z3, DPoly.zero(), z3))
+    # f = 1 and f g = z^3: phi1 = -(1 + z^6)/2, J phi2 = (1 - z^6)/2
+    one, z6 = DPoly.const(splitc(1.0)), DPoly.from_coeffs([0.0] * 6 + [1.0])
+    phi = ((one + z6).scale(splitc(-0.5)), (one - z6).scale(splitc(0.0, 0.5)), z3)
+    with pytest.raises(DegenerateError, match="f g has degree 3, above 2"):
+        extract_pair(phi)
+
+
 def test_classify_enneper():
     verdict = classify_cubic(enneper_cubic())
     assert verdict.verdict == Verdict.ENNEPER_NEGATIVE
@@ -154,7 +167,9 @@ def test_classify_motion_invariance():
     "phi, theta, scale, translation",
     [(phi, theta, scale, (0.0, 0.0, 0.0))
      for phi in (-2.0, 0.3, 2.0) for theta in (1e-9, 1e-6, 4e-3, 0.4, 3.0) for scale in (1e-3, 2.0, 1e3)]
-    + [(0.3, 0.004, 2.0, (0.4, -1.0, 0.2))],
+    + [(0.3, 0.004, 2.0, (0.4, -1.0, 0.2))]
+    # tiny surfaces, whose planar and family thresholds scale with the coefficients
+    + [(0.0, 0.0, scale, (0.0, 0.0, 0.0)) for scale in (1e-12, 1e-10, 1e-9)],
 )
 def test_classify_small_and_large_motions_recover_scale(phi, theta, scale, translation):
     # a rotation near the identity leaves a tiny leading coefficient on one

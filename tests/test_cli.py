@@ -154,6 +154,18 @@ def test_canonicalize_identity_detected(capsys):
     assert code == 0 and report["affine"] is True and report["g_tilde"] == "z"
 
 
+def test_canonicalize_cancelling_exponentials_take_quadrature(capsys):
+    # f g' = exp(-z) exp(z) = 1 is constant only through cancelling exp(a z)
+    # terms, which the polynomial fragment does not see: z(w) is inverted
+    code, stdout, _ = run(
+        capsys, "canonicalize", "--f", "exp(-z)", "--g", "exp(z)",
+        "--domain", "-0.5:0.5:-0.5:0.5", "--grid", "21x21",
+    )
+    report = json.loads(stdout)
+    assert code == 0 and report["affine"] is False and report["g_tilde"] is None
+    assert report["residual_max"] < 1e-8 and report["invalid_samples"] == 0
+
+
 def test_canonicalize_branch_error_exit_2(capsys):
     code, _, err = run(capsys, "canonicalize", "--f", "1", "--g", "z^3")
     assert code == 2

@@ -3,6 +3,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from splitsurf import algebra, holofn
 from splitsurf.algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
@@ -365,3 +367,87 @@ def test_parse_constant():
     assert holofn.parse_constant("2*3") == splitc(6)
     with pytest.raises(ValueError):
         holofn.parse_constant("z+1")
+
+
+# ---------------------------------------------------------------------------
+# the polynomial fragment
+# ---------------------------------------------------------------------------
+
+
+def _const(p, q):
+    return Const(from_null(p, q))
+
+
+_side = st.floats(-2.0, 2.0)
+# a divisor's null coordinates differ by at most a factor 4 in magnitude:
+# SplitComplex division goes through re^2 - im^2 = p q, which multiplies the
+# rounding error by about (|p/q| + |q/p|) / 2, and cubing cubes that ratio
+_far = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+_divisors = st.builds(_const, _far, _far) | st.builds(Exp, st.builds(_const, *[st.floats(-0.5, 0.5)] * 2))
+_leaves = st.one_of(
+    st.just(Z),
+    st.builds(_const, _side, _side),
+    st.builds(Exp, st.builds(_const, _side, _side)),
+    # radicands off the null lines: the fragment reads a constant back through
+    # (re, im), an absolute change of about eps |c| that sqrt amplifies near 0
+    st.builds(Sqrt, st.builds(_const, st.floats(0.25, 2.0), st.floats(0.25, 2.0))),
+)
+# built from the node classes, so that no constant is folded away
+_poly_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(Add, sub, sub),
+    st.builds(Sub, sub, sub),
+    st.builds(Mul, sub, sub),
+    st.builds(Neg, sub),
+    st.builds(Div, sub, _divisors),
+    st.builds(Pow, sub, st.integers(0, 3)),
+    st.builds(Pow, _divisors, st.integers(-3, -1)),
+), max_leaves=12)
+
+
+def _magnitude(e, t, side):
+    """A bound on |e| on one null side at t: the sum of |every term| before cancellation."""
+    if isinstance(e, Var):
+        return abs(t)
+    if isinstance(e, (Add, Sub)):
+        return _magnitude(e.a, t, side) + _magnitude(e.b, t, side)
+    if isinstance(e, Mul):
+        return _magnitude(e.a, t, side) * _magnitude(e.b, t, side)
+    if isinstance(e, Neg):
+        return _magnitude(e.a, t, side)
+    if isinstance(e, Div):
+        return _magnitude(e.a, t, side) / abs(e.b.eval_null(t, side))
+    if isinstance(e, Pow) and e.n >= 0:
+        return _magnitude(e.base, t, side) ** e.n
+    return abs(e.eval_null(t, side))  # a constant
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_trees)
+def test_expr_to_poly_matches_evaluation(e):
+    poly = holofn.expr_to_poly(e)
+    assume(poly is not None)  # a power above degree 64
+    for z in (splitc(0.3, -0.2), splitc(-1.1, 0.4), splitc(0.7, 0.9)):
+        got, want = poly(z), e.eval(z)
+        if np.all(np.isfinite([got.re, got.im, want.re, want.im])):
+            scale = max(1.0, _magnitude(e, z.p, PLUS), _magnitude(e, z.q, MINUS))
+            assert abs(got.re - want.re) <= 1e-12 * scale
+            assert abs(got.im - want.im) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("text", ["exp(z)*exp(-z)", "exp(2*z)/exp(2*z)", "exp(z)-exp(z)+z"])
+def test_expr_to_poly_leaves_exp_of_z_out(text):
+    # equal to a polynomial, but only through exp(a z) terms that cancel
+    assert holofn.expr_to_poly(parse(text)) is None
+    assert holofn.constant_value(parse(text)) is None
+
+
+def test_expr_to_poly_degree_cap():
+    assert holofn.expr_to_poly(parse("(z+1)^64")).degree == 64
+    assert holofn.expr_to_poly(parse("(z+1)^65")) is None
+
+
+def test_constant_value():
+    assert holofn.constant_value(parse("(z+1)^2 - z^2 - 2*z")) == splitc(1.0)
+    assert holofn.constant_value(parse("z - z")) == splitc(0.0)
+    assert holofn.constant_value(parse("z/2 + 1")) is None
+    assert holofn.constant_value(parse("1/(z+1)")) is None
