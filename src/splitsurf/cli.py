@@ -346,12 +346,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.coeffs == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(args.coeffs) as fh:
-            obj = json.load(fh)
-    verdict = classify_cubic(CubicParametrization.from_json(obj))
+    try:
+        if args.coeffs == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(args.coeffs) as fh:
+                obj = json.load(fh)
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(k, {}), dict) for k in ("x1", "x2", "x3"))):
+            raise ValueError("expected a JSON object of x1, x2, x3 coefficient maps")
+        cubic = CubicParametrization.from_json(obj)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise _UsageError("bad coefficients: %s" % exc) from exc
+    verdict = classify_cubic(cubic)
     _emit(dict({"schema_version": SCHEMA_VERSION, "command": "classify"}, **verdict.to_dict()))
     return 0
 
@@ -503,7 +509,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except (_UsageError, InvalidParams, ValueError) as exc:
+    except (_UsageError, InvalidParams) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 3
     except _NUMERIC_ERRORS as exc:

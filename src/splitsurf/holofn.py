@@ -43,6 +43,7 @@ __all__ = [
     "parse",
     "integrate_path",
     "integrate_sweep",
+    "pole_gaps",
     "poly_to_expr",
     "expr_to_poly",
 ]
@@ -795,7 +796,8 @@ def _gk_panels(funs, owner, a, b):
     """K15 values and |K15 - G7| errors, shaped (panels, components), of the
     panels [a, b]; the panels finite in every component; whether there is
     one component.  funs[k] gets the panels of owner == k as one (panels, 15)
-    array; an expression's eval_null is NaN on a path across a singular line."""
+    array; an expression's eval_null is NaN only within NULL_EPS of a null
+    denominator or at a negative radicand, not merely next to a pole."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     k15, good = None, np.empty(len(a), bool)
     # one problem at a time, its values freed before the next, bounds the memory
@@ -840,7 +842,9 @@ def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
     tol / (panels in the gap).  It fails when it would need more than
     MAX_PANELS panels, its bisection underflows, or a component is
     non-finite on it; the knots of its problem beyond it, seen from that
-    problem's origin, are then unreachable and leave the batch.
+    problem's origin, are then unreachable and leave the batch.  A pole in a
+    gap fails it so only after some 16 to 20 rounds of bisection toward it,
+    mostly by the panel budget; pole_gaps finds it without quadrature.
 
     Returns (F, reachable), or a list of them for a sequence of problems.
     F[..., i], with a leading component axis for a list, is the integral
@@ -897,6 +901,71 @@ def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
         values[~reachable] = np.nan
         out.append((values[:, 0] if single else values.T, reachable))
     return out[0] if callable(fun) else out
+
+
+# halvings that locate a denominator's sign change, and the ratio r of the two
+# probe distances delta1 = r delta2 at which a located zero is tested
+_LOCATE_STEPS = 30
+_PROBE_RATIO = 16.0
+
+
+def _denominators(e):
+    """Every divisor and every base of a negative power in e."""
+    if isinstance(e, (Const, Var)):
+        return set()
+    if isinstance(e, Pow):
+        return ({e.base} if e.n < 0 else set()) | _denominators(e.base)
+    kids = (e.a, e.b) if isinstance(e, _Binary) else (e.a,)
+    return ({e.b} if isinstance(e, Div) else set()).union(*map(_denominators, kids))
+
+
+def _factors(d):
+    """The non-constant factors of d through *, unary -, numerators and positive
+    powers, so (z - c)^2 gives z - c.  exp never vanishes, and a negative power
+    only at its base's poles, found on their own."""
+    if isinstance(d, Mul):
+        return _factors(d.a) | _factors(d.b)
+    if isinstance(d, (Neg, Div)) or isinstance(d, Pow) and d.n > 0:
+        return _factors(d.base if isinstance(d, Pow) else d.a)
+    return {d} if contains_var(d) and not isinstance(d, (Pow, Exp)) else set()
+
+
+def pole_gaps(exprs, knots, side):
+    """Which gaps between the ascending knots hold a pole of exprs' null
+    components on side: a zero of a denominator factor (a sign change between
+    knots, bisected, or a zero on a knot, for both gaps next to it) where
+    max |expr| grows by more than r^(3/4) from delta1, half the distance to
+    the nearer knot, to delta1 / r.  A pole of order 1 or more grows by r at
+    least, a square-root branch point by r^(1/2), a removable zero not at
+    all; a NaN probe, as next to a pole within rounding of a knot, marks none.
+    """
+    n_gaps = len(knots) - 1
+    out, cands = np.zeros(n_gaps, bool), []
+    with np.errstate(all="ignore"):
+        for fac in {f for e in exprs for d in _denominators(e) for f in _factors(d)}:
+            sign = np.sign(fac.eval_null(knots, side))
+            i, k = np.flatnonzero(sign[:-1] * sign[1:] < 0), np.flatnonzero(sign == 0)
+            if not (i.size or k.size):
+                continue
+            a, b = knots[i], knots[i + 1]
+            for _ in range(_LOCATE_STEPS if i.size else 0):
+                mid = 0.5 * (a + b)
+                s = np.sign(fac.eval_null(mid, side))
+                a, b = np.where(s != -sign[i], mid, a), np.where(s != sign[i], mid, b)
+            # the knot indices around each zero, and the zero
+            cands.append((np.r_[i, np.maximum(k - 1, 0)], np.r_[i + 1, np.minimum(k + 1, n_gaps)],
+                          np.r_[0.5 * (a + b), knots[k]]))
+        if not cands:
+            return out
+        lo, hi, c = map(np.concatenate, zip(*cands))
+        below, above = c - knots[lo], knots[hi] - c
+        d1 = 0.5 * np.minimum(np.where(below > 0, below, np.inf), np.where(above > 0, above, np.inf))
+        t = c + np.array([[-1.0], [1.0], [-1.0 / _PROBE_RATIO], [1.0 / _PROBE_RATIO]]) * d1
+        amp = np.max([np.abs(e.eval_null(t, side)) for e in exprs], axis=0)
+        amp = np.where([below > 0, above > 0] * 2, amp, 0.0).reshape(2, 2, -1).max(axis=1)
+    pole = amp[1] > _PROBE_RATIO**0.75 * amp[0]  # False where a probe is NaN
+    out[lo[pole]] = out[hi[pole] - 1] = True
+    return out
 
 
 def _quadrature_failed(a: float, b: float) -> DomainError:

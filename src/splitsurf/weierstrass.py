@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import SplitComplex, from_null, splitc
-from .holofn import PLUS, MINUS, Const, HoloExpr, integrate_sweep
+from .holofn import PLUS, MINUS, Const, HoloExpr, integrate_sweep, pole_gaps
 
 __all__ = [
     "Part",
@@ -168,14 +168,34 @@ def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
     """Integrals of exprs from z0 to every node of the grid, and their common reachability.
 
     The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)): one sweep per
-    side over the index's knots, on panels all components share, and both
-    sides in one integrate_sweep call.
+    side over the index's knots, up to the gaps with a located pole, on
+    panels all components share, and both sides in one integrate_sweep call.
     """
     origins = [int(np.searchsorted(k, float(t0))) for k, t0 in zip(index.knots, (z0.p, z0.q))]
-    funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
-    sides = integrate_sweep(funs, index.knots, origins, tol)
+    sides = _sweep_to_poles(exprs, index.knots, origins, tol)
     (fp, reach_p), (fq, reach_q) = ((v[:, a], r[a]) for (v, r), a in zip(sides, index.at))
     return [from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
+
+
+def _sweep_to_poles(exprs, knots, origins, tol):
+    """Per side, integrals of exprs from knots[origin] to every knot, and reachability.
+
+    Each side's integrate_sweep problem stops at the gaps nearest its origin
+    that pole_gaps marks; the knots beyond are unreachable, as they would be
+    once the sweep failed those gaps after bisecting to MAX_PANELS panels.
+    """
+    cuts = []
+    for side, k, o in zip((PLUS, MINUS), knots, origins):
+        poles = np.flatnonzero(pole_gaps(exprs, k, side))
+        cuts.append(slice(poles[poles < o].max(initial=-1) + 1, poles[poles >= o].min(initial=len(k) - 1) + 1))
+    funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
+    swept = integrate_sweep(funs, [k[c] for k, c in zip(knots, cuts)],
+                            [o - c.start for o, c in zip(origins, cuts)], tol)
+    out = [(np.full((len(exprs), len(k)), np.nan), np.zeros(len(k), bool)) for k in knots]
+    for (values, reach), (v, r), c in zip(out, swept, cuts):
+        # a sweep with no gap on either side returns one zero, not one per component
+        values[:, c], reach[c] = v, r
+    return out
 
 
 def evaluate_surface(
@@ -198,8 +218,10 @@ def evaluate_surface(
     A node is valid when the integrand is finite there, its tangent plane
     does not degenerate (|E| > 1e-12 |x_u|^2, with the Euclidean length of
     the tangent x_u), and it is reachable: every gap between p0 and p, and
-    between q0 and q, converged.  Invalid nodes hold NaN instead of aborting
-    the patch.
+    between q0 and q, converged.  A gap fails at once where holofn.pole_gaps
+    locates a pole of the integrand; other singular gaps (a branch point, a
+    pole within rounding of a knot) fail by the panel budget or a non-finite
+    value.  Invalid nodes hold NaN instead of aborting the patch.
     """
     u0, u1, v0, v1 = map(float, domain)
     n, m = grid

@@ -7,6 +7,7 @@ import numpy as np
 
 import pytest
 
+from splitsurf import cli
 from splitsurf.canonical import canonical_curvature_field, canonicalize, curvature_callable
 from splitsurf.cli import (
     main,
@@ -317,6 +318,30 @@ def test_classify_cli(tmp_path, capsys):
     assert verdict["verdict"] == "EnneperNegative"
     assert verdict["f"] == "1.0" and verdict["g"] == "z"
     assert abs(verdict["scale"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"x1": {"(a,b)": 1}}', '{"x1": {"(1,0)": "one"}}', '{"x1": {"(4,0)": 1.0}}',
+    '{"x1": ', '{"x1": {"(1)": 1}}', '{"x1": [1]}',
+], ids=["not_an_object", "bad_key", "not_a_number", "degree_4", "invalid_json", "short_key", "not_a_map"])
+def test_classify_malformed_coefficients_are_usage_errors(tmp_path, capsys, text):
+    path = tmp_path / "coeffs.json"
+    path.write_text(text)
+    code, stdout, err = run(capsys, "classify", str(path))
+    assert code == 3 and stdout == ""
+    assert err.startswith("usage error: bad coefficients")
+
+
+def test_internal_value_error_is_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    # only input the CLI itself rejects is a usage error; an internal
+    # ValueError escapes with its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "evaluate_surface", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["generate", "--f", "1", "--g", "z", "--grid", "5x5", "--out", str(tmp_path / "x.obj")])
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_transform_cli(capsys):

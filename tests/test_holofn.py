@@ -27,6 +27,7 @@ from splitsurf.holofn import (
     integrate_path,
     integrate_sweep,
     parse,
+    pole_gaps,
 )
 
 
@@ -359,6 +360,48 @@ def test_integrate_real_gives_up_within_the_panel_budget():
     # a singular integrand met by the batch makes its gap unreachable, not ZeroDivisor
     values, reachable = integrate_sweep(lambda t: parse("1/z").eval_null(t, holofn.PLUS), [-1.0, 1.0], 0)
     assert not reachable[1] and np.isnan(values[1])
+
+
+@pytest.mark.parametrize("expr, side, marked", [
+    # gap 10 is [0.25, 0.375]; a pole of order 1, 2 or 3 there, alone or
+    # in a product, or as the zero of exp(t) - 1.35, fails it at once
+    ("1/(z-0.3)", PLUS, [10]),
+    ("(z-0.3)^-2", PLUS, [10]),
+    ("exp(z)/(2*(z-0.3)^3)", PLUS, [10]),
+    ("1/((z-0.3)*(z+0.7))", PLUS, [2, 10]),
+    ("1/(exp(z)-1.35)", PLUS, [10]),
+    # a zero exactly on the knot 1/4 stands for both gaps next to it
+    ("1/(z-0.25)", PLUS, [9, 10]),
+    # p = 0.4 and q = 0.2 of the constant 0.3 + 0.1J, one per side
+    ("1/(z-(0.3+0.1J))", PLUS, [11]),
+    ("1/(z-(0.3+0.1J))", MINUS, [9]),
+    # removable zeros do not grow
+    ("(z-0.3)/(z-0.3)", PLUS, []),
+    ("(z-0.3)^2/(z-0.3)", PLUS, []),
+    # a NaN probe, no sign change, an order-1/2 branch point, no real zero: the sweep decides
+    ("sqrt(z-0.3)/(z-0.3)", PLUS, []),
+    ("1/sqrt(z-0.3)", PLUS, []),
+    ("sqrt(sqrt((z-0.3)^2))/(z-0.3)", PLUS, []),
+    ("1/(z^2+0.01)", PLUS, []),
+    # two zeros of one factor in one gap show no sign change
+    ("1/((z-0.3)*(z-0.31))", PLUS, [10]),
+    ("1/(z^2-0.61*z+0.093)", PLUS, []),
+])
+def test_pole_gaps_marks_the_gaps_of_located_poles(expr, side, marked):
+    knots = np.linspace(-1.0, 1.0, 17)
+    with np.errstate(all="raise"):
+        got = pole_gaps([parse(expr), parse("z")], knots, side)
+    assert got.shape == (16,)
+    assert np.flatnonzero(got).tolist() == marked
+
+
+def test_pole_gaps_leaves_a_pole_within_rounding_of_a_knot():
+    # 0.3 lies 5.6e-17 below the knot 0.1 + 0.2: the probes next to the
+    # located zero see no growth or a masked denominator, so the sweep decides
+    knots = np.array([0.0, 0.1 + 0.2, 0.5])
+    assert not pole_gaps([parse("1/(z-0.3)")], knots, PLUS).any()
+    # one knot and no gap, with the factor zero on it
+    assert pole_gaps([parse("1/(z-0.3)")], np.array([0.3]), PLUS).shape == (0,)
 
 
 def test_parse_constant():

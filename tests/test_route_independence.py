@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from splitsurf import geometry, weierstrass
 from splitsurf.algebra import SplitComplex, splitc
 from splitsurf.geometry import forms_grid
-from splitsurf.holofn import MINUS, PLUS, integrate_sweep, parse
+from splitsurf.holofn import parse
 from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
 
 
@@ -28,8 +28,8 @@ def _per_node_routes(zg):
     def null_sweep(exprs, index, z0, tol):
         knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
                           for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
-        funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
-        sides = integrate_sweep(funs, knots, [int(i[-1]) for i in at], tol)
+        # the same cut at located poles, through the same helper, on knots from the grid itself
+        sides = weierstrass._sweep_to_poles(exprs, knots, [int(i[-1]) for i in at], tol)
         (fp, reach_p), (fq, reach_q) = ((v[:, i[:-1]].reshape((-1,) + zg.shape), r[i[:-1]].reshape(zg.shape))
                                         for (v, r), i in zip(sides, at))
         return [SplitComplex.from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q

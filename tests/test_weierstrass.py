@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from splitsurf import weierstrass
+from splitsurf import holofn, weierstrass
 from splitsurf.algebra import splitc
 from splitsurf.canonical import canonical_curvature_field
 from splitsurf.holofn import integrate_path, parse
@@ -231,6 +231,61 @@ def test_swept_components_take_one_engine_call(monkeypatch):
         patch = evaluate_surface(GeneratingData.general(parse(f), parse(g)), (-1.0, 1.0, -1.0, 1.0), (33, 33))
         assert len(calls) == 1
         assert int(patch.valid.sum()) == n_valid
+
+
+def _count_rounds(monkeypatch):
+    """A list that gets one entry per G7/K15 batch the sweep evaluates."""
+    rounds, panels = [], holofn._gk_panels
+    monkeypatch.setattr(holofn, "_gk_panels", lambda *a: rounds.append(1) or panels(*a))
+    return rounds
+
+
+@pytest.mark.parametrize("c, n, max_rounds", [(0.43125, 33, 4), (0.249995, 9, 2)])
+def test_located_pole_fails_its_gap_without_bisecting(monkeypatch, c, n, max_rounds):
+    # the pole lies inside a gap, a tenth of a step or 5e-6 from a lattice
+    # line: the sweep stops at it in a few rounds instead of bisecting
+    # toward it until the panel budget runs out (16 and 20 rounds)
+    rounds = _count_rounds(monkeypatch)
+    data = GeneratingData.general(parse("1"), parse("1/(z-%r)" % c))
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (n, n))
+    assert len(rounds) <= max_rounds
+    P, Q = _null_grid(patch)
+    assert np.array_equal(patch.valid, _segments_avoid(P, Q, c))
+    exact = _pole_patch_exact(c, P, Q)
+    assert np.max(np.abs(patch.points[patch.valid] - exact[patch.valid])) < 1e-9
+
+
+@pytest.mark.parametrize("f, g, n, max_rounds, n_valid", [
+    # poles fail their gaps at once
+    ("1", "(z-0.3)^-2", 17, 4, 289 - 174),
+    ("1/(z-0.3)", "z", 33, 4, 1089 - 669),
+    # removable zeros of a denominator: the sweep crosses the line
+    (None, "1/(z-0.3)", 17, 1, 289),
+    ("(z-0.3)^2", "1/(z-0.3)", 17, 1, 289),
+    # a branch point and poles off the real null lines: nothing to locate
+    ("1", "1/sqrt(z+0.5)", 33, 40, 1089 - 572),
+    ("1", "1/(z^2+0.01)", 33, 2, 1089),
+])
+def test_cut_at_located_poles_keeps_the_uncut_answer(monkeypatch, f, g, n, max_rounds, n_valid):
+    data = (GeneratingData.canonical(parse(g)) if f is None else GeneratingData.general(parse(f), parse(g)))
+    dom = (-1.0, 1.0, -1.0, 1.0)
+    rounds = _count_rounds(monkeypatch)
+    patch = evaluate_surface(data, dom, (n, n))
+    assert len(rounds) <= max_rounds
+    assert int(patch.valid.sum()) == n_valid
+    monkeypatch.setattr(weierstrass, "pole_gaps", lambda exprs, knots, side: np.zeros(len(knots) - 1, bool))
+    uncut = evaluate_surface(data, dom, (n, n))
+    assert np.array_equal(patch.valid, uncut.valid)
+    assert np.max(np.abs(patch.points[patch.valid] - uncut.points[patch.valid])) < 1e-12
+
+
+def test_base_point_boxed_in_by_poles_on_both_sides():
+    # poles at p, q = +-0.01 in the two gaps next to the base point 0: both
+    # sides cut to the origin knot, and only the base node is reachable
+    data = GeneratingData.general(parse("1"), parse("1/((z-0.01)*(z+0.01))"))
+    patch = evaluate_surface(data, (-1.0, 1.0, -1.0, 1.0), (17, 17))
+    assert np.flatnonzero(patch.valid).tolist() == [8 * 17 + 8]
+    assert np.array_equal(patch.points[8, 8], np.zeros(3))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
