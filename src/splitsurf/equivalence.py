@@ -223,17 +223,15 @@ def surfaces_coincide(
     data2: GeneratingData,
     domain: tuple[float, float, float, float],
     grid: tuple[int, int] = (41, 41),
-    tol: float = 1e-4,
-    gate: float = 0.1,
-    min_overlap: int = 9,
 ) -> CoincidenceResult:
     """Decide whether two datasets generate the same surface up to position.
 
     Both are brought to canonical parameters and their curvature fields are
     compared modulo the canonical gauge; equal fields identify the surface.
-    For a known fractional transform m, motion_witness(m) gives the motion.
+    The fields take the default gate of canonical_curvature_field and the
+    comparison its default tol and min_overlap.  For a known fractional
+    transform m, motion_witness(m) gives the motion.
     """
-    f1 = canonical_curvature_field(data1, domain, grid, gate=gate)
-    f2 = canonical_curvature_field(data2, domain, grid, gate=gate)
-    match = compare_curvature_fields(f1, f2, tol=tol, min_overlap=min_overlap)
+    match = compare_curvature_fields(canonical_curvature_field(data1, domain, grid),
+                                     canonical_curvature_field(data2, domain, grid))
     return CoincidenceResult(match.matched, match.gauge, match.discrepancy)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weierstrass import GeneratingData, SurfacePatch, curve_expressions, _eval_grid, _null_index, _part_re_im
+from .weierstrass import SurfacePatch, curve_expressions
 
 __all__ = [
     "FormsGrid",
@@ -80,16 +80,8 @@ def _resolve_method(patch: SurfacePatch) -> str:
 def _analytic_first(patch: SurfacePatch, second: bool = False):
     """(x_u, x_v) from the curve derivative, or (x_uu, x_uv) from its
     derivative when `second`, and the mask of nodes where they are finite."""
-    data: GeneratingData = patch.provenance
-    index = patch._index or _null_index(patch.zgrid(), data.base_point)
-    xu = np.empty(patch.points.shape)
-    xv = np.empty(patch.points.shape)
-    ok = np.ones(patch.shape, bool)
-    for k, e in enumerate(curve_expressions(data)):
-        vals, good = _eval_grid(e.derivative() if second else e, index)
-        xu[:, :, k], xv[:, :, k] = _part_re_im(vals, data.part)
-        ok &= good
-    return xu, xv, ok
+    exprs = curve_expressions(patch.provenance)
+    return patch._index.tangents([e.derivative() for e in exprs] if second else exprs, patch.provenance.part)
 
 
 def _fd_first(points, hu, hv):

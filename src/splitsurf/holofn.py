@@ -679,11 +679,10 @@ def _times(a, b):
 
 
 def _over(a, b):
-    """a scaled by 1/b for an invertible constant b; None otherwise."""
-    if b is None or b.degree > 0:
+    """a divided per null side by an invertible constant b; None otherwise."""
+    if b is None or b.degree > 0 or not b.coeff(0).is_invertible():
         return None
-    c = b.coeff(0)
-    return a.scale(splitc(1.0) / c) if bool(c.is_invertible()) else None
+    return DPoly(a.plus / b.plus[0], a.minus / b.minus[0])
 
 
 def poly_to_expr(poly: DPoly) -> HoloExpr:
@@ -721,10 +720,10 @@ def expr_to_poly(e: HoloExpr) -> DPoly | None:
         a = expr_to_poly(e.a)
         if a is None or a.degree > 0:
             return None
-        c = a.coeff(0)
-        if isinstance(e, Sqrt) and (c.p < 0.0 or c.q < 0.0):
+        if isinstance(e, Sqrt) and (a.plus[0] < 0.0 or a.minus[0] < 0.0):
             return None
-        out = DPoly.const(algebra.exp(c) if isinstance(e, Exp) else algebra.sqrt(c))
+        fn = np.exp if isinstance(e, Exp) else np.sqrt
+        out = DPoly(fn(a.plus[:1]), fn(a.minus[:1]))
     else:
         a = expr_to_poly(e.a)
         b = None if a is None else expr_to_poly(e.b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SplitComplex, from_null, splitc
+from .algebra import SplitComplex, splitc
 from .holofn import PLUS, MINUS, Const, HoloExpr, integrate_sweep, pole_gaps
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "SurfacePatch",
     "curve_expressions",
     "isotropy_defect",
-    "conformal_factor",
     "evaluate_surface",
 ]
 
@@ -84,19 +83,12 @@ def isotropy_defect(data: GeneratingData, z) -> SplitComplex:
     return -(p1 * p1) + p2 * p2 + p3 * p3
 
 
-def _part_re_im(values: SplitComplex, part: Part):
-    """(tangent-u, tangent-v) component pair of one curve coordinate."""
-    if part == Part.REAL:
-        return values.re, values.im
-    return values.im, values.re
-
-
-def conformal_factor(psi_vals, part: Part):
-    """Analytic E = <x_u, x_u>; the patch metric is E, F=0, G=-E."""
-    a1, _ = _part_re_im(psi_vals[0], part)
-    a2, _ = _part_re_im(psi_vals[1], part)
-    a3, _ = _part_re_im(psi_vals[2], part)
-    return -a1 * a1 + a2 * a2 + a3 * a3
+def _parts(a, b, part: Part):
+    """The selected part of from_null(a, b) and the other one: re = (a+b)/2,
+    im = (a-b)/2.  Of a curve derivative's null sides the pair is the
+    tangents (x_u, x_v) of the patch; of the curve's, the points come first."""
+    re, im = (a + b) / 2.0, (a - b) / 2.0
+    return (re, im) if part == Part.REAL else (im, re)
 
 
 @dataclass(frozen=True)
@@ -122,10 +114,6 @@ class SurfacePatch:
     def shape(self):
         return self.points.shape[:2]
 
-    def zgrid(self) -> SplitComplex:
-        U, V = np.meshgrid(self.us, self.vs, indexing="ij")
-        return SplitComplex(U, V)
-
     @classmethod
     def from_points(cls, us, vs, points) -> "SurfacePatch":
         points = np.asarray(points, float)
@@ -147,25 +135,28 @@ class _NullIndex:
         """expr's null components (e+, e-) at every node."""
         return tuple(expr.eval_null(k, side)[a] for side, k, a in zip((PLUS, MINUS), self.knots, self.at))
 
+    def tangents(self, exprs, part: Part):
+        """x_u and x_v of the selected part of the curve whose derivative has
+        the components exprs, at every node with the components on the last
+        axis, and the mask of nodes where both are finite."""
+        a, b = (np.stack(s, axis=-1) for s in zip(*map(self.sides, exprs)))
+        xu, xv = _parts(a, b, part)
+        return xu, xv, np.all(np.isfinite(xu) & np.isfinite(xv), axis=-1)
 
-def _null_index(zg: SplitComplex, z0: SplitComplex) -> _NullIndex:
+
+def _null_index(us, vs, z0: SplitComplex) -> _NullIndex:
     """Per side, the sorted distinct values of the node sums p = u+v (q = u-v)
     with the base point's appended, and every node's place among them."""
     knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
-                      for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
+                      for t, t0 in ((np.add.outer(us, vs), z0.p), (np.subtract.outer(us, vs), z0.q))))
     # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
     # the heap and raised a long-running process's peak RSS by about 1 MB
-    return _NullIndex(knots, np.stack([a[:-1].reshape(zg.shape) for a in at]))
-
-
-def _eval_grid(expr: HoloExpr, index: _NullIndex):
-    """Values of expr on a grid and the mask of nodes where they are finite."""
-    vals = from_null(*index.sides(expr))
-    return vals, np.isfinite(vals.re) & np.isfinite(vals.im)
+    return _NullIndex(knots, np.stack([a[:-1].reshape(len(us), len(vs)) for a in at]))
 
 
 def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
-    """Integrals of exprs from z0 to every node of the grid, and their common reachability.
+    """Per side, the integrals of exprs from z0 to every node, each with the
+    components on its last axis, and the nodes both sides reach.
 
     The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)): one sweep per
     side over the index's knots, up to the gaps with a located pole, on
@@ -173,8 +164,8 @@ def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
     """
     origins = [int(np.searchsorted(k, float(t0))) for k, t0 in zip(index.knots, (z0.p, z0.q))]
     sides = _sweep_to_poles(exprs, index.knots, origins, tol)
-    (fp, reach_p), (fq, reach_q) = ((v[:, a], r[a]) for (v, r), a in zip(sides, index.at))
-    return [from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
+    (fp, reach_p), (fq, reach_q) = ((v.T[a], r[a]) for (v, r), a in zip(sides, index.at))
+    return (fp, fq), reach_p & reach_q
 
 
 def _sweep_to_poles(exprs, knots, origins, tol):
@@ -231,31 +222,21 @@ def evaluate_surface(
         raise ValueError("domain must satisfy min < max per axis")
     us = np.linspace(u0, u1, n)
     vs = np.linspace(v0, v1, m)
-    U, V = np.meshgrid(us, vs, indexing="ij")
     z0 = data.base_point
-    index = _null_index(SplitComplex(U, V), z0)
+    index = _null_index(us, vs, z0)
 
     exprs = curve_expressions(data)
-    psi_vals = []
-    valid = np.ones((n, m), bool)
-    for e in exprs:
-        vals, ok = _eval_grid(e, index)
-        psi_vals.append(vals)
-        valid &= ok
-
-    # conformal factor: flags tangent-plane degeneracies without differencing,
-    # each node against its own tangent, so a huge E near a pole elsewhere
-    # cannot make regular nodes look degenerate
-    tangent = [_part_re_im(v, data.part)[0] for v in psi_vals]
+    xu, _, valid = index.tangents(exprs, data.part)
+    # conformal factor E = <x_u, x_u> (F = 0, G = -E): flags tangent-plane
+    # degeneracies without differencing, each node against its own tangent,
+    # so a huge E near a pole elsewhere cannot make regular nodes look degenerate
+    t0, t1, t2 = np.moveaxis(xu, -1, 0)
     with np.errstate(invalid="ignore"):
-        valid &= ~(
-            np.abs(conformal_factor(psi_vals, data.part))
-            <= _SING_EPS * (tangent[0] ** 2 + tangent[1] ** 2 + tangent[2] ** 2)
-        )
+        valid &= ~(np.abs(-t0 * t0 + t1 * t1 + t2 * t2) <= _SING_EPS * (t0**2 + t1**2 + t2**2))
 
-    integrals, ok = _null_sweep(exprs, index, z0, tol)
+    sides, ok = _null_sweep(exprs, index, z0, tol)
     valid &= ok
-    points = np.stack([_part_re_im(x, data.part)[0] for x in integrals], axis=-1)
+    points = _parts(*sides, data.part)[0]
     valid &= np.all(np.isfinite(points), axis=-1)
     points = np.where(valid[:, :, None], points, np.nan)
     return SurfacePatch(us, vs, points, valid, data, index)

@@ -243,7 +243,7 @@ def test_criterion_7_classification():
 def test_criterion_8_equivalent_pairs():
     d1 = GeneratingData.general(parse("1"), parse("z"))
     d2 = GeneratingData.general(parse("exp(z)"), parse("exp(z)"))
-    result = surfaces_coincide(d1, d2, (1.4, 2.9, -0.2, 0.2), grid=(31, 9), tol=1e-4)
+    result = surfaces_coincide(d1, d2, (1.4, 2.9, -0.2, 0.2), grid=(31, 9))
     ok = result.coincide and result.discrepancy < 1e-4
     _report(
         8,

@@ -2,10 +2,10 @@
 
 evaluate_surface and forms_grid evaluate every grid expression once per
 distinct value of p = u+v and q = u-v and gather the results to the nodes.
-The reference below is the per-node route they replaced: expr.eval on the
-whole grid, and a null sweep that sorts the grid itself.  Both routes do the
-same float operations per node, so every array must agree bit for bit,
-NaN masks included.
+The reference below is the per-node route they replaced: expr.eval_null on
+the node sums and differences of the whole grid, and a null sweep that sorts
+the grid itself.  Both routes do the same float operations per node, so
+every array must agree bit for bit, NaN masks included.
 """
 
 import numpy as np
@@ -16,25 +16,24 @@ from hypothesis import strategies as st
 from splitsurf import geometry, weierstrass
 from splitsurf.algebra import SplitComplex, splitc
 from splitsurf.geometry import forms_grid
-from splitsurf.holofn import parse
+from splitsurf.holofn import MINUS, PLUS, Const, parse
 from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
 
 
 def _per_node_routes(zg):
-    def eval_grid(expr, index):
-        vals = expr.eval(zg)
-        return vals, np.isfinite(vals.re) & np.isfinite(vals.im)
+    def sides(index, expr):
+        return expr.eval_null(zg.p, PLUS), expr.eval_null(zg.q, MINUS)
 
     def null_sweep(exprs, index, z0, tol):
         knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
                           for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
         # the same cut at located poles, through the same helper, on knots from the grid itself
-        sides = weierstrass._sweep_to_poles(exprs, knots, [int(i[-1]) for i in at], tol)
-        (fp, reach_p), (fq, reach_q) = ((v[:, i[:-1]].reshape((-1,) + zg.shape), r[i[:-1]].reshape(zg.shape))
-                                        for (v, r), i in zip(sides, at))
-        return [SplitComplex.from_null(a, b) for a, b in zip(fp, fq)], reach_p & reach_q
+        swept = weierstrass._sweep_to_poles(exprs, knots, [int(i[-1]) for i in at], tol)
+        (fp, reach_p), (fq, reach_q) = ((v.T[i[:-1]].reshape(zg.shape + (-1,)), r[i[:-1]].reshape(zg.shape))
+                                        for (v, r), i in zip(swept, at))
+        return (fp, fq), reach_p & reach_q
 
-    return eval_grid, null_sweep
+    return sides, null_sweep
 
 
 def _outputs(data, domain, grid):
@@ -96,12 +95,28 @@ def test_per_null_value_evaluation_equals_per_node_evaluation(case):
     got = _outputs(data, domain, grid)
     n, m = grid
     U, V = np.meshgrid(np.linspace(domain[0], domain[1], n), np.linspace(domain[2], domain[3], m), indexing="ij")
-    eval_grid, null_sweep = _per_node_routes(SplitComplex(U, V))
+    sides, null_sweep = _per_node_routes(SplitComplex(U, V))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weierstrass, "_eval_grid", eval_grid)
+        mp.setattr(weierstrass._NullIndex, "sides", sides)
         mp.setattr(weierstrass, "_null_sweep", null_sweep)
-        mp.setattr(geometry, "_eval_grid", eval_grid)
         expect = _outputs(data, domain, grid)
+    _assert_same_bytes(got, expect)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_cases())
+def test_imaginary_part_is_real_part_of_j_times_f(case):
+    # Im Psi(f, g) = Re Psi(J f, g): J f has the null sides (f+, -f-), and
+    # the real part of those is (f+ - f-)/2, the imaginary part of f's
+    data, domain, grid = case
+    assume(data.f is not None)
+    got = _outputs(GeneratingData.general(data.f, data.g, Part.IMAGINARY, data.base_point), domain, grid)
+    jf = GeneratingData.general(Const(splitc(0.0, 1.0)) * data.f, data.g, Part.REAL, data.base_point)
+    _assert_same_bytes(got, _outputs(jf, domain, grid))
+
+
+def _assert_same_bytes(got, expect):
     for name, value in expect.items():
         assert got[name].shape == value.shape, name
         assert got[name].tobytes() == value.tobytes(), name
