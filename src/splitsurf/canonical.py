@@ -22,7 +22,7 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from .algebra import sqrt as sc_sqrt
 from . import holofn
 from .holofn import PLUS, MINUS, Const, HoloExpr, Z
-from .weierstrass import GeneratingData, SurfacePatch, _NullIndex
+from .weierstrass import GeneratingData, SurfacePatch, _NullIndex, _null_index
 from .geometry import FormsGrid, forms_grid
 
 __all__ = [
@@ -106,23 +106,25 @@ _KNOTS = 32
 _NEWTON_TOL = 32 * np.finfo(float).eps
 
 
-def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: SplitComplex):
+def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: _NullIndex):
     """z with w0 + sign * int_{z0}^{z} sqrt(Phi) = w, Phi = f g', per null side.
 
     Each null side is a real problem from x0, its coordinate of z0, and the
     two run in lockstep: each tabulation pass and each Newton step is one
     integrate_sweep call with a problem per side.  The integral is tabulated
     on _KNOTS uniform knots per side of x0, and a side's span doubles until
-    the table covers every target or a gap of it fails.  Each distinct
-    target then takes Newton steps with the exact derivative sqrt(Phi),
-    bracketed by the table; a step that leaves the bracket or does not halve
-    the error bisects instead.  When a bracket shrinks to _NEWTON_TOL
-    relative width before its target converges, the last iterate is kept if
-    both ends are reachable; if an end lies beyond a failed gap, past a cone
-    exit Phi <= _CONE_EPS or a singularity, the target is NaN, as is a
-    non-finite target.  Returns the null sides of z, as a _NullIndex whose
-    knots are z+ at the distinct targets of w.p and z- at those of w.q, and
-    the larger side's |w(x) - w|, shaped like w.
+    the table covers every target or a gap of it fails.  Each target, a
+    knot of the index w of the w grid's null sides, then takes Newton steps
+    with the exact derivative sqrt(Phi), bracketed by the table and started
+    from the table's cubic Hermite interpolant with slopes 1/sqrt(Phi), which
+    keeps a target on a table knot at that knot; a step that leaves the
+    bracket or does not halve the error bisects instead.  When a bracket
+    shrinks to _NEWTON_TOL relative width before its target converges, the
+    last iterate is kept if both ends are reachable; if an end lies beyond a
+    failed gap, past a cone exit Phi <= _CONE_EPS or a singularity, the
+    target is NaN, as is a non-finite target.  Returns the null sides of z,
+    as a _NullIndex with w's places whose knots are z+ at w's p knots and z-
+    at its q knots, and the larger side's |w(x) - w| at every node.
     """
     def rate(x, side):
         val = np.broadcast_to(phi.eval_null(x, side), np.shape(x))
@@ -130,9 +132,9 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
 
     rates = [lambda x, side=side: rate(x, side) for side in (PLUS, MINUS)]
 
-    # the distinct targets of both sides in one array, the PLUS side first
+    # the targets of both sides in one array, the PLUS side first
     x0 = np.array([float(z0.p), float(z0.q)])
-    (tp, at_p), (tq, at_q) = (np.unique(np.asarray(t, float), return_inverse=True) for t in (w.p, w.q))
+    tp, tq = w.knots
     sd = np.repeat([PLUS, MINUS], [len(tp), len(tq)])
     y = sign * (np.concatenate([tp, tq]) - np.array([w0.p, w0.q])[sd])  # integral from x0 each target needs
     open_ = np.isfinite(y)
@@ -152,7 +154,8 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
                         for s in (PLUS, MINUS)])
     k_lo, k_hi = np.maximum(k - 1, 0), np.minimum(k, 2 * _KNOTS)
     lo, hi, lo_ok, hi_ok = knots[sd, k_lo], knots[sd, k_hi], ok[sd, k_lo], ok[sd, k_hi]
-    x = np.concatenate([np.interp(y[sd == s], table[s, ok[s]], knots[s, ok[s]]) for s in (PLUS, MINUS)])
+    x = np.concatenate([_hermite(y[sd == s], table[s, ok[s]], knots[s, ok[s]], 1.0 / rate(knots[s, ok[s]], s))
+                        for s in (PLUS, MINUS)])
     last = np.full(len(y), np.inf)
     out, res = np.full((2, len(y)), np.nan)
     while open_.any():
@@ -181,9 +184,26 @@ def _invert(phi: HoloExpr, z0: SplitComplex, w0: SplitComplex, sign: int, w: Spl
         out[i[done]] = xi[done]
         res[i[done]] = np.abs(err[done])
         open_[i[done | shut]] = False
-    p, q = at_p.reshape(np.shape(w.p)), at_q.reshape(np.shape(w.q))
     n = len(tp)
-    return _NullIndex((out[:n], out[n:]), (p, q)), np.maximum(res[p], res[n + q])[()]
+    return _NullIndex((out[:n], out[n:]), w.at), np.maximum(res[:n][w.at[0]], res[n:][w.at[1]])
+
+
+def _hermite(y, Y, X, M):
+    """x(y) on the cubic Hermite interpolant of the ascending table (Y, X)
+    with slopes dx/dy = M, clamped to the table's ends and to the interval
+    around y.  A y on a table knot gets that knot's x exactly; where a slope
+    is not finite, the linear interpolant stands in."""
+    linear = np.interp(y, Y, X)
+    if len(Y) < 2:
+        return linear
+    b = np.clip(np.searchsorted(Y, y), 1, len(Y) - 1)
+    a = b - 1
+    d = Y[b] - Y[a]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.clip((y - Y[a]) / d, 0.0, 1.0)
+        h = t * t * (3.0 - 2.0 * t)
+        x = np.clip((1.0 - h) * X[a] + h * X[b] + d * t * (1.0 - t) * ((1.0 - t) * M[a] - t * M[b]), X[a], X[b])
+    return np.where(np.isnan(x), linear, x)
 
 
 def canonicalize(
@@ -209,26 +229,12 @@ def canonicalize(
         raise ValueError("sign must be +1 or -1")
     w0 = SplitComplex._coerce(w0 if w0 is not None else splitc(0.0))
     z0 = SplitComplex._coerce(z0 if z0 is not None else w0)
-    u0, u1, v0, v1 = map(float, domain)
-    n, m = grid
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, m)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    wgrid = SplitComplex(U, V)
-
+    us, vs = _axes(domain, grid)
     phi = f * g.derivative()
     gamma = holofn.constant_value(phi)
     if gamma is not None:
-        return _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid)
-
-    try:
-        phi0 = phi.eval(z0)
-    except (ZeroDivisor, NoSquareRoot) as exc:
-        raise BranchError("f*g' not invertible at z0: %s" % exc) from exc
-    if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
-        raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
-
-    index, res = _invert(phi, z0, w0, sign, wgrid)
+        return _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs)
+    index, res = _quadrature_sides(phi, z0, w0, sign, us, vs)
     z = from_null(*(k[a] for k, a in zip(index.knots, index.at)))
     # z' = sign / sqrt(f g'(z)), exact per null side
     z_prime = from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
@@ -237,7 +243,24 @@ def canonicalize(
     )
 
 
-def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
+def _axes(domain, grid):
+    u0, u1, v0, v1 = map(float, domain)
+    return np.linspace(u0, u1, grid[0]), np.linspace(v0, v1, grid[1])
+
+
+def _quadrature_sides(phi, z0, w0, sign, us, vs):
+    """_invert over the null index of the grid us x vs with w0 as its base
+    point, after checking that Phi = f g' is in the square-root cone at z0."""
+    try:
+        phi0 = phi.eval(z0)
+    except (ZeroDivisor, NoSquareRoot) as exc:
+        raise BranchError("f*g' not invertible at z0: %s" % exc) from exc
+    if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
+        raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
+    return _invert(phi, z0, w0, sign, _null_index(us, vs, w0))
+
+
+def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs):
     if not (gamma.p > _CONE_EPS and gamma.q > _CONE_EPS):
         raise BranchError(
             "constant f*g' = %s is outside the sqrt-admissible cone" % gamma
@@ -245,6 +268,7 @@ def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs, wgrid):
     r = sc_sqrt(splitc(1.0) / gamma)
     r = r if sign > 0 else -r
     shift = z0 - r * w0
+    wgrid = SplitComplex(*np.meshgrid(us, vs, indexing="ij"))
     zvals = shift + r * wgrid
     zprime = SplitComplex(np.full(wgrid.shape, r.re), np.full(wgrid.shape, r.im))
     res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
@@ -285,28 +309,35 @@ def canonical_curvature_field(
 ) -> SampledField:
     """Gauss curvature in canonical parameters, K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4).
 
-    For canonical data the parameters are already canonical (z = w); general
-    pairs are canonicalized first, with z(w0) = data.base_point (w0 defaults
-    to the base point) on the branch sign +1.  Nodes within `gate` of the
-    blow-up locus 1 - |g|^2 = 0 are masked NaN.
+    For canonical data the parameters are already canonical (z = w), and
+    every factor is evaluated once per knot of the grid's null index
+    (weierstrass._null_index: on square steps the exact lattice p0 + k h)
+    and gathered to the nodes.  General pairs are canonicalized first, with
+    z(w0) = data.base_point (w0 defaults to the base point) on the branch
+    sign +1: the quadrature route inverts per knot as canonicalize does but
+    builds none of z, z', g~ or the residual, and a symbolically constant
+    f g' takes canonicalize's affine map.  Nodes within `gate` of the blow-up
+    locus 1 - |g|^2 = 0 are masked NaN.
     """
-    u0, u1, v0, v1 = map(float, domain)
-    n, m = grid
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, m)
+    us, vs = _axes(domain, grid)
+    gp = data.g.derivative()
+    exprs = (data.g, gp, data.f)
     if data.is_canonical:
-        K = curvature_callable(data, gate)
-        return SampledField(us, vs, K(*np.meshgrid(us, vs, indexing="ij")))
-    w0 = w0 if w0 is not None else data.base_point
-    index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
-    return SampledField(us, vs, _curvature_at((data.g, data.g.derivative(), data.f), index, gate))
+        return SampledField(us, vs, _curvature_at(exprs, _null_index(us, vs), gate))
+    w0 = SplitComplex._coerce(w0 if w0 is not None else data.base_point)
+    phi = data.f * gp
+    if holofn.constant_value(phi) is None:
+        index = _quadrature_sides(phi, data.base_point, w0, +1, us, vs)[0]
+    else:
+        index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
+    return SampledField(us, vs, _curvature_at(exprs, index, gate))
 
 
 def curvature_callable(data: GeneratingData, gate: float) -> Callable:
     """K(u, v) at z = u + vJ of data, as _curvature_at computes it; for
-    canonical data z is the canonical parameter.  Evaluated per node, since
-    sorting the nodes by null coordinate costs more than it saves on the
-    41^2 equivalence fields."""
+    canonical data z is the canonical parameter.  Evaluated per node, at the
+    null coordinates u + v and u - v of the arrays it is given, so it takes
+    any sample points, such as the shifted grids of a stencil."""
     exprs = (data.g, data.g.derivative(), data.f)
 
     def K(U, V):
@@ -519,6 +550,15 @@ class FieldMatch:
     overlap: int
 
 
+def _window_sums(x, rows, cols):
+    """Sums of x over the windows x[rows[0][k]:rows[1][k], cols[0][l]:cols[1][l]],
+    shaped (k, l), as box sums of one prefix-sum table."""
+    table = np.zeros((x.shape[0] + 1, x.shape[1] + 1))
+    table[1:, 1:] = x.cumsum(0).cumsum(1)
+    (r0, r1), (c0, c1) = rows, cols
+    return table[r1][:, c1] - table[r0][:, c1] - table[r1][:, c0] + table[r0][:, c0]
+
+
 def compare_curvature_fields(
     field1: SampledField,
     field2: SampledField,
@@ -538,13 +578,17 @@ def compare_curvature_fields(
 
     Masked FFT correlations (Padfield, IEEE TIP 2012) give every translation
     the RMS of K1 - K2 over its shared nodes, less a rounding margin: a lower
-    bound on its max discrepancy, kept as one map per eps.  The translation
-    with the least bound is evaluated exactly first; then only those whose
-    bound does not exceed the best discrepancy found, in increasing bound
-    order, in blocks that gather their shared nodes at once.  Every
-    translation that can win is evaluated, so the answer is the exhaustive
-    one.  Gauges off the lattice are not recovered.  Raises
-    InconclusiveOverlap when no translation qualifies.
+    bound on its max discrepancy, kept as one map per eps.  When neither
+    field misses a node, every node of an overlap is shared: the sums of
+    squares over the overlaps are box sums of a prefix-sum table, and only
+    the values take a transform; otherwise the masks and squares take one
+    too.  The translation with the least bound is evaluated exactly first,
+    on slices of the fields; then only those whose bound does not exceed the
+    best discrepancy found, in increasing bound order, in blocks that gather
+    their shared nodes at once.  Every translation that can win is
+    evaluated, so the answer is the exhaustive one.  Gauges off the lattice
+    are not recovered.  Raises InconclusiveOverlap when no translation
+    qualifies.
     """
     h = field1.h_u
     for other in (field1.h_v, field2.h_u, field2.h_v):
@@ -554,11 +598,13 @@ def compare_curvature_fields(
     vals1, vals2 = field1.values, field2.values
     (n1, m1), (n2, m2) = vals1.shape, vals2.shape
     shape = (n1 + n2 - 1, m1 + m2 - 1)
-    # entry k of a full correlation holds the index shift d = k - (n2 - 1)
+    # entry k of a full correlation holds the index shift d = k - (n2 - 1);
+    # field1's overlap with it is rows i0:i1, columns j0:j1
     shifts_u = np.arange(shape[0]) - (n2 - 1)
     shifts_v = np.arange(shape[1]) - (m2 - 1)
-    span_u = np.minimum(n1, n2 + shifts_u) - np.maximum(0, shifts_u)
-    span_v = np.minimum(m1, m2 + shifts_v) - np.maximum(0, shifts_v)
+    i0, i1 = np.maximum(0, shifts_u), np.minimum(n1, n2 + shifts_u)
+    j0, j1 = np.maximum(0, shifts_v), np.minimum(m1, m2 + shifts_v)
+    span_u, span_v = i1 - i0, j1 - j0
     nodes = np.outer(span_u, span_v).ravel()
     ok1, ok2 = np.isfinite(vals1), np.isfinite(vals2)
     holes = not (ok1.all() and ok2.all())
@@ -570,44 +616,65 @@ def compare_curvature_fields(
         # eps log2(N) |x|_2 |y|_1 per entry, and each term of the sum of squares
         # below has |x|_2 |y|_1 <= N (sum a^2 + sum b^2).  Errors measured on
         # fields spanning five decades stay below 1e-4 of this margin, so no
-        # bound exceeds the exact discrepancy.
+        # bound exceeds the exact discrepancy; a box sum errs far less.
         size = shape[0] * shape[1]
         margin = 4.0 * np.finfo(float).eps * np.log2(size) * size * (np.sum(a2) + np.sum(b2))
-        # One batched transform per field of its mask, square and value.
-        # Correlation with field2 is convolution with field2 reversed, whose
-        # spectrum is phase * conj(spec2); for eps = -1 it is with field2 itself.
-        s1, spec2 = np.fft.rfft2([ok1, a2, a], shape), np.fft.rfft2([ok2, b2, b], shape)
+        # One batched transform per field of its mask, square and value, or of
+        # its value alone.  Correlation with field2 is convolution with field2
+        # reversed, whose spectrum is phase * conj(spec2); for eps = -1 it is
+        # with field2 itself.
+        planes1, planes2 = ([ok1, a2, a], [ok2, b2, b]) if holes else ([a], [b])
+        s1, spec2 = np.fft.rfft2(planes1, shape), np.fft.rfft2(planes2, shape)
         phase = np.exp(-2j * np.pi * ((n2 - 1) * np.arange(shape[0]) % shape[0] / shape[0]))[:, None] * np.exp(
             -2j * np.pi * ((m2 - 1) * np.arange(spec2.shape[2]) % shape[1] / shape[1]))
-        for e, s2 in enumerate((phase * np.conj(spec2), spec2)):
-            # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
-            ssd[e] = np.fft.irfft2(s1[1] * s2[0] + s1[0] * s2[1] - 2.0 * s1[2] * s2[2], shape)
-            # without missing nodes every node of an overlap is shared
-            count[e] = np.rint(np.fft.irfft2(s1[0] * s2[0], shape)) if holes else nodes.reshape(shape)
-        del s1, spec2, s2
+        specs2 = (phase * np.conj(spec2), spec2)
+        if holes:
+            for e, s2 in enumerate(specs2):
+                # sum over shared nodes of (K1 - K2)^2 = sum a^2 m2 + sum m1 b^2 - 2 sum a b
+                ssd[e] = np.fft.irfft2(s1[1] * s2[0] + s1[0] * s2[1] - 2.0 * s1[2] * s2[2], shape)
+                count[e] = np.rint(np.fft.irfft2(s1[0] * s2[0], shape))
+        else:
+            # every node of an overlap is shared; field2's overlap is rows
+            # r0:r1, columns c0:c1, in its own orientation for eps = +1 and
+            # reversed for eps = -1
+            r0, r1, c0, c1 = i0 - shifts_u, i1 - shifts_u, j0 - shifts_v, j1 - shifts_v
+            squares1 = _window_sums(a2, (i0, i1), (j0, j1))
+            squares2 = (_window_sums(b2, (r0, r1), (c0, c1)), _window_sums(b2, (n2 - r1, n2 - r0), (m2 - c1, m2 - c0)))
+            for e, s2 in enumerate(specs2):
+                ssd[e] = squares1 + squares2[e] - 2.0 * np.fft.irfft2(s1[0] * s2[0], shape)
+            count[:] = nodes.reshape(shape)
+        del s1, spec2, specs2, s2
         qualify = (span_u >= axis_floor)[:, None] & (span_v >= axis_floor) & (count >= min_overlap)
         # a NaN sum (overflowing squares) counts as 0, so it is always
-        # evaluated; a translation that does not qualify gets a NaN bound
-        bound = np.where(qualify, np.sqrt(np.fmax(ssd - margin, 0.0) / count), np.nan).ravel()
+        # evaluated; a translation that does not qualify gets an infinite bound
+        bound = np.where(qualify, np.sqrt(np.fmax(ssd - margin, 0.0) / count), np.inf).ravel()
     if not qualify.any():
         raise InconclusiveOverlap("no gauge alignment shares %d valid nodes" % min_overlap)
-    # missing nodes as NaN; both orientations of field2 in one flat array
-    flat1 = np.where(ok1, vals1, np.nan).ravel()
-    flat2 = np.where(ok2, vals2, np.nan)
-    flat2 = np.concatenate([flat2.ravel(), flat2[::-1, ::-1].ravel()])
+    # missing nodes as NaN; both orientations of field2, also in one flat array
+    vals1 = np.where(ok1, vals1, np.nan)
+    vals2 = np.where(ok2, vals2, np.nan)
+    oriented2 = (vals2, vals2[::-1, ::-1])
+    flat1, flat2 = vals1.ravel(), np.concatenate([v.ravel() for v in oriented2])
     us2, vs2 = (field2.us, -field2.us[::-1]), (field2.vs, -field2.vs[::-1])
     best = None
 
     def evaluate(ks):
-        """Exact discrepancies of translations ks, gathered at once; keeps the least key."""
+        """Exact discrepancies of translations ks, sliced for one and gathered
+        at once for more; keeps the least key."""
         nonlocal best
         e, ku, kv = np.unravel_index(ks, count.shape)
         du, dv, sz = shifts_u[ku], shifts_v[kv], nodes[ks % nodes.size]
         i0, j0, starts = np.maximum(0, du), np.maximum(0, dv), np.cumsum(sz) - sz
-        r, c = np.divmod(np.arange(starts[-1] + sz[-1]) - np.repeat(starts, sz), np.repeat(span_v[kv], sz))
-        base1, base2 = i0 * m1 + j0, e * (n2 * m2) + (i0 - du) * m2 + j0 - dv
         with np.errstate(over="ignore"):
-            d = np.abs(flat1[r * m1 + c + np.repeat(base1, sz)] - flat2[r * m2 + c + np.repeat(base2, sz)])
+            if len(ks) == 1:
+                (top,), (left,), (bottom,), (right,) = i0, j0, i0 + span_u[ku], j0 + span_v[kv]
+                (su,), (sv,) = du, dv
+                d = np.abs(vals1[top:bottom, left:right] - oriented2[e[0]][top - su:bottom - su, left - sv:right - sv])
+                d = d.ravel()
+            else:
+                r, c = np.divmod(np.arange(starts[-1] + sz[-1]) - np.repeat(starts, sz), np.repeat(span_v[kv], sz))
+                base1, base2 = i0 * m1 + j0, e * (n2 * m2) + (i0 - du) * m2 + j0 - dv
+                d = np.abs(flat1[r * m1 + c + np.repeat(base1, sz)] - flat2[r * m2 + c + np.repeat(base2, sz)])
         disc = np.fmax.reduceat(d, starts)
         least = float(disc.min())
         if best is not None and least > best[0][0]:
@@ -621,11 +688,11 @@ def compare_curvature_fields(
                 shared = int(np.count_nonzero(~np.isnan(d[starts[t]:starts[t] + sz[t]])))
                 best = (key, FieldMatch(least < tol, CanonicalGauge(1 - 2 * int(e[t]), A, B), least, shared))
 
-    first = np.nanargmin(bound)
+    first = np.argmin(bound)
     evaluate(np.array([first]))
     # then, in bound order, every translation whose bound does not exceed the
     # best discrepancy, in blocks of at most 4096 gathered nodes (or one)
-    rest = np.flatnonzero(bound <= best[0][0])
+    rest = np.flatnonzero(qualify.ravel() & (bound <= best[0][0]))
     rest = rest[rest != first]
     rest = rest[np.argsort(bound[rest], kind="stable")]
     ends = np.cumsum(nodes[rest % nodes.size])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weierstrass import SurfacePatch, curve_expressions
+from .weierstrass import SurfacePatch, _square_steps, curve_expressions
 
 __all__ = [
     "FormsGrid",
@@ -73,8 +73,7 @@ def _resolve_method(patch: SurfacePatch) -> str:
         return "fd"
     # differenced second derivatives only keep the L = N cancellation
     # exact on square grid steps; otherwise stay fully analytic
-    square = abs(patch.h_u - patch.h_v) <= 1e-12 * max(patch.h_u, patch.h_v)
-    return "mixed" if square else "analytic"
+    return "mixed" if _square_steps(patch.h_u, patch.h_v) else "analytic"
 
 
 def _analytic_first(patch: SurfacePatch, second: bool = False):

@@ -932,18 +932,22 @@ def _factors(d):
 def pole_gaps(exprs, knots, side):
     """Which gaps between the ascending knots hold a pole of exprs' null
     components on side: a zero of a denominator factor (a sign change between
-    knots, bisected, or a zero on a knot, for both gaps next to it) where
+    knots, bisected, or a zero on a knot, for both gaps next to it, where a
+    zero within NULL_EPS max(1, |knot|) of a knot counts as on it) where
     max |expr| grows by more than r^(3/4) from delta1, half the distance to
     the nearer knot, to delta1 / r.  A pole of order 1 or more grows by r at
     least, a square-root branch point by r^(1/2), a removable zero not at
-    all; a NaN probe, as next to a pole within rounding of a knot, marks none.
+    all; a NaN probe marks none.
     """
     n_gaps = len(knots) - 1
     out, cands = np.zeros(n_gaps, bool), []
     with np.errstate(all="ignore"):
         for fac in {f for e in exprs for d in _denominators(e) for f in _factors(d)}:
             sign = np.sign(fac.eval_null(knots, side))
-            i, k = np.flatnonzero(sign[:-1] * sign[1:] < 0), np.flatnonzero(sign == 0)
+            # a zero within NULL_EPS max(1, |knot|) of a knot counts as on it
+            d = NULL_EPS * np.maximum(1.0, np.abs(knots))
+            on = (sign == 0) | (np.sign(fac.eval_null(knots - d, side)) * np.sign(fac.eval_null(knots + d, side)) < 0)
+            i, k = np.flatnonzero(sign[:-1] * sign[1:] < 0), np.flatnonzero(on)
             if not (i.size or k.size):
                 continue
             a, b = knots[i], knots[i + 1]

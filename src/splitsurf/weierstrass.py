@@ -144,14 +144,40 @@ class _NullIndex:
         return xu, xv, np.all(np.isfinite(xu) & np.isfinite(xv), axis=-1)
 
 
-def _null_index(us, vs, z0: SplitComplex) -> _NullIndex:
-    """Per side, the sorted distinct values of the node sums p = u+v (q = u-v)
-    with the base point's appended, and every node's place among them."""
-    knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
-                      for t, t0 in ((np.add.outer(us, vs), z0.p), (np.subtract.outer(us, vs), z0.q))))
+def _square_steps(h_u: float, h_v: float) -> bool:
+    """Whether two grid steps are equal to 1e-12 relative."""
+    return abs(h_u - h_v) <= 1e-12 * max(h_u, h_v)
+
+
+def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
+    """Per side, the sorted values of p = u+v (q = u-v) over the grid, with
+    the base point's inserted when one is given, and every node's place among
+    them.
+
+    On square steps they are the exact lattice p0 + k h, k = 0 .. n+m-2,
+    spaced evenly between the corner sums, and node (i, j) sits at k = i+j
+    on the p side and k = i-j+m-1 on the q side, so equal values of p share
+    one knot; a base point on a grid node keeps that node's float sums as
+    its knots, so the node is the base point bit for bit.  Other grids take
+    the distinct float sums u_i + v_j (u_i - v_j).
+    """
+    n, m = len(us), len(vs)
+    if n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0]):
+        values = (np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
+                  np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1))
+        i, j = np.ogrid[:n, :m]
+        slots = (i + j, i - j + (m - 1))
+        if z0 is not None and float(z0.re) in us and float(z0.im) in vs:
+            i0, j0 = np.searchsorted(us, float(z0.re)), np.searchsorted(vs, float(z0.im))
+            values[0][i0 + j0], values[1][i0 - j0 + m - 1] = z0.p, z0.q
+    else:
+        values = (np.add.outer(us, vs).ravel(), np.subtract.outer(us, vs).ravel())
+        slots = (np.arange(n * m).reshape(n, m),) * 2
+    base = ((), ()) if z0 is None else ((float(z0.p),), (float(z0.q),))
+    knots, at = zip(*(np.unique(np.append(t, t0), return_inverse=True) for t, t0 in zip(values, base)))
     # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
     # the heap and raised a long-running process's peak RSS by about 1 MB
-    return _NullIndex(knots, np.stack([a[:-1].reshape(len(us), len(vs)) for a in at]))
+    return _NullIndex(knots, np.stack([a[s] for a, s in zip(at, slots)]))
 
 
 def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
@@ -198,21 +224,23 @@ def evaluate_surface(
     """Sample the selected part of the integral curve over a rectangle.
 
     domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
-    Every grid expression is evaluated once per distinct value of p = u+v
-    and of q = u-v, from one index of the grid that the patch keeps.
+    Every grid expression is evaluated once per knot of the grid's null
+    index (_null_index: on square steps the exact lattice of p = u+v and
+    q = u-v, else their distinct float values), which the patch keeps.
     Every component goes through one integrate_sweep call: x(z) - x(z0) is
     from_null(F+(p) - F+(p0), F-(q) - F-(q0)), so each side is one problem
-    over the gaps between the sorted distinct grid values of p (or q) and p0
-    (or q0), whose panels all three components share.  tol bounds each
-    component's summed error estimate per gap.
+    over the gaps between the index's knots, p0 (or q0) among them, whose
+    panels all three components share.  tol bounds each component's summed
+    error estimate per gap.
 
     A node is valid when the integrand is finite there, its tangent plane
     does not degenerate (|E| > 1e-12 |x_u|^2, with the Euclidean length of
     the tangent x_u), and it is reachable: every gap between p0 and p, and
     between q0 and q, converged.  A gap fails at once where holofn.pole_gaps
-    locates a pole of the integrand; other singular gaps (a branch point, a
-    pole within rounding of a knot) fail by the panel budget or a non-finite
-    value.  Invalid nodes hold NaN instead of aborting the patch.
+    locates a pole of the integrand, also one within rounding of a knot;
+    other singular gaps (a branch point, a pole just beyond a knot) fail by
+    the panel budget or a non-finite value.  Invalid nodes hold NaN instead
+    of aborting the patch.
     """
     u0, u1, v0, v1 = map(float, domain)
     n, m = grid

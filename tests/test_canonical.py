@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from splitsurf import canonical, holofn
+from splitsurf import canonical, holofn, weierstrass
 from splitsurf.algebra import from_null, splitc
 from splitsurf.equivalence import surfaces_coincide
 from splitsurf.holofn import MINUS, PLUS, Add, Const, Div, Mul, Neg, Pow, Sub, Var, expr_to_poly, integrate_sweep, parse
@@ -22,7 +22,7 @@ from splitsurf.canonical import (
     compare_curvature_fields,
     verify_canonical_coefficients,
 )
-from splitsurf.weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
+from splitsurf.weierstrass import GeneratingData, Part, SurfacePatch, _NullIndex, evaluate_surface
 
 
 def enneper_K(U, V):
@@ -233,6 +233,45 @@ def test_canonical_route_evaluates_per_null_side(f, g, kw, finite):
         assert abs((Fraction(float(K[i, j])) - exact) / exact) <= 1e-14
 
 
+def _canonical_field_and_reference(g, domain, grid):
+    g = parse(g)
+    field = canonical_curvature_field(GeneratingData.canonical(g), domain, grid)
+    index = weierstrass._null_index(field.us, field.vs)
+    assert [len(k) for k in index.knots] == [sum(grid) - 1] * 2
+    gp = g.derivative()
+    expect = _per_node_curvature((g, gp, Const(splitc(1.0)) / gp), index, 0.1)
+    assert np.array_equal(np.isnan(field.values), np.isnan(expect))
+    assert 0 < int(np.isfinite(expect).sum()) < field.values.size
+    return field, expect, index
+
+
+@pytest.mark.parametrize("g, domain, grid", [
+    ("exp(0.5*z)+0.3*z", (-0.6, 0.2, -0.4, 0.4), (41, 41)),
+    ("sqrt(z+1.5)", (-1.0, 0.0, -0.3, 0.3), (21, 13)),
+])
+def test_canonical_field_matches_per_node_curvature_on_the_lattice(g, domain, grid):
+    field, expect, _ = _canonical_field_and_reference(g, domain, grid)
+    assert np.nanmax(np.abs(field.values - expect) / np.abs(expect)) <= 1e-14
+
+
+def test_canonical_field_across_pole_lines_matches_exact_arithmetic():
+    # the null lines p, q = 0.3 of the pole cross the domain; per node in
+    # (re, im) arithmetic K differs by 6e-14 there, so the values are checked
+    # against exact arithmetic at the lattice knots, the mask per node
+    g = "1/(z-0.3)"
+    field, _, index = _canonical_field_and_reference(g, (0.0, 0.8, -0.4, 0.4), (33, 33))
+    g = parse(g)
+    for (i, j), K in zip(np.argwhere(np.isfinite(field.values)), field.values[np.isfinite(field.values)]):
+        gs, gps = ([_exact_null(e, t[i, j], side) for side, t in zip((PLUS, MINUS), _node_knots(index))]
+                   for e in (g, g.derivative()))
+        exact = -16 * gps[0] ** 2 * gps[1] ** 2 / (1 - gs[0] * gs[1]) ** 4
+        assert abs((Fraction(float(K)) - exact) / exact) <= 1e-14
+
+
+def _node_knots(index):
+    return [k[a] for k, a in zip(index.knots, index.at)]
+
+
 @pytest.mark.parametrize("f1, g1, f2, g2, base, domain, grid", [
     ("1", REPARAM_G, "1.1", REPARAM_G.replace("z", "(1.1*z)"), 0.0, (0.0, 0.4, -0.2, 0.2), (41, 41)),
     ("1", "(0.8*z+(0.05+0.07J))", "1", "1.7*(0.8*z+(0.05+0.07J))", 0.0, (0.0, 0.4, -0.2, 0.2), (41, 41)),
@@ -310,7 +349,9 @@ def test_quadrature_route_non_finite_w_gives_nan():
     phi = parse("1") * parse("z^2/2").derivative()
 
     def z_at(w):
-        index, _ = canonical._invert(phi, res.z0, res.w0, +1, w)
+        # every value of w its own target
+        targets = _NullIndex(tuple(np.atleast_1d(t) for t in (w.p, w.q)), (..., ...))
+        index, _ = canonical._invert(phi, res.z0, res.w0, +1, targets)
         return from_null(*(k[a] for k, a in zip(index.knots, index.at)))
 
     for w in (splitc(np.nan, 0), splitc(np.inf, 0.1)):
@@ -638,6 +679,69 @@ def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
     match = compare_curvature_fields(field1, field2)
     assert match.matched and match.gauge.eps == 1
     assert abs(match.gauge.A - 0.025) < 1e-12 and match.gauge.B == 0.0
+
+
+# fields without a missing node: box sums of squares, one transform per field
+
+
+def _full_pairs():
+    rng = np.random.default_rng(21)
+    big = rng.normal(size=(40, 40))
+    huge = 1e160 * (1.0 + 0.1 * rng.normal(size=(30, 30)))
+    tile = np.tile(rng.integers(0, 2, size=(2, 3)).astype(float), (14, 14))
+    return {
+        "unrelated": (_field(rng.normal(size=(9, 14)), 0.1, -0.3), _field(rng.normal(size=(16, 5)), -0.2, 0.4)),
+        "unequal_shapes": (_field(big[4:11, 2:21], 0.0, 0.0), _field(big[0:16, 10:16], 0.0, 0.0)),
+        "reflected": (_field(big[:20, :20], 0.0, 0.0), _field(big[16:36, 15:35][::-1, ::-1].copy(), 0.0, 0.0)),
+        "overflowing_squares": (_field(huge[:14, :12], 0.0, 0.0), _field(huge[3:15, 2:16], 0.0, 0.0)),
+        "overflowing_differences": (_field(np.full((10, 10), 1e308), 0.0, 0.0),
+                                    _field(np.full((10, 10), -1e308), 9 * _H, 9 * _H)),
+        "integer_ties": (_field(tile[:12, :15], 0.0, 0.0), _field(tile[3:14, 1:9], 2 * _H, -_H)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_full_pairs()))
+def test_full_rectangles_take_box_sums_and_match_brute_force(monkeypatch, name):
+    field1, field2 = _full_pairs()[name]
+    assert np.isfinite(field1.values).all() and np.isfinite(field2.values).all()
+    calls, sums = [], canonical._window_sums
+    monkeypatch.setattr(canonical, "_window_sums", lambda *a: calls.append(1) or sums(*a))
+    for tol, min_overlap in ((1e-4, 9), (1e-6, 16)):
+        expected = brute_force_match(field1, field2, tol, min_overlap)
+        assert compare_curvature_fields(field1, field2, tol, min_overlap) == expected
+    assert len(calls) == 2 * 3
+
+
+def test_one_missing_node_takes_the_masked_transforms(monkeypatch):
+    field1, field2 = _full_pairs()["reflected"]
+    values = field2.values.copy()
+    values[5, 7] = np.nan
+    field2 = _field(values, 0.0, 0.0)
+    monkeypatch.setattr(canonical, "_window_sums", None)
+    match = compare_curvature_fields(field1, field2, tol=1e-12)
+    assert match == brute_force_match(field1, field2, tol=1e-12)
+    assert match.matched and match.gauge.eps == -1
+
+
+def test_full_rectangle_curvature_fields_match_brute_force():
+    # g = z keeps |1 - |g|^2| > 0.1 on [-0.4, 0.4]^2, so neither field has a
+    # missing node; (+1, 0.025, 0) and (-1, -0.025, 0) match to rounding
+    domain, grid = (-0.4, 0.4, -0.4, 0.4), (33, 33)
+    field1 = canonical_curvature_field(GeneratingData.canonical(parse("z")), domain, grid)
+    field2 = canonical_curvature_field(GeneratingData.canonical(parse("z+0.025")), domain, grid)
+    assert np.isfinite(field1.values).all() and np.isfinite(field2.values).all()
+    match = compare_curvature_fields(field1, field2)
+    assert match == brute_force_match(field1, field2)
+    assert match.matched and match.discrepancy < 1e-12 and match.overlap == 32 * 33
+    assert abs(abs(match.gauge.A) - 0.025) < 1e-12 and match.gauge.B == 0.0
+
+
+def test_window_sums_are_the_direct_sums():
+    x = np.random.default_rng(4).normal(size=(7, 9))
+    rows = (np.array([0, 2, 3, 6]), np.array([7, 5, 4, 7]))
+    cols = (np.array([0, 1, 8, 4, 2]), np.array([9, 3, 9, 6, 8]))
+    expect = [[x[r0:r1, c0:c1].sum() for c0, c1 in zip(*cols)] for r0, r1 in zip(*rows)]
+    assert np.max(np.abs(canonical._window_sums(x, rows, cols) - expect)) < 1e-12
 
 
 # fixed edge cases the random families never draw

@@ -256,7 +256,10 @@ def test_verify_pde_gate_masks_singular_nodes_only(capsys):
     field = canonical_curvature_field(data, (0.5, 0.9, -0.2, 0.2), (9, 9), gate=0.3)
     U, V = np.meshgrid(field.us, field.vs, indexing="ij")
     K = curvature_callable(data, 0.3)(U, V)
-    assert np.array_equal(K, field.values, equal_nan=True)
+    # the field evaluates at the exact null lattice, the callable at the
+    # float sums u + v and u - v: the same nodes to a few ulps
+    assert np.array_equal(np.isnan(K), np.isnan(field.values))
+    assert np.nanmax(np.abs(K - field.values) / np.abs(K)) <= 1e-14
     assert int(np.sum(np.isfinite(K))) == 79
     code, stdout, _ = run(
         capsys, "verify", "--canonical", "--g", "1/(z-0.3)", "--base", "0.7",

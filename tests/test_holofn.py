@@ -395,11 +395,17 @@ def test_pole_gaps_marks_the_gaps_of_located_poles(expr, side, marked):
     assert np.flatnonzero(got).tolist() == marked
 
 
-def test_pole_gaps_leaves_a_pole_within_rounding_of_a_knot():
-    # 0.3 lies 5.6e-17 below the knot 0.1 + 0.2: the probes next to the
-    # located zero see no growth or a masked denominator, so the sweep decides
+def test_pole_gaps_marks_a_pole_within_rounding_of_a_knot():
+    # 0.3 lies 5.6e-17 below the knot 0.1 + 0.2: the zero counts as on the
+    # knot, and both gaps next to it hold the pole
     knots = np.array([0.0, 0.1 + 0.2, 0.5])
-    assert not pole_gaps([parse("1/(z-0.3)")], knots, PLUS).any()
+    assert pole_gaps([parse("1/(z-0.3)")], knots, PLUS).tolist() == [True, True]
+    # and the lattice knot 0.30000000000000027, five ulps above the pole
+    knots = np.linspace(-2.0, 2.0, 161)
+    assert np.flatnonzero(pole_gaps([parse("1/(z-0.3)")], knots, PLUS)).tolist() == [91, 92]
+    # within NULL_EPS max(1, |knot|) = 1e-12 of the knot, on either side
+    for knot in (0.3 - 9e-13, 0.3 + 9e-13):
+        assert pole_gaps([parse("1/(z-0.3)")], np.array([0.0, knot, 0.5]), PLUS).tolist() == [True, True]
     # one knot and no gap, with the factor zero on it
     assert pole_gaps([parse("1/(z-0.3)")], np.array([0.3]), PLUS).shape == (0,)
 

@@ -1,11 +1,13 @@
 """Route independence: per-null-value grid evaluation against per-node evaluation.
 
 evaluate_surface and forms_grid evaluate every grid expression once per
-distinct value of p = u+v and q = u-v and gather the results to the nodes.
-The reference below is the per-node route they replaced: expr.eval_null on
-the node sums and differences of the whole grid, and a null sweep that sorts
-the grid itself.  Both routes do the same float operations per node, so
-every array must agree bit for bit, NaN masks included.
+knot of the grid's null index and gather the results to the nodes.  The
+reference below is the per-node route they replaced: expr.eval_null on the
+null coordinates of every node of the whole grid, and a null sweep that
+sorts them itself.  The node coordinates are the index's: the float sums
+u + v and u - v, or on square steps the exact lattice p0 + k h.  Both
+routes do the same float operations per node, so every array must agree
+bit for bit, NaN masks included.
 """
 
 import numpy as np
@@ -14,22 +16,22 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from splitsurf import geometry, weierstrass
-from splitsurf.algebra import SplitComplex, splitc
+from splitsurf.algebra import splitc
 from splitsurf.geometry import forms_grid
 from splitsurf.holofn import MINUS, PLUS, Const, parse
 from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
 
 
-def _per_node_routes(zg):
+def _per_node_routes(P, Q):
     def sides(index, expr):
-        return expr.eval_null(zg.p, PLUS), expr.eval_null(zg.q, MINUS)
+        return expr.eval_null(P, PLUS), expr.eval_null(Q, MINUS)
 
     def null_sweep(exprs, index, z0, tol):
         knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
-                          for t, t0 in ((zg.p, z0.p), (zg.q, z0.q))))
-        # the same cut at located poles, through the same helper, on knots from the grid itself
+                          for t, t0 in ((P, z0.p), (Q, z0.q))))
+        # the same cut at located poles, through the same helper, on knots from the nodes themselves
         swept = weierstrass._sweep_to_poles(exprs, knots, [int(i[-1]) for i in at], tol)
-        (fp, reach_p), (fq, reach_q) = ((v.T[i[:-1]].reshape(zg.shape + (-1,)), r[i[:-1]].reshape(zg.shape))
+        (fp, reach_p), (fq, reach_q) = ((v.T[i[:-1]].reshape(P.shape + (-1,)), r[i[:-1]].reshape(P.shape))
                                         for (v, r), i in zip(swept, at))
         return (fp, fq), reach_p & reach_q
 
@@ -63,7 +65,10 @@ def _cases(draw):
     n, m = draw(st.integers(3, 17)), draw(st.integers(3, 17))
     u0 = draw(st.floats(-1.0, 0.5))
     v0 = draw(st.floats(-1.0, 0.5))
-    domain = (u0, u0 + draw(st.floats(0.2, 1.5)), v0, v0 + draw(st.floats(0.2, 1.5)))
+    width = draw(st.floats(0.2, 1.5))
+    # square steps (the exact null lattice) or independent ones
+    height = draw(st.sampled_from([width * (m - 1) / (n - 1), draw(st.floats(0.2, 1.5))]))
+    domain = (u0, u0 + width, v0, v0 + height)
     us, vs = np.linspace(domain[0], domain[1], n), np.linspace(domain[2], domain[3], m)
     base = splitc(draw(st.sampled_from([0.0, 0.1, -0.2])), draw(st.sampled_from([0.0, 0.05])))
     # a real constant whose null lines p = c, q = c lie on grid nodes or between them
@@ -94,8 +99,8 @@ def test_per_null_value_evaluation_equals_per_node_evaluation(case):
     data, domain, grid = case
     got = _outputs(data, domain, grid)
     n, m = grid
-    U, V = np.meshgrid(np.linspace(domain[0], domain[1], n), np.linspace(domain[2], domain[3], m), indexing="ij")
-    sides, null_sweep = _per_node_routes(SplitComplex(U, V))
+    index = weierstrass._null_index(np.linspace(*domain[:2], n), np.linspace(*domain[2:], m), data.base_point)
+    sides, null_sweep = _per_node_routes(*(k[a] for k, a in zip(index.knots, index.at)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weierstrass._NullIndex, "sides", sides)
         mp.setattr(weierstrass, "_null_sweep", null_sweep)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsurf import holofn, weierstrass
 from splitsurf.algebra import splitc
@@ -262,6 +264,9 @@ def test_located_pole_fails_its_gap_without_bisecting(monkeypatch, c, n, max_rou
     # removable zeros of a denominator: the sweep crosses the line
     (None, "1/(z-0.3)", 17, 1, 289),
     ("(z-0.3)^2", "1/(z-0.3)", 17, 1, 289),
+    # a pole within rounding of the lattice knot 0.30000000000000027 counts
+    # as on it: both gaps next to the knot fail at once, not by bisection
+    ("exp(0.5*z)", "1/(z-0.3)", 81, 4, 6561 - 3994),
     # a branch point and poles off the real null lines: nothing to locate
     ("1", "1/sqrt(z+0.5)", 33, 40, 1089 - 572),
     ("1", "1/(z^2+0.01)", 33, 2, 1089),
@@ -322,3 +327,61 @@ def test_exp_poly_vertices_match_gauss_legendre(a, g, gpoly, n_valid):
     assert int(patch.valid.sum()) == n_valid
     exact = _exp_patch_exact(a, gpoly, patch.us, patch.vs)
     assert np.max(np.abs(patch.points[patch.valid] - exact[patch.valid])) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the null index of a grid
+# ---------------------------------------------------------------------------
+
+
+def _node_knots(index):
+    return [k[a] for k, a in zip(index.knots, index.at)]
+
+
+@pytest.mark.parametrize("n, m, domain", [(41, 41, (0.0, 0.4, -0.2, 0.2)), (101, 101, (-1.0, 1.0, -1.0, 1.0)),
+                                          (21, 13, (-0.6, 0.4, -0.3, 0.3))])
+def test_square_grid_takes_the_exact_lattice(n, m, domain):
+    us, vs = np.linspace(*domain[:2], n), np.linspace(*domain[2:], m)
+    i, j = np.ogrid[:n, :m]
+    slots = (i + j, i - j + m - 1)
+    lattice = (np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
+               np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1))
+    # n + m - 1 knots per side, and a base point off the lattice one more
+    index = weierstrass._null_index(us, vs, splitc(0.0123, 0.0456))
+    for knots, nodes, values, k in zip(index.knots, _node_knots(index), lattice, slots):
+        assert len(knots) == n + m and np.all(np.diff(knots) > 0)
+        assert np.array_equal(nodes, values[k])
+    # a base point on a node keeps that node's float sums as its knots
+    base = splitc(us[3], vs[2])
+    index = weierstrass._null_index(us, vs, base)
+    assert [len(k) for k in index.knots] == [n + m - 1] * 2
+    for nodes, values, k, t0 in zip(_node_knots(index), lattice, slots, (base.p, base.q)):
+        assert nodes[3, 2] == t0
+        assert np.array_equal(nodes[k != k[3, 2]], values[k][k != k[3, 2]])
+
+
+def test_unequal_steps_keep_the_float_sums():
+    us, vs = np.linspace(-1.0, 1.0, 17), np.linspace(-0.5, 0.7, 9)
+    base = splitc(0.1, 0.05)
+    index = weierstrass._null_index(us, vs, base)
+    for knots, sums, t0 in zip(index.knots, (np.add.outer(us, vs), np.subtract.outer(us, vs)), (base.p, base.q)):
+        assert np.array_equal(knots, np.unique(np.append(sums, t0)))
+    P, Q = _node_knots(index)
+    assert np.array_equal(P, np.add.outer(us, vs)) and np.array_equal(Q, np.subtract.outer(us, vs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 120), st.integers(3, 120), st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 40))
+def test_lattice_knots_lie_within_rounding_of_the_float_sums(n, m, a, b, w):
+    # decimal domains with square steps, as a user types them
+    u0, v0, width = a / 10, b / 10, w / 10
+    us, vs = np.linspace(u0, u0 + width, n), np.linspace(v0, v0 + width * (m - 1) / (n - 1), m)
+    index = weierstrass._null_index(us, vs)
+    assert [len(k) for k in index.knots] == [n + m - 1] * 2
+    P, Q = _node_knots(index)
+    # each coordinate carries linspace's rounding at the domain's scale, and
+    # so do the float sums and the knots: they agree to a few of its ulps
+    ulp = np.spacing(np.abs(us[[0, -1]]).sum() + np.abs(vs[[0, -1]]).sum())
+    assert np.max(np.abs(P - np.add.outer(us, vs))) <= 8 * ulp
+    assert np.max(np.abs(Q - np.subtract.outer(us, vs))) <= 8 * ulp
+
