@@ -49,7 +49,7 @@ print("\n=== the curvature PDE ===")
 # timelike curvature fields in canonical parameters
 K = lambda u, v: -16.0 / (1.0 - (u**2 - v**2)) ** 4
 us = np.linspace(-0.6, 0.6, 25)
-resid = canonical_pde_residual(K, sign="negative", h=1e-3, us=us, vs=us)
+resid = canonical_pde_residual(K, us=us, vs=us)
 print("max residual for the Enneper curvature field:", np.nanmax(np.abs(resid.values)))
-flat = canonical_pde_residual(lambda u, v: -4.0 + 0 * u, sign="negative", h=1e-3, us=us[:5], vs=us[:5])
+flat = canonical_pde_residual(lambda u, v: -4.0 + 0 * u, us=us[:5], vs=us[:5])
 print("a constant field fails it by -2 sqrt(-K):", flat.values[2, 2])

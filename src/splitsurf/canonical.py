@@ -5,7 +5,10 @@ decouples in null coordinates, so with Phi = f g' this is two independent
 real problems, s(p) = s0 +- int_{p0}^{p} sqrt(Phi_plus) and
 t(q) = t0 +- int_{q0}^{q} sqrt(Phi_minus): each null side of z(w) is the
 inverse of a quadrature, tabulated with holofn.integrate_sweep and inverted
-by bracketed Newton steps.  A constant f g' gives an affine z(w) instead.
+by bracketed Newton steps; a symbolically constant f g' gives the affine
+z+- = z0+- + z'+- (s - w0+-) instead.  Both routes yield z's null sides at
+the knots of the w grid's null index (_z_sides), from which canonicalize and
+canonical_curvature_field evaluate whatever they need once per knot.
 Verification utilities check the canonical coefficient shapes and the PDE
 (ln sqrt(-+K))_uu - (ln sqrt(-+K))_vv = 2 sqrt(-+K) that the curvature of a
 minimal timelike surface satisfies in canonical parameters.
@@ -64,11 +67,12 @@ class CanonicalizationResult:
 
     g_tilde_expr is symbolic exactly when z(w) is affine (f*g' a symbolic
     constant); otherwise the transported function is available as samples
-    only.  residual is |(z')^2 f g' - 1| on the affine route and the
-    inversion residual |s(z(w)) - w| of the larger null side otherwise; it
-    and z are NaN at nodes the quadrature cannot reach.  The inversion
-    residual is bounded by construction (see _NEWTON_TOL); the accuracy of
-    z is set by integrate_sweep's 1e-10 absolute tolerance on s.
+    only.  _index holds z's null sides at the knots of the w grid's null
+    index on both routes.  residual is that of the larger null side: on the
+    affine route |(z')^2 f g' - 1|, otherwise the inversion residual
+    |s(z(w)) - w|; it and z are NaN at nodes the quadrature cannot reach.
+    The inversion residual is bounded by construction (see _NEWTON_TOL); the
+    accuracy of z is set by integrate_sweep's 1e-10 absolute tolerance on s.
     """
 
     us: np.ndarray
@@ -82,7 +86,7 @@ class CanonicalizationResult:
     g_tilde_expr: HoloExpr | None
     residual: np.ndarray
     affine: bool
-    _index: _NullIndex  # the null sides of z_values, for per-side evaluation
+    _index: _NullIndex  # z's null sides at the w grid's knots, for per-side evaluation
 
     @property
     def max_residual(self) -> float:
@@ -220,10 +224,12 @@ def canonicalize(
     The sampled map z(w) and g~(w) = g(z(w)) are returned on the requested
     grid; w0 may lie outside the rectangle.  sign selects the branch
     z' = sign / sqrt(f g'); both choices differ by a canonical-parameter
-    gauge.  A symbolically constant f g' gives the affine map; otherwise
-    each null side is the inverse of a quadrature (_invert), and z is
-    NaN at the nodes that side cannot reach.  Raises BranchError when
-    f g'(z0) is outside the square-root cone, or a constant f g' is.
+    gauge.  z's null sides come from _z_sides at the knots of the w grid's
+    null index: an affine map when f g' is a symbolic constant, with the
+    symbolic g~ = g(z0 - z' w0 + z' w); otherwise the inverse of a
+    quadrature per side (_invert), NaN at the nodes that side cannot reach.
+    Raises BranchError when f g'(z0) is outside the square-root cone, or an
+    affine map fails its residual check.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -231,15 +237,13 @@ def canonicalize(
     z0 = SplitComplex._coerce(z0 if z0 is not None else w0)
     us, vs = _axes(domain, grid)
     phi = f * g.derivative()
-    gamma = holofn.constant_value(phi)
-    if gamma is not None:
-        return _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs)
-    index, res = _quadrature_sides(phi, z0, w0, sign, us, vs)
+    index, res, r = _z_sides(phi, z0, w0, sign, us, vs)
     z = from_null(*(k[a] for k, a in zip(index.knots, index.at)))
     # z' = sign / sqrt(f g'(z)), exact per null side
     z_prime = from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
+    g_tilde = None if r is None else g.subs(Const(z0 - r * w0) + Const(r) * Z)
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, z, z_prime, from_null(*index.sides(g)), None, res, False, index,
+        us, vs, w0, z0, sign, z, z_prime, from_null(*index.sides(g)), g_tilde, res, r is not None, index,
     )
 
 
@@ -248,36 +252,36 @@ def _axes(domain, grid):
     return np.linspace(u0, u1, grid[0]), np.linspace(v0, v1, grid[1])
 
 
-def _quadrature_sides(phi, z0, w0, sign, us, vs):
-    """_invert over the null index of the grid us x vs with w0 as its base
-    point, after checking that Phi = f g' is in the square-root cone at z0."""
+def _z_sides(phi, z0, w0, sign, us, vs):
+    """z's null sides on the null index of the grid us x vs with w0 as its
+    base point, the residual at every node, and the constant z' of an affine
+    map (None otherwise), after checking that Phi = f g' is in the
+    square-root cone at z0.
+
+    A symbolically constant Phi gives z+- = z0+- + z'+- (s - w0+-) at each
+    knot s, with z' = sign sqrt(1/Phi), and the residual |z'^2 Phi(z) - 1|
+    of the larger side, which must not exceed 1e-8.  Any other Phi goes to
+    _invert.
+    """
     try:
         phi0 = phi.eval(z0)
     except (ZeroDivisor, NoSquareRoot) as exc:
         raise BranchError("f*g' not invertible at z0: %s" % exc) from exc
     if not (phi0.p > _CONE_EPS and phi0.q > _CONE_EPS):
         raise BranchError("f*g'(z0) = %s is outside the sqrt-admissible cone" % phi0)
-    return _invert(phi, z0, w0, sign, _null_index(us, vs, w0))
-
-
-def _canonicalize_affine(f, g, phi, gamma, w0, z0, sign, us, vs):
-    if not (gamma.p > _CONE_EPS and gamma.q > _CONE_EPS):
-        raise BranchError(
-            "constant f*g' = %s is outside the sqrt-admissible cone" % gamma
-        )
+    w = _null_index(us, vs, w0)
+    gamma = holofn.constant_value(phi)
+    if gamma is None:
+        return (*_invert(phi, z0, w0, sign, w), None)
     r = sc_sqrt(splitc(1.0) / gamma)
     r = r if sign > 0 else -r
-    shift = z0 - r * w0
-    wgrid = SplitComplex(*np.meshgrid(us, vs, indexing="ij"))
-    zvals = shift + r * wgrid
-    zprime = SplitComplex(np.full(wgrid.shape, r.re), np.full(wgrid.shape, r.im))
-    res = ((zprime * zprime) * phi.eval(zvals) - 1.0).mag
+    slopes = (r.p, r.q)
+    z = _NullIndex(tuple(x0 + c * (k - t0) for k, x0, c, t0 in zip(w.knots, (z0.p, z0.q), slopes, (w0.p, w0.q))),
+                   w.at)
+    res = np.maximum(*(np.abs(c * c * v - 1.0) for c, v in zip(slopes, z.sides(phi))))
     if np.nanmax(res) > 1e-8:
         raise BranchError("affine solution rejected by the residual check")
-    return CanonicalizationResult(
-        us, vs, w0, z0, sign, zvals, zprime, g.eval(zvals), g.subs(Const(shift) + Const(r) * Z),
-        res, True, _NullIndex((zvals.p, zvals.q), (..., ...)),
-    )
+    return z, res, r
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +316,12 @@ def canonical_curvature_field(
     For canonical data the parameters are already canonical (z = w), and
     every factor is evaluated once per knot of the grid's null index
     (weierstrass._null_index: on square steps the exact lattice p0 + k h)
-    and gathered to the nodes.  General pairs are canonicalized first, with
-    z(w0) = data.base_point (w0 defaults to the base point) on the branch
-    sign +1: the quadrature route inverts per knot as canonicalize does but
-    builds none of z, z', g~ or the residual, and a symbolically constant
-    f g' takes canonicalize's affine map.  Nodes within `gate` of the blow-up
-    locus 1 - |g|^2 = 0 are masked NaN.
+    and gathered to the nodes.  For a general pair the factors are evaluated
+    once per knot of z's null sides, from the same _z_sides call that
+    canonicalize makes, with z(w0) = data.base_point (w0 defaults to the
+    base point) on the branch sign +1; neither route builds z, z' or g~ per
+    node.  Nodes within `gate` of the blow-up locus 1 - |g|^2 = 0 are masked
+    NaN.
     """
     us, vs = _axes(domain, grid)
     gp = data.g.derivative()
@@ -325,11 +329,7 @@ def canonical_curvature_field(
     if data.is_canonical:
         return SampledField(us, vs, _curvature_at(exprs, _null_index(us, vs), gate))
     w0 = SplitComplex._coerce(w0 if w0 is not None else data.base_point)
-    phi = data.f * gp
-    if holofn.constant_value(phi) is None:
-        index = _quadrature_sides(phi, data.base_point, w0, +1, us, vs)[0]
-    else:
-        index = canonicalize(data.f, data.g, w0=w0, z0=data.base_point, domain=domain, grid=grid)._index
+    index = _z_sides(data.f * gp, data.base_point, w0, +1, us, vs)[0]
     return SampledField(us, vs, _curvature_at(exprs, index, gate))
 
 
@@ -439,21 +439,15 @@ def verify_canonical_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def canonical_pde_residual(
-    K,
-    sign: str = "auto",
-    h: float = 1e-3,
-    *,
-    us: np.ndarray,
-    vs: np.ndarray,
-) -> SampledField:
-    """Residual of (ln sqrt(s*K))_uu - (ln sqrt(s*K))_vv - 2 sqrt(s*K), s = -+1.
+def canonical_pde_residual(K, *, us: np.ndarray, vs: np.ndarray) -> SampledField:
+    """Residual of (ln sqrt(s*K))_uu - (ln sqrt(s*K))_vv - 2 sqrt(s*K) per
+    node, with s = -1 (the K < 0 equation) where K < 0 and s = +1 elsewhere.
 
     K is a callable K(u, v), sampled on us x vs by five-point central stencils
-    of spacing h; sign "negative" checks the K < 0 equation, "positive" the
-    K > 0 one, "auto" picks per node.  A residual near 1e-9 at h = 1e-3 is
-    rounding noise (the stencil scales it by 64 / (12 h^2)), not truncation.
+    of spacing h = 1e-3.  A residual near 1e-9 is rounding noise (the stencil
+    scales it by 64 / (12 h^2)), not truncation.
     """
+    h = 1e-3
     us = np.asarray(us, float)
     vs = np.asarray(vs, float)
     U, V = np.meshgrid(us, vs, indexing="ij")
@@ -471,22 +465,12 @@ def canonical_pde_residual(
         )
 
     k0 = np.asarray(K(U, V), float)
-    s = _branch_sign(k0, sign)
+    s = np.where(k0 < 0.0, -1.0, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         m0 = m_of(k0)
         ok = (s * k0) > 0.0
         resid = second(True) - second(False) - 2.0 * np.sqrt(np.where(ok, s * k0, np.nan))
     return SampledField(us, vs, np.where(ok, resid, np.nan))
-
-
-def _branch_sign(k0, sign):
-    if sign == "negative":
-        return -1.0
-    if sign == "positive":
-        return +1.0
-    if sign == "auto":
-        return np.where(k0 < 0.0, -1.0, 1.0)
-    raise ValueError("sign must be negative, positive or auto")
 
 
 # ---------------------------------------------------------------------------

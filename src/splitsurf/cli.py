@@ -175,7 +175,8 @@ def _bad_csv_line(fh, cols):
 
 
 def read_csv_patch(path: str) -> SurfacePatch:
-    """Patch from a CSV with columns u,v,x1,x2,x3 among others; rows in any order, missing nodes NaN."""
+    """Patch from a CSV with columns u,v,x1,x2,x3 among others; rows in any order, missing nodes NaN.
+    Each axis must be evenly spaced, so a missing node is a row with nan x1,x2,x3."""
     with open(path) as fh:
         header = [name.strip() for name in fh.readline().split(",")]
         missing = [name for name in _CSV_REQUIRED if name not in header]
@@ -192,6 +193,12 @@ def read_csv_patch(path: str) -> SurfacePatch:
     if not np.all(np.isfinite(table[:, :2])):
         raise DomainError("%s: u and v must be finite on every row" % path)
     (us, iu), (vs, iv) = (np.unique(table[:, k], return_inverse=True) for k in (0, 1))
+    # the fd stencils of forms_grid take one step per axis
+    for name, axis in (("u", us), ("v", vs)):
+        steps = np.diff(axis)
+        if steps.size and np.max(np.abs(steps - steps.mean())) > 1e-6 * steps.mean():
+            raise DomainError("%s: the %s axis is unevenly spaced (steps %.6g to %.6g); write a missing node "
+                              "as a row with nan x1,x2,x3 coordinates" % (path, name, steps.min(), steps.max()))
     points = np.full((len(us), len(vs), 3), np.nan)
     points[iu, iv] = table[:, 2:]
     return SurfacePatch.from_points(us, vs, points)
@@ -304,11 +311,7 @@ def cmd_verify(args) -> int:
         gates["canonical_coefficients"] = dict(
             rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
         )
-        resid = canonical_pde_residual(
-            curvature_callable(data, args.pde_gate),
-            sign="auto", h=1e-3,
-            us=patch.us, vs=patch.vs,
-        )
+        resid = canonical_pde_residual(curvature_callable(data, args.pde_gate), us=patch.us, vs=patch.vs)
         if np.any(np.isfinite(resid.values)):
             max_resid = float(np.nanmax(np.abs(resid.values)))
             gates["curvature_pde"] = {

@@ -123,7 +123,7 @@ def test_criterion_4_curvature_pde():
     def K_enneper(U, V):
         return -16.0 / (1.0 - (U**2 - V**2)) ** 4
 
-    res1 = canonical_pde_residual(K_enneper, sign="negative", h=1e-3, us=us, vs=vs)
+    res1 = canonical_pde_residual(K_enneper, us=us, vs=vs)
     gate1 = np.abs(1.0 - (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
     worst1 = float(np.nanmax(np.abs(np.where(gate1, res1.values, np.nan))))
 
@@ -132,7 +132,7 @@ def test_criterion_4_curvature_pde():
     def K_family(U, V):
         return -16.0 * beta**2 / (1.0 - beta * (U**2 - V**2)) ** 4
 
-    res2 = canonical_pde_residual(K_family, sign="negative", h=1e-3, us=us, vs=vs)
+    res2 = canonical_pde_residual(K_family, us=us, vs=vs)
     gate2 = np.abs(1.0 - beta * (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
     worst2 = float(np.nanmax(np.abs(np.where(gate2, res2.values, np.nan))))
     ok = worst1 < 1e-5 and worst2 < 1e-5

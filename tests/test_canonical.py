@@ -194,12 +194,15 @@ def _exact_null(e, t, side):
     return op(_exact_null(e.a, t, side), _exact_null(e.b, t, side))
 
 
-# the cone exit, and (1, g) against its reparametrization (a, g(a w)) at 41^2
+# the cone exit, (1, g) against its reparametrization (a, g(a w)) at 41^2,
+# and on the affine route the bench's scaled linear g off a non-square grid
 REPARAM_G = "(z^2+1.0*z+(-0.2+0.1J))"
 CANONICAL_ROUTE_CASES = [
     ("1", "z^2/2", CONE_EXIT, 243),
     ("1", REPARAM_G, dict(domain=(0.0, 0.4, -0.2, 0.2), grid=(41, 41)), 1681),
     ("1.1", REPARAM_G.replace("z", "(1.1*z)"), dict(domain=(0.0, 0.4, -0.2, 0.2), grid=(41, 41)), 1681),
+    ("1", "1.7*(0.8*z+(0.05+0.07J))", dict(w0=splitc(0.1, -0.05), z0=splitc(0.2, 0.1),
+                                          domain=(0.0, 0.4, -0.2, 0.2), grid=(21, 13)), 273),
 ]
 
 
@@ -392,7 +395,7 @@ def test_non_canonical_patch_flagged():
 def test_pde_residual_enneper():
     us = np.linspace(-0.8, 0.8, 33)
     vs = np.linspace(-0.8, 0.8, 33)
-    res = canonical_pde_residual(enneper_K, sign="negative", h=1e-3, us=us, vs=vs)
+    res = canonical_pde_residual(enneper_K, us=us, vs=vs)
     gate = np.abs(1.0 - (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
     assert np.nanmax(np.abs(np.where(gate, res.values, np.nan))) < 1e-5
 
@@ -404,14 +407,14 @@ def test_pde_residual_linear_family():
     K = lambda U, V: -16.0 * beta**2 / (1.0 - beta * (U**2 - V**2)) ** 4
     us = np.linspace(-0.8, 0.8, 21)
     vs = np.linspace(-0.8, 0.8, 21)
-    res = canonical_pde_residual(K, sign="negative", h=1e-3, us=us, vs=vs)
+    res = canonical_pde_residual(K, us=us, vs=vs)
     gate = np.abs(1.0 - beta * (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
     assert np.nanmax(np.abs(np.where(gate, res.values, np.nan))) < 1e-5
 
 
 def test_pde_residual_constant_field_flags_nonminimal():
     us = np.linspace(-0.2, 0.2, 5)
-    res = canonical_pde_residual(lambda U, V: -4.0 + 0.0 * U, sign="negative", h=1e-3, us=us, vs=us)
+    res = canonical_pde_residual(lambda U, V: -4.0 + 0.0 * U, us=us, vs=us)
     # derivatives vanish so the residual is exactly -2 sqrt(-K) = -4
     assert np.allclose(res.values, -4.0)
 
@@ -442,10 +445,8 @@ def test_gauge_composition_law():
 def test_gauge_invariance_of_pde_residual():
     # exactly symmetric nodes, so the reflected grid is the same grid reversed
     us = np.arange(-10, 11) * 0.05
-    before = canonical_pde_residual(enneper_K, sign="negative", h=1e-3, us=us, vs=us)
-    after = canonical_pde_residual(
-        apply_gauge(CanonicalGauge(eps=-1), enneper_K), sign="negative", h=1e-3, us=us, vs=us
-    )
+    before = canonical_pde_residual(enneper_K, us=us, vs=us)
+    after = canonical_pde_residual(apply_gauge(CanonicalGauge(eps=-1), enneper_K), us=us, vs=us)
     # identical up to node reindexing; the reflection reverses the stencil's
     # summation order, and the stencil scales rounding by about 64 / (12 h^2)
     assert np.array_equal(np.isnan(after.values), np.isnan(before.values[::-1, ::-1]))

@@ -561,8 +561,9 @@ def test_read_csv_any_row_order_missing_row_extra_columns_crlf(tmp_path):
         ("u,v,x1,x2\n0,0,1,2\n", "x3"),
         ("u,v,x1,x2,x3\n\n", "no data rows"),
         ("u,v,x1,x2,x3\n0,0,1,2,3\nnan,1,1,2,4\n", "finite"),
+        ("".join(["u,v,x1,x2,x3\n"] + ["%g,%g,1,2,3\n" % (u, v) for u in (0, 0.1, 0.3) for v in (0, 0.1)]), "u axis"),
     ],
-    ids=["ragged_row", "unparsable_value", "missing_column", "no_data_rows", "nan_coordinate"],
+    ids=["ragged_row", "unparsable_value", "missing_column", "no_data_rows", "nan_coordinate", "uneven_axis"],
 )
 def test_verify_malformed_csv_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
-"""Route independence: per-null-value grid evaluation against per-node evaluation.
+"""Route independence: per-null-value grid evaluation against per-node
+evaluation, and the affine z(w) against the quadrature inversion.
 
 evaluate_surface and forms_grid evaluate every grid expression once per
 knot of the grid's null index and gather the results to the nodes.  The
@@ -8,6 +9,11 @@ sorts them itself.  The node coordinates are the index's: the float sums
 u + v and u - v, or on square steps the exact lattice p0 + k h.  Both
 routes do the same float operations per node, so every array must agree
 bit for bit, NaN masks included.
+
+For a symbolically constant f g' canonical._z_sides maps w to z affinely
+per null side; with holofn.constant_value patched to see no constant, the
+same data take canonical._invert on the same w index, and the two routes
+must agree to the inversion's accuracy.
 """
 
 import numpy as np
@@ -15,10 +21,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from splitsurf import geometry, weierstrass
-from splitsurf.algebra import splitc
+from splitsurf import canonical, geometry, holofn, weierstrass
+from splitsurf.algebra import from_null, splitc
 from splitsurf.geometry import forms_grid
-from splitsurf.holofn import MINUS, PLUS, Const, parse
+from splitsurf.holofn import MINUS, PLUS, Const, Z, parse
 from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
 
 
@@ -125,3 +131,48 @@ def _assert_same_bytes(got, expect):
     for name, value in expect.items():
         assert got[name].shape == value.shape, name
         assert got[name].tobytes() == value.tobytes(), name
+
+
+@st.composite
+def _affine_cases(draw):
+    n, m = draw(st.integers(3, 17)), draw(st.integers(3, 17))
+    assume(n != m)
+    u0, v0 = draw(st.floats(-1.0, 0.5)), draw(st.floats(-1.0, 0.5))
+    width = draw(st.floats(0.2, 1.5))
+    height = draw(st.sampled_from([width * (m - 1) / (n - 1), draw(st.floats(0.2, 1.5))]))
+    off_zero = st.floats(0.05, 0.5).flatmap(lambda x: st.sampled_from([x, -x]))
+    z0, w0 = (splitc(draw(off_zero), draw(off_zero)) for _ in range(2))
+    # f = c, g = a z + b with both null sides of f g' = c a in [0.1, 10]
+    phi = [10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+    a = [draw(st.floats(0.3, 3.0)) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)]
+    c = from_null(phi[0] / a[0], phi[1] / a[1])
+    b = splitc(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    f, g = Const(c), Const(from_null(*a)) * Z + Const(b)
+    sign = draw(st.sampled_from([1, -1]))
+    return f, g, z0, w0, (u0, u0 + width, v0, v0 + height), (n, m), sign
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_affine_cases())
+def test_affine_sides_equal_the_quadrature_inversion(case):
+    f, g, z0, w0, domain, grid, sign = case
+    phi = f * g.derivative()
+    us, vs = canonical._axes(domain, grid)
+    data = GeneratingData.general(f, g, base_point=z0)
+
+    def routes():
+        index, _, r = canonical._z_sides(phi, z0, w0, sign, us, vs)
+        field = canonical.canonical_curvature_field(data, domain, grid, w0=w0).values
+        return [k[at] for k, at in zip(index.knots, index.at)], field, r is not None
+
+    affine, field, is_affine = routes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(holofn, "constant_value", lambda e: None)
+        inverted, expect, was_affine = routes()
+    assert is_affine and not was_affine
+    for got, ref in zip(affine, inverted):
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.nanmax(np.abs(got - ref)) < 1e-9
+    assert np.array_equal(np.isnan(field), np.isnan(expect))
+    assert np.nanmax(np.abs(field - expect) / np.abs(expect), initial=0.0) < 1e-8
