@@ -130,26 +130,35 @@ def _load_data(args) -> GeneratingData:
 
 
 def _write_table(fh, header: str, columns):
-    """CSV of %.17g values, one line per node of the grid the columns broadcast to."""
-    table = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    line = ",".join(["%.17g"] * table.shape[-1]) + "\n"
+    """CSV of %.17g values, one line per node of the grid the columns
+    broadcast to, formatted one grid row at a time from broadcast views, so
+    no (n, m, columns) table is built."""
+    columns = np.broadcast_arrays(*columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     fh.write(header + "\n")
-    for row in table:
+    for i in range(len(columns[0])):
+        row = np.stack([c[i] for c in columns], axis=-1)
         fh.write((line * len(row)) % tuple(row.ravel().tolist()))
 
 
 def write_obj(path: str, patch: SurfacePatch):
+    """OBJ of the valid nodes, numbered from 1 in row order, and two triangles
+    per cell whose four corners are valid, written one grid row at a time."""
     valid = patch.valid
-    index = np.cumsum(valid).reshape(valid.shape)  # 1-based vertex numbers at valid nodes
-    a, b, c, d = index[:-1, :-1], index[1:, :-1], index[1:, 1:], index[:-1, 1:]
-    cells = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    faces = 0
     with open(path, "w") as fh:
         for row, ok in zip(patch.points, valid):
             fh.write(("v %.17g %.17g %.17g\n" * int(ok.sum())) % tuple(row[ok].ravel().tolist()))
-        for i, ok in enumerate(cells):
-            tris = np.stack([x[i, ok] for x in (a, b, c, a, c, d)], axis=-1)
+        top = np.cumsum(valid[0])  # 1-based vertex numbers at the valid nodes of a row
+        for upper, lower in zip(valid[:-1], valid[1:]):
+            bottom = top[-1] + np.cumsum(lower)
+            ok = upper[:-1] & lower[:-1] & lower[1:] & upper[1:]
+            a, b, c, d = top[:-1], bottom[:-1], bottom[1:], top[1:]
+            tris = np.stack([x[ok] for x in (a, b, c, a, c, d)], axis=-1)
             fh.write(("f %d %d %d\n" * (2 * len(tris))) % tuple(tris.ravel().tolist()))
-    return int(valid.sum()), 2 * int(cells.sum())
+            faces += 2 * len(tris)
+            top = bottom
+    return int(valid.sum()), faces
 
 
 _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
@@ -192,15 +201,20 @@ def read_csv_patch(path: str) -> SurfacePatch:
             raise DomainError("%s: %s" % (path, _bad_csv_line(fh, cols) or exc)) from None
     if not np.all(np.isfinite(table[:, :2])):
         raise DomainError("%s: u and v must be finite on every row" % path)
-    (us, iu), (vs, iv) = (np.unique(table[:, k], return_inverse=True) for k in (0, 1))
+    # the sorted distinct values per axis, as np.unique gives them (without an
+    # inverse np.unique imports numpy.ma, about 1 MB, to test for a masked array)
+    us, vs = (t[np.append(True, t[1:] != t[:-1])] for t in (np.sort(table[:, k]) for k in (0, 1)))
     # the fd stencils of forms_grid take one step per axis
     for name, axis in (("u", us), ("v", vs)):
         steps = np.diff(axis)
         if steps.size and np.max(np.abs(steps - steps.mean())) > 1e-6 * steps.mean():
             raise DomainError("%s: the %s axis is unevenly spaced (steps %.6g to %.6g); write a missing node "
                               "as a row with nan x1,x2,x3 coordinates" % (path, name, steps.min(), steps.max()))
+    # each row's place in the grid, as one flat node number
+    node = np.searchsorted(us, table[:, 0]) * len(vs)
+    node += np.searchsorted(vs, table[:, 1])
     points = np.full((len(us), len(vs), 3), np.nan)
-    points[iu, iv] = table[:, 2:]
+    points.reshape(-1, 3)[node] = table[:, 2:]
     return SurfacePatch.from_points(us, vs, points)
 
 
@@ -209,14 +223,22 @@ def _finite_or_none(values: np.ndarray) -> list:
 
 
 def write_json_mesh(path: str, patch: SurfacePatch):
-    """Write the text of json.dumps(mesh, sort_keys=True), one row of points at a time."""
-    rest = {"schema_version": SCHEMA_VERSION, "us": _finite_or_none(patch.us),
-            "valid": patch.valid.astype(int).tolist(), "vs": _finite_or_none(patch.vs)}
+    """Write the text of json.dumps(mesh, sort_keys=True), the node-sized
+    fields (points, valid) one grid row at a time."""
+    rows = {"points": (_finite_or_none(row) for row in patch.points),
+            "valid": (row.astype(int).tolist() for row in patch.valid)}
+    rest = {"schema_version": SCHEMA_VERSION, "us": _finite_or_none(patch.us), "vs": _finite_or_none(patch.vs)}
     with open(path, "w") as fh:
-        fh.write('{"points": [')
-        for i, row in enumerate(patch.points):
-            fh.write((", " if i else "") + json.dumps(_finite_or_none(row)))
-        fh.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
+        for i, key in enumerate(sorted([*rows, *rest])):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key in rest:
+                fh.write(json.dumps(rest[key]))
+                continue
+            fh.write("[")
+            for j, row in enumerate(rows[key]):
+                fh.write((", " if j else "") + json.dumps(row))
+            fh.write("]")
+        fh.write("}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +250,26 @@ def cmd_generate(args) -> int:
     data = _load_data(args)
     patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid), tol=args.tol)
     grid = forms_grid(patch)
-    verts, faces = int(patch.valid.sum()), 0
-    if args.format == "obj":
-        verts, faces = write_obj(args.out, patch)
-    elif args.format == "csv":
-        write_csv(args.out, patch, grid)
-    else:
-        write_json_mesh(args.out, patch)
     with np.errstate(invalid="ignore"):
         summary = {
             "schema_version": SCHEMA_VERSION,
             "command": "generate",
             "out": args.out,
             "format": args.format,
-            "vertices": verts,
-            "faces": faces,
             "invalid_samples": int((~patch.valid).sum()),
             "max_abs_H": float(np.nanmax(np.abs(grid.H))) if np.any(grid.valid) else None,
             "k_min": float(np.nanmin(grid.K)) if np.any(grid.valid) else None,
             "k_max": float(np.nanmax(grid.K)) if np.any(grid.valid) else None,
         }
+    if args.format == "csv":
+        write_csv(args.out, patch, grid)
+    del grid  # the OBJ and JSON writers read the points alone
+    verts, faces = int(patch.valid.sum()), 0
+    if args.format == "obj":
+        verts, faces = write_obj(args.out, patch)
+    elif args.format == "json":
+        write_json_mesh(args.out, patch)
+    summary.update(vertices=verts, faces=faces)
     _emit(summary)
     return 0
 

@@ -14,6 +14,7 @@ or the metric not timelike.  One node is read by indexing the grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,48 +93,66 @@ def _fd_first(points, hu, hv):
 
 
 def _fd_second(points, hu, hv):
-    xuu = np.full(points.shape, np.nan)
-    xvv = np.full(points.shape, np.nan)
-    xuv = np.full(points.shape, np.nan)
-    xuu[1:-1, :, :] = (points[2:, :, :] - 2.0 * points[1:-1, :, :] + points[:-2, :, :]) / hu**2
-    xvv[:, 1:-1, :] = (points[:, 2:, :] - 2.0 * points[:, 1:-1, :] + points[:, :-2, :]) / hv**2
-    xuv[1:-1, 1:-1, :] = (
+    """x_uu, x_uv and x_vv by central differences, NaN where the stencil
+    leaves the grid, each made only when the caller asks for the next."""
+
+    def padded(interior, values):
+        x = np.full(points.shape, np.nan)
+        x[interior] = values
+        return x
+
+    yield padded(np.s_[1:-1], (points[2:, :, :] - 2.0 * points[1:-1, :, :] + points[:-2, :, :]) / hu**2)
+    yield padded(np.s_[1:-1, 1:-1], (
         points[2:, 2:, :] - points[2:, :-2, :] - points[:-2, 2:, :] + points[:-2, :-2, :]
-    ) / (4.0 * hu * hv)
-    return xuu, xuv, xvv
+    ) / (4.0 * hu * hv))
+    yield padded(np.s_[:, 1:-1], (points[:, 2:, :] - 2.0 * points[:, 1:-1, :] + points[:, :-2, :]) / hv**2)
+
+
+def _unit_normal(xu, xv):
+    """cross(x_u, x_v) scaled to unit Minkowski length, and the mask of nodes
+    where it is degenerate against |x_u| |x_v| (there it is left unscaled)."""
+    U = lorentz_cross(xu, xv)
+    norm2 = minkowski_inner(U, U)
+    scale = np.einsum("ijk,ijk->ij", xu, xu) * np.einsum("ijk,ijk->ij", xv, xv)
+    degenerate = ~(norm2 > 1e-12 * np.maximum(scale, 1e-300))
+    U /= np.sqrt(np.where(degenerate, 1.0, norm2))[..., None]
+    return U, degenerate
 
 
 def forms_grid(patch: SurfacePatch) -> FormsGrid:
-    """Fundamental forms at every node where the patch's stencil is available."""
+    """Fundamental forms at every node where the patch's stencil is available.
+
+    Each node-sized input is dropped as soon as it is used: the tangents once
+    E, F, G and the unit normal are formed (the cross product becomes the
+    normal in place), each second derivative once its coefficient is formed
+    (the fd ones are differenced one at a time), and the outputs are masked
+    in place.  So the forms of an (n, m) patch peak at about six (n, m, 3)
+    float arrays, the outputs included.
+    """
     method = _resolve_method(patch)
-    pts = patch.points
     if method == "fd":
-        xu, xv = _fd_first(pts, patch.h_u, patch.h_v)
-        xuu, xuv, xvv = _fd_second(pts, patch.h_u, patch.h_v)
-        ok = patch.valid.copy()
-    elif method == "analytic":
+        xu, xv = _fd_first(patch.points, patch.h_u, patch.h_v)
+        ok = patch.valid
+    else:
         xu, xv, ok = _analytic_first(patch)
-        xuu, xuv, ok2 = _analytic_first(patch, second=True)
-        xvv = xuu  # every component satisfies the wave equation x_vv = x_uu
-        ok = ok & ok2 & patch.valid
-    else:  # mixed: exact tangents, measured second derivatives
-        xu, xv, ok = _analytic_first(patch)
-        xuu, xuv, xvv = _fd_second(pts, patch.h_u, patch.h_v)
-        ok = ok & patch.valid
+        ok &= patch.valid
 
     with np.errstate(invalid="ignore"):
         E = minkowski_inner(xu, xu)
         F = minkowski_inner(xu, xv)
         G = minkowski_inner(xv, xv)
-        cross = lorentz_cross(xu, xv)
-        norm2 = minkowski_inner(cross, cross)
-        scale = np.einsum("ijk,ijk->ij", xu, xu) * np.einsum("ijk,ijk->ij", xv, xv)
-        degenerate = ~(norm2 > 1e-12 * np.maximum(scale, 1e-300))
-        norm2_safe = np.where(degenerate, 1.0, norm2)
-        U = cross / np.sqrt(norm2_safe)[..., None]
-        L = minkowski_inner(U, xuu)
-        M = minkowski_inner(U, xuv)
-        N = minkowski_inner(U, xvv)
+        U, degenerate = _unit_normal(xu, xv)
+        del xu, xv
+        if method == "analytic":
+            xuu, xuv, ok2 = _analytic_first(patch, second=True)
+            ok &= ok2
+            # every component satisfies the wave equation x_vv = x_uu
+            L, M, N = (minkowski_inner(U, x) for x in (xuu, xuv, xuu))
+            del xuu, xuv
+        else:  # fd, and mixed: exact tangents, measured second derivatives
+            # map, unlike a generator expression, keeps no derivative alive
+            # while the next one is differenced
+            L, M, N = map(functools.partial(minkowski_inner, U), _fd_second(patch.points, patch.h_u, patch.h_v))
         computed = (
             ok
             & ~degenerate
@@ -143,15 +162,14 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
             & np.isfinite(M)
             & np.isfinite(N)
         )
-        violations = int(np.sum(computed & (E * G - F * F >= 0.0)))
-        valid = computed & (E * G - F * F < 0.0)
         den = E * G - F * F
-        den = np.where(valid, den, np.nan)
+        violations = int(np.sum(computed & (den >= 0.0)))
+        valid = computed & (den < 0.0)
+        invalid = ~valid
+        den[invalid] = np.nan
         K = (L * N - M * M) / den
         H = (E * N - 2.0 * F * M + G * L) / (2.0 * den)
 
-    nan = lambda arr: np.where(valid, arr, np.nan)
-    return FormsGrid(
-        nan(E), nan(F), nan(G), nan(L), nan(M), nan(N), K, H,
-        np.where(valid[..., None], U, np.nan), valid, method, violations
-    )
+    for arr in (E, F, G, L, M, N, U):
+        arr[invalid] = np.nan
+    return FormsGrid(E, F, G, L, M, N, K, H, U, valid, method, violations)

@@ -83,12 +83,14 @@ def isotropy_defect(data: GeneratingData, z) -> SplitComplex:
     return -(p1 * p1) + p2 * p2 + p3 * p3
 
 
-def _parts(a, b, part: Part):
-    """The selected part of from_null(a, b) and the other one: re = (a+b)/2,
-    im = (a-b)/2.  Of a curve derivative's null sides the pair is the
-    tangents (x_u, x_v) of the patch; of the curve's, the points come first."""
-    re, im = (a + b) / 2.0, (a - b) / 2.0
-    return (re, im) if part == Part.REAL else (im, re)
+def _part(a, b, part: Part):
+    """The selected part of from_null(a, b), formed in a, which it
+    overwrites: re = (a+b)/2, im = (a-b)/2, bit for bit.  Of a curve's null
+    sides it is the patch's points; of its derivative's, the tangent x_u, and
+    the other part is x_v."""
+    (np.add if part == Part.REAL else np.subtract)(a, b, out=a)
+    a /= 2.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,17 @@ class _NullIndex:
     def tangents(self, exprs, part: Part):
         """x_u and x_v of the selected part of the curve whose derivative has
         the components exprs, at every node with the components on the last
-        axis, and the mask of nodes where both are finite."""
-        a, b = (np.stack(s, axis=-1) for s in zip(*map(self.sides, exprs)))
-        xu, xv = _parts(a, b, part)
-        return xu, xv, np.all(np.isfinite(xu) & np.isfinite(xv), axis=-1)
+        axis, and the mask of nodes where both are finite.
+
+        Per side the components' values at the knots are stacked and gathered
+        to the nodes once; x_u is the selected part of the two sides, formed
+        in place, and x_v the other part, so three node-sized arrays are live
+        at most."""
+        a, b = (np.stack([e.eval_null(k, side) for e in exprs], axis=-1)[at]
+                for side, k, at in zip((PLUS, MINUS), self.knots, self.at))
+        xv = _part(a.copy(), b, Part.IMAGINARY if part == Part.REAL else Part.REAL)
+        xu = _part(a, b, part)
+        return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)
 
 
 def _square_steps(h_u: float, h_v: float) -> bool:
@@ -152,32 +161,48 @@ def _square_steps(h_u: float, h_v: float) -> bool:
 def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
     """Per side, the sorted values of p = u+v (q = u-v) over the grid, with
     the base point's inserted when one is given, and every node's place among
-    them.
+    them, as one (2, n, m) block.
 
     On square steps they are the exact lattice p0 + k h, k = 0 .. n+m-2,
     spaced evenly between the corner sums, and node (i, j) sits at k = i+j
     on the p side and k = i-j+m-1 on the q side, so equal values of p share
     one knot; a base point on a grid node keeps that node's float sums as
-    its knots, so the node is the base point bit for bit.  Other grids take
-    the distinct float sums u_i + v_j (u_i - v_j).
+    its knots, so the node is the base point bit for bit.  The lattice is
+    already sorted, so the places are written directly and a base point that
+    is no knot goes in by one search.  Other grids take the distinct float
+    sums u_i + v_j (u_i - v_j), sorted by np.unique, as does a lattice whose
+    steps are lost to rounding.
     """
     n, m = len(us), len(vs)
-    if n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0]):
-        values = (np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
-                  np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1))
+    base = [] if z0 is None else [float(z0.p), float(z0.q)]
+    # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
+    # the heap and raised a long-running process's peak RSS by about 1 MB
+    at = np.empty((2, n, m), np.intp)
+    square = n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0])
+    if square:
+        values = [np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
+                  np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1)]
         i, j = np.ogrid[:n, :m]
-        slots = (i + j, i - j + (m - 1))
+        np.add(i, j, out=at[0])
+        np.subtract(i + (m - 1), j, out=at[1])
         if z0 is not None and float(z0.re) in us and float(z0.im) in vs:
             i0, j0 = np.searchsorted(us, float(z0.re)), np.searchsorted(vs, float(z0.im))
             values[0][i0 + j0], values[1][i0 - j0 + m - 1] = z0.p, z0.q
     else:
-        values = (np.add.outer(us, vs).ravel(), np.subtract.outer(us, vs).ravel())
-        slots = (np.arange(n * m).reshape(n, m),) * 2
-    base = ((), ()) if z0 is None else ((float(z0.p),), (float(z0.q),))
-    knots, at = zip(*(np.unique(np.append(t, t0), return_inverse=True) for t, t0 in zip(values, base)))
-    # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
-    # the heap and raised a long-running process's peak RSS by about 1 MB
-    return _NullIndex(knots, np.stack([a[s] for a, s in zip(at, slots)]))
+        values = [np.add.outer(us, vs).ravel(), np.subtract.outer(us, vs).ravel()]
+        at[:] = np.arange(n * m).reshape(n, m)
+    if square and all(np.all(t[1:] > t[:-1]) for t in values):
+        for side, t0 in enumerate(base):
+            k = np.searchsorted(values[side], t0)
+            if k == len(values[side]) or values[side][k] != t0:
+                values[side] = np.insert(values[side], k, t0)
+                at[side] += at[side] >= k
+        return _NullIndex(tuple(values), at)
+    knots, places = zip(*(np.unique(np.append(t, base[side:side + 1]), return_inverse=True)
+                          for side, t in enumerate(values)))
+    for a, place in zip(at, places):
+        a[...] = place[a]
+    return _NullIndex(knots, at)
 
 
 def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
@@ -241,6 +266,12 @@ def evaluate_surface(
     other singular gaps (a branch point, a pole just beyond a knot) fail by
     the panel budget or a non-finite value.  Invalid nodes hold NaN instead
     of aborting the patch.
+
+    Each stage drops the node-sized arrays it no longer needs: x_v goes as
+    soon as the tangents are read, x_u after the degeneracy test, before the
+    sweep; the points are the selected part of the two sides' integrals,
+    formed and NaN-masked in place.  So the call peaks at about four
+    (n, m, 3) float arrays, the returned patch and its null index included.
     """
     u0, u1, v0, v1 = map(float, domain)
     n, m = grid
@@ -254,18 +285,21 @@ def evaluate_surface(
     index = _null_index(us, vs, z0)
 
     exprs = curve_expressions(data)
-    xu, _, valid = index.tangents(exprs, data.part)
+    xu, xv, valid = index.tangents(exprs, data.part)
+    del xv  # the degeneracy test reads x_u alone
     # conformal factor E = <x_u, x_u> (F = 0, G = -E): flags tangent-plane
     # degeneracies without differencing, each node against its own tangent,
     # so a huge E near a pole elsewhere cannot make regular nodes look degenerate
     t0, t1, t2 = np.moveaxis(xu, -1, 0)
     with np.errstate(invalid="ignore"):
         valid &= ~(np.abs(-t0 * t0 + t1 * t1 + t2 * t2) <= _SING_EPS * (t0**2 + t1**2 + t2**2))
+    del xu, t0, t1, t2
 
-    sides, ok = _null_sweep(exprs, index, z0, tol)
+    (fp, fq), ok = _null_sweep(exprs, index, z0, tol)
     valid &= ok
-    points = _parts(*sides, data.part)[0]
+    points = _part(fp, fq, data.part)
+    del fq
     valid &= np.all(np.isfinite(points), axis=-1)
-    points = np.where(valid[:, :, None], points, np.nan)
+    points[~valid] = np.nan
     return SurfacePatch(us, vs, points, valid, data, index)
 

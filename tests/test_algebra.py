@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitsurf.algebra import (
@@ -109,6 +109,8 @@ def test_idempotents():
 
 @settings(max_examples=200, deadline=None)
 @given(finite, finite, finite, finite, finite, finite)
+# a + b cancels to 8, so the sums differ in the last bits of the operands' scale
+@example(-999224.0, 0.0, 999232.0, 0.0, 0.20948214108472782, 0.0)
 def test_ring_axioms(ar, ai, br, bi, cr, ci):
     # identities hold to relative precision in the operand magnitudes; the
     # results themselves may be catastrophically smaller near null lines
@@ -120,7 +122,7 @@ def test_ring_axioms(ar, ai, br, bi, cr, ci):
     assert float((a * (b + c) - (a * b + a * c)).mag) <= 1e-12 * max(
         1.0, mags[0] * (mags[1] + mags[2])
     )
-    assert close((a + b) + c, a + (b + c))
+    assert float(((a + b) + c - (a + (b + c))).mag) <= 1e-12 * max(1.0, mags[0] + mags[1] + mags[2])
 
 
 @settings(max_examples=200, deadline=None)
