@@ -201,20 +201,15 @@ def read_csv_patch(path: str) -> SurfacePatch:
             raise DomainError("%s: %s" % (path, _bad_csv_line(fh, cols) or exc)) from None
     if not np.all(np.isfinite(table[:, :2])):
         raise DomainError("%s: u and v must be finite on every row" % path)
-    # the sorted distinct values per axis, as np.unique gives them (without an
-    # inverse np.unique imports numpy.ma, about 1 MB, to test for a masked array)
-    us, vs = (t[np.append(True, t[1:] != t[:-1])] for t in (np.sort(table[:, k]) for k in (0, 1)))
+    (us, iu), (vs, iv) = (np.unique(table[:, k], return_inverse=True) for k in (0, 1))
     # the fd stencils of forms_grid take one step per axis
     for name, axis in (("u", us), ("v", vs)):
         steps = np.diff(axis)
         if steps.size and np.max(np.abs(steps - steps.mean())) > 1e-6 * steps.mean():
             raise DomainError("%s: the %s axis is unevenly spaced (steps %.6g to %.6g); write a missing node "
                               "as a row with nan x1,x2,x3 coordinates" % (path, name, steps.min(), steps.max()))
-    # each row's place in the grid, as one flat node number
-    node = np.searchsorted(us, table[:, 0]) * len(vs)
-    node += np.searchsorted(vs, table[:, 1])
     points = np.full((len(us), len(vs), 3), np.nan)
-    points.reshape(-1, 3)[node] = table[:, 2:]
+    points[iu, iv] = table[:, 2:]
     return SurfacePatch.from_points(us, vs, points)
 
 

@@ -119,6 +119,12 @@ def _unit_normal(xu, xv):
     return U, degenerate
 
 
+def _quiet_inner(a, b):
+    """<a, b>, NaN without a warning where an infinite value meets a zero."""
+    with np.errstate(invalid="ignore"):
+        return minkowski_inner(a, b)
+
+
 def forms_grid(patch: SurfacePatch) -> FormsGrid:
     """Fundamental forms at every node where the patch's stencil is available.
 
@@ -142,17 +148,20 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
         F = minkowski_inner(xu, xv)
         G = minkowski_inner(xv, xv)
         U, degenerate = _unit_normal(xu, xv)
-        del xu, xv
-        if method == "analytic":
-            xuu, xuv, ok2 = _analytic_first(patch, second=True)
-            ok &= ok2
-            # every component satisfies the wave equation x_vv = x_uu
-            L, M, N = (minkowski_inner(U, x) for x in (xuu, xuv, xuu))
-            del xuu, xuv
-        else:  # fd, and mixed: exact tangents, measured second derivatives
-            # map, unlike a generator expression, keeps no derivative alive
-            # while the next one is differenced
-            L, M, N = map(functools.partial(minkowski_inner, U), _fd_second(patch.points, patch.h_u, patch.h_v))
+    del xu, xv
+    # map, unlike a generator expression, keeps no second derivative alive
+    # while the next one is made
+    along_normal = functools.partial(_quiet_inner, U)
+    if method == "analytic":
+        xuu, xuv, ok2 = _analytic_first(patch, second=True)
+        ok &= ok2
+        # every component satisfies the wave equation x_vv = x_uu
+        L, M, N = map(along_normal, (xuu, xuv, xuu))
+        del xuu, xuv
+    else:  # fd, and mixed: exact tangents, measured second derivatives
+        L, M, N = map(along_normal, _fd_second(patch.points, patch.h_u, patch.h_v))
+
+    with np.errstate(invalid="ignore"):
         computed = (
             ok
             & ~degenerate

@@ -161,48 +161,32 @@ def _square_steps(h_u: float, h_v: float) -> bool:
 def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
     """Per side, the sorted values of p = u+v (q = u-v) over the grid, with
     the base point's inserted when one is given, and every node's place among
-    them, as one (2, n, m) block.
+    them.
 
     On square steps they are the exact lattice p0 + k h, k = 0 .. n+m-2,
     spaced evenly between the corner sums, and node (i, j) sits at k = i+j
     on the p side and k = i-j+m-1 on the q side, so equal values of p share
     one knot; a base point on a grid node keeps that node's float sums as
-    its knots, so the node is the base point bit for bit.  The lattice is
-    already sorted, so the places are written directly and a base point that
-    is no knot goes in by one search.  Other grids take the distinct float
-    sums u_i + v_j (u_i - v_j), sorted by np.unique, as does a lattice whose
-    steps are lost to rounding.
+    its knots, so the node is the base point bit for bit.  Other grids take
+    the distinct float sums u_i + v_j (u_i - v_j).
     """
     n, m = len(us), len(vs)
-    base = [] if z0 is None else [float(z0.p), float(z0.q)]
-    # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
-    # the heap and raised a long-running process's peak RSS by about 1 MB
-    at = np.empty((2, n, m), np.intp)
-    square = n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0])
-    if square:
-        values = [np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
-                  np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1)]
+    if n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0]):
+        values = (np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
+                  np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1))
         i, j = np.ogrid[:n, :m]
-        np.add(i, j, out=at[0])
-        np.subtract(i + (m - 1), j, out=at[1])
+        slots = (i + j, i - j + (m - 1))
         if z0 is not None and float(z0.re) in us and float(z0.im) in vs:
             i0, j0 = np.searchsorted(us, float(z0.re)), np.searchsorted(vs, float(z0.im))
             values[0][i0 + j0], values[1][i0 - j0 + m - 1] = z0.p, z0.q
     else:
-        values = [np.add.outer(us, vs).ravel(), np.subtract.outer(us, vs).ravel()]
-        at[:] = np.arange(n * m).reshape(n, m)
-    if square and all(np.all(t[1:] > t[:-1]) for t in values):
-        for side, t0 in enumerate(base):
-            k = np.searchsorted(values[side], t0)
-            if k == len(values[side]) or values[side][k] != t0:
-                values[side] = np.insert(values[side], k, t0)
-                at[side] += at[side] >= k
-        return _NullIndex(tuple(values), at)
-    knots, places = zip(*(np.unique(np.append(t, base[side:side + 1]), return_inverse=True)
-                          for side, t in enumerate(values)))
-    for a, place in zip(at, places):
-        a[...] = place[a]
-    return _NullIndex(knots, at)
+        values = (np.add.outer(us, vs).ravel(), np.subtract.outer(us, vs).ravel())
+        slots = (np.arange(n * m).reshape(n, m),) * 2
+    base = ((), ()) if z0 is None else ((float(z0.p),), (float(z0.q),))
+    knots, at = zip(*(np.unique(np.append(t, t0), return_inverse=True) for t, t0 in zip(values, base)))
+    # one (2, n, m) block: two node-sized arrays kept by a patch fragmented
+    # the heap and raised a long-running process's peak RSS by about 1 MB
+    return _NullIndex(knots, np.stack([a[s] for a, s in zip(at, slots)]))
 
 
 def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):

@@ -385,45 +385,3 @@ def test_lattice_knots_lie_within_rounding_of_the_float_sums(n, m, a, b, w):
     assert np.max(np.abs(P - np.add.outer(us, vs))) <= 8 * ulp
     assert np.max(np.abs(Q - np.subtract.outer(us, vs))) <= 8 * ulp
 
-
-
-def _unique_index(us, vs, z0):
-    """Reference for square steps: np.unique over each side's lattice values
-    and the base point's, and every node's place among them."""
-    n, m = len(us), len(vs)
-    values = [np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
-              np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1)]
-    i, j = np.ogrid[:n, :m]
-    if z0 is not None and float(z0.re) in us and float(z0.im) in vs:
-        i0, j0 = np.searchsorted(us, float(z0.re)), np.searchsorted(vs, float(z0.im))
-        values[0][i0 + j0], values[1][i0 - j0 + m - 1] = z0.p, z0.q
-    base = ((), ()) if z0 is None else ((z0.p,), (z0.q,))
-    sides = [np.unique(np.append(t, t0), return_inverse=True) for t, t0 in zip(values, base)]
-    return [knots for knots, _ in sides], [place[s] for (_, place), s in zip(sides, (i + j, i - j + m - 1))]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(3, 40), st.integers(3, 40), st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 40),
-       st.sampled_from(["none", "node", "half_step", "off_grid"]), st.integers(0, 10**6))
-def test_lattice_places_equal_the_sorted_route(n, m, a, b, w, where, pick):
-    u0, v0, width = a / 10, b / 10, w / 10
-    us, vs = np.linspace(u0, u0 + width, n), np.linspace(v0, v0 + width * (m - 1) / (n - 1), m)
-    h = us[1] - us[0]
-    i, j = pick % n, (pick // n) % m
-    z0 = {"none": None, "node": splitc(us[i], vs[j]), "half_step": splitc(us[i] + h / 2, vs[j] + h / 2),
-          "off_grid": splitc(u0 - 0.37, v0 + width * 2.1)}[where]
-    index = weierstrass._null_index(us, vs, z0)
-    knots, places = _unique_index(us, vs, z0)
-    for got, want in zip(index.knots, knots):
-        assert np.array_equal(got, want)
-    assert np.array_equal(index.at, np.stack(places))
-
-
-def test_lattice_lost_to_rounding_takes_the_sorted_route():
-    # steps of 2 at 1e16, where the p lattice's own steps round away
-    us = vs = np.linspace(1e16, 1e16 + 4, 3)
-    index = weierstrass._null_index(us, vs)
-    knots, places = _unique_index(us, vs, None)
-    assert all(np.all(np.diff(k) > 0) for k in index.knots)
-    assert all(np.array_equal(x, y) for x, y in zip(index.knots, knots))
-    assert np.array_equal(index.at, np.stack(places))
