@@ -35,6 +35,7 @@ __all__ = [
     "CanonicalizationResult",
     "SampledField",
     "CoefficientReport",
+    "CoefficientSummary",
     "FieldMatch",
     "canonicalize",
     "canonical_curvature_field",
@@ -383,21 +384,57 @@ class CoefficientReport:
     residuals: dict
     branch: np.ndarray  # -1, +1, or 0 where undefined
     valid: np.ndarray
-    max_residual: float
-    mean_residual: float
+
+    @property
+    def max_residual(self) -> float:
+        """The largest finite residual of any shape, NaN if none."""
+        return self.summary()["max_residual"]
+
+    @property
+    def mean_residual(self) -> float:
+        """The mean of every finite residual of every shape, NaN if none."""
+        return self.summary()["mean_residual"]
 
     def summary(self) -> dict:
-        out = {
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "nodes": int(np.sum(self.valid)),
-        }
-        for name, arr in self.residuals.items():
-            out["max_" + name] = float(np.nanmax(arr)) if np.any(np.isfinite(arr)) else float("nan")
-        return out
+        fold = CoefficientSummary()
+        fold.add(self)
+        return fold.summary()
 
     def ok(self, tol: float) -> bool:
         return self.max_residual < tol
+
+
+class CoefficientSummary:
+    """CoefficientReport.summary() folded over the reports of consecutive
+    blocks of grid rows, one report at a time.
+
+    Each residual keeps only its finite values, in node order, so the
+    largest and the mean residual are taken over the same values in the
+    same order as from one report of the whole grid: the summary is the
+    same bits whatever the blocks.
+    """
+
+    def __init__(self):
+        self.finite, self.top, self.nodes = {}, {}, 0
+
+    def add(self, report: CoefficientReport):
+        self.nodes += int(np.sum(report.valid))
+        for name, arr in report.residuals.items():
+            self.finite.setdefault(name, []).append(arr[np.isfinite(arr)])
+            # np.nanmax of the whole grid: an infinite residual counts, a NaN block maximum loses
+            self.top[name] = max(self.top.get(name, -np.inf), np.fmax.reduce(arr, axis=None))
+
+    def summary(self) -> dict:
+        finite = {name: np.concatenate(parts) for name, parts in self.finite.items()}
+        values = np.concatenate(list(finite.values()))
+        out = {
+            "max_residual": float(np.max(values)) if values.size else float("nan"),
+            "mean_residual": float(np.mean(values)) if values.size else float("nan"),
+            "nodes": self.nodes,
+        }
+        for name, arr in finite.items():
+            out["max_" + name] = float(self.top[name]) if arr.size else float("nan")
+        return out
 
 
 def verify_canonical_coefficients(
@@ -427,11 +464,7 @@ def verify_canonical_coefficients(
     branch = np.zeros(E.shape, int)
     branch[neg] = -1
     branch[pos] = +1
-    stacked = np.stack(list(res.values()))
-    finite = np.isfinite(stacked)
-    max_res = float(np.max(stacked[finite])) if np.any(finite) else float("nan")
-    mean_res = float(np.mean(stacked[finite])) if np.any(finite) else float("nan")
-    return CoefficientReport(res, branch, valid & (branch != 0), max_res, mean_res)
+    return CoefficientReport(res, branch, valid & (branch != 0))
 
 
 # ---------------------------------------------------------------------------

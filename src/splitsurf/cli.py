@@ -19,9 +19,10 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
 from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
-from .geometry import forms_grid
+from .geometry import forms_blocks
 from .canonical import (
     BranchError,
+    CoefficientSummary,
     InconclusiveOverlap,
     canonical_pde_residual,
     canonicalize,
@@ -129,13 +130,12 @@ def _load_data(args) -> GeneratingData:
 # ---------------------------------------------------------------------------
 
 
-def _write_table(fh, header: str, columns):
-    """CSV of %.17g values, one line per node of the grid the columns
+def _write_table(fh, columns):
+    """CSV lines of %.17g values, one per node of the grid the columns
     broadcast to, formatted one grid row at a time from broadcast views, so
     no (n, m, columns) table is built."""
     columns = np.broadcast_arrays(*columns)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    fh.write(header + "\n")
     for i in range(len(columns[0])):
         row = np.stack([c[i] for c in columns], axis=-1)
         fh.write((line * len(row)) % tuple(row.ravel().tolist()))
@@ -164,12 +164,39 @@ def write_obj(path: str, patch: SurfacePatch):
 _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
 
 
-def write_csv(path: str, patch: SurfacePatch, grid=None):
-    grid = grid if grid is not None else forms_grid(patch)
-    columns = [patch.us[:, None], patch.vs[None, :], *np.moveaxis(patch.points, -1, 0)]
-    columns += [grid.E, grid.F, grid.G, grid.L, grid.M, grid.N, grid.K, grid.H]
+def _forms_summary(blocks) -> dict:
+    """generate's max_abs_H, k_min and k_max over the valid nodes of the
+    (rows, forms) blocks of forms_blocks, None without a valid node; each
+    the NaN-ignoring extreme of the whole grid, whatever the blocks (a
+    block's extreme is NaN when it has no number, and a NaN never wins
+    Python's max or min against a number)."""
+    valid, top_h, low_k, top_k = False, -np.inf, np.inf, -np.inf
+    for _, forms in blocks:
+        valid |= bool(np.any(forms.valid))
+        top_h = max(top_h, np.fmax.reduce(np.abs(forms.H), axis=None))
+        low_k = min(low_k, np.fmin.reduce(forms.K, axis=None))
+        top_k = max(top_k, np.fmax.reduce(forms.K, axis=None))
+        del forms  # else it is held while the next block is made
+    values = (float(top_h), float(low_k), float(top_k)) if valid else (None,) * 3
+    return dict(zip(("max_abs_H", "k_min", "k_max"), values))
+
+
+def write_csv(path: str, patch: SurfacePatch) -> dict:
+    """CSV of every node's u, v, point and forms E, F, G, L, M, N, K, H,
+    written one block of grid rows at a time as forms_blocks gives them, so
+    no whole-grid forms are held; returns generate's _forms_summary of the
+    blocks."""
     with open(path, "w") as fh:
-        _write_table(fh, "u,v,x1,x2,x3,E,F,G,L,M,N,K,H", columns)
+        fh.write("u,v,x1,x2,x3,E,F,G,L,M,N,K,H\n")
+
+        def written(block):
+            rows, forms = block
+            _write_table(fh, [patch.us[rows, None], patch.vs[None, :], *np.moveaxis(patch.points[rows], -1, 0),
+                              *(getattr(forms, name) for name in ("E", "F", "G", "L", "M", "N", "K", "H"))])
+            return block
+
+        # map, unlike a generator, holds no block while the next one is made
+        return _forms_summary(map(written, forms_blocks(patch)))
 
 
 def _bad_csv_line(fh, cols):
@@ -244,21 +271,19 @@ def write_json_mesh(path: str, patch: SurfacePatch):
 def cmd_generate(args) -> int:
     data = _load_data(args)
     patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid), tol=args.tol)
-    grid = forms_grid(patch)
-    with np.errstate(invalid="ignore"):
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "generate",
-            "out": args.out,
-            "format": args.format,
-            "invalid_samples": int((~patch.valid).sum()),
-            "max_abs_H": float(np.nanmax(np.abs(grid.H))) if np.any(grid.valid) else None,
-            "k_min": float(np.nanmin(grid.K)) if np.any(grid.valid) else None,
-            "k_max": float(np.nanmax(grid.K)) if np.any(grid.valid) else None,
-        }
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "generate",
+        "out": args.out,
+        "format": args.format,
+        "invalid_samples": int((~patch.valid).sum()),
+    }
+    # the CSV writer folds the summary over the blocks it writes; the OBJ
+    # and JSON writers read the points alone
     if args.format == "csv":
-        write_csv(args.out, patch, grid)
-    del grid  # the OBJ and JSON writers read the points alone
+        summary.update(write_csv(args.out, patch))
+    else:
+        summary.update(_forms_summary(forms_blocks(patch)))
     verts, faces = int(patch.valid.sum()), 0
     if args.format == "obj":
         verts, faces = write_obj(args.out, patch)
@@ -296,9 +321,9 @@ def cmd_canonicalize(args) -> int:
     }
     if args.samples:
         with open(args.samples, "w") as fh:
-            _write_table(fh, "u,v,z_re,z_im,g_tilde_re,g_tilde_im", [
-                result.us[:, None], result.vs[None, :], result.z_values.re, result.z_values.im,
-                result.g_tilde_values.re, result.g_tilde_values.im])
+            fh.write("u,v,z_re,z_im,g_tilde_re,g_tilde_im\n")
+            _write_table(fh, [result.us[:, None], result.vs[None, :], result.z_values.re, result.z_values.im,
+                              result.g_tilde_values.re, result.g_tilde_values.im])
         report["samples"] = args.samples
     _emit(report)
     return 0
@@ -314,19 +339,47 @@ def cmd_verify(args) -> int:
             raise _UsageError("provide --g (with --f or --canonical) or --from-csv")
         data = _load_data(args)
         patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid))
-    grid = forms_grid(patch)
-    if not np.any(grid.valid):
+    canonical = data is not None and data.is_canonical
+    compare = args.compare_parts and data is not None
+    if compare:
+        flipped = GeneratingData(
+            g=data.g, f=data.f, base_point=data.base_point,
+            part=Part.IMAGINARY if data.part == Part.REAL else Part.REAL,
+        )
+        # the same grid, so the same blocks of rows as the patch's
+        others = forms_blocks(evaluate_surface(flipped, _parse_domain(args.domain), _parse_grid(args.grid)))
+    # every gate folds over the blocks of forms: maxima, minima, counts and
+    # the coefficient summary come out as from the whole grid's forms
+    valid, max_h, violations = False, -np.inf, 0
+    coefficients = CoefficientSummary()
+    both, opposed, ratio_min, ratio_max = 0, True, [], []
+    for _, forms in forms_blocks(patch):
+        valid |= bool(np.any(forms.valid))
+        max_h = max(max_h, np.fmax.reduce(np.abs(forms.H), axis=None))
+        violations += forms.metric_violations
+        if canonical:
+            coefficients.add(verify_canonical_coefficients(forms))
+        if compare:
+            kg1, kg2 = forms.K, next(others)[1].K
+            finite = np.isfinite(kg1) & np.isfinite(kg2)
+            if np.any(finite):
+                both += int(np.sum(finite))
+                opposed &= bool(np.all(kg1[finite] * kg2[finite] < 0.0))
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ratio = np.abs(kg2[finite]) / np.abs(kg1[finite])
+                ratio_min.append(np.min(ratio))
+                ratio_max.append(np.max(ratio))
+        del forms  # else it is held while the next block is made
+    if not valid:
         raise DomainError("no valid interior nodes to verify")
-    max_h = float(np.nanmax(np.abs(grid.H)))
+    # no number among the valid nodes' H fails the gate, as np.nanmax's NaN did
+    max_h = float(max_h) if max_h > -np.inf else float("nan")
     gates["minimality"] = {"max_abs_H": max_h, "tol": args.tol_h, "pass": max_h < args.tol_h}
-    gates["timelike"] = {
-        "violations": grid.metric_violations,
-        "pass": grid.metric_violations == 0,
-    }
-    if data is not None and data.is_canonical:
-        rep = verify_canonical_coefficients(grid)
+    gates["timelike"] = {"violations": violations, "pass": violations == 0}
+    if canonical:
+        summary = coefficients.summary()
         gates["canonical_coefficients"] = dict(
-            rep.summary(), tol=args.tol_coeff, **{"pass": rep.max_residual < args.tol_coeff}
+            summary, tol=args.tol_coeff, **{"pass": summary["max_residual"] < args.tol_coeff}
         )
         resid = canonical_pde_residual(curvature_callable(data, args.pde_gate), us=patch.us, vs=patch.vs)
         if np.any(np.isfinite(resid.values)):
@@ -342,23 +395,13 @@ def cmd_verify(args) -> int:
                 "reason": "no node has a finite residual: every node is singular "
                           "or within --pde-gate %g of 1 - |g|^2 = 0" % args.pde_gate,
             }
-    if args.compare_parts and data is not None:
-        flipped = GeneratingData(
-            g=data.g, f=data.f, base_point=data.base_point,
-            part=Part.IMAGINARY if data.part == Part.REAL else Part.REAL,
-        )
-        other = evaluate_surface(flipped, _parse_domain(args.domain), _parse_grid(args.grid))
-        kg1 = grid.K
-        kg2 = forms_grid(other).K
-        both = np.isfinite(kg1) & np.isfinite(kg2)
-        opposition = bool(np.all(kg1[both] * kg2[both] < 0.0)) if np.any(both) else False
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.abs(kg2[both]) / np.abs(kg1[both])
+    if compare:
         gates["part_curvature_signs"] = {
-            "pass": opposition,
-            "nodes": int(np.sum(both)),
-            "magnitude_ratio_min": float(np.min(ratio)) if np.any(both) else None,
-            "magnitude_ratio_max": float(np.max(ratio)) if np.any(both) else None,
+            "pass": opposed and both > 0,
+            "nodes": both,
+            # np.min and np.max propagate a NaN ratio (0/0), as over the whole grid
+            "magnitude_ratio_min": float(np.min(ratio_min)) if both else None,
+            "magnitude_ratio_max": float(np.max(ratio_max)) if both else None,
         }
     ok = all(g["pass"] for g in gates.values() if g.get("status") != "skipped")
     _emit({"schema_version": SCHEMA_VERSION, "command": "verify", "gates": gates, "pass": ok})

@@ -7,9 +7,11 @@ differences; a generated patch on square grid steps gets "mixed" forms,
 analytic first derivatives with finite-difference second derivatives of the
 sampled points; any other generated patch gets fully analytic forms.
 
-`forms_grid` is the one forms path: forms, normal and K, H at every node,
-NaN and not `valid` where the stencil is unavailable, the normal degenerate
-or the metric not timelike.  One node is read by indexing the grid.
+`forms_blocks` is the one forms path: forms, normal and K, H at every node
+of one block of grid rows at a time, NaN and not `valid` where the stencil
+is unavailable, the normal degenerate or the metric not timelike.
+`forms_grid` stores the blocks into whole-grid arrays; one node is read by
+indexing them.
 """
 
 from __future__ import annotations
@@ -25,8 +27,13 @@ __all__ = [
     "FormsGrid",
     "minkowski_inner",
     "lorentz_cross",
+    "forms_blocks",
     "forms_grid",
 ]
+
+# nodes in one block of forms_blocks: whole grid rows, at least one; a
+# 101-column grid takes 20 rows a block, and a 33x33 patch is one block
+BLOCK_NODES = 2048
 
 
 def minkowski_inner(x, y):
@@ -77,35 +84,79 @@ def _resolve_method(patch: SurfacePatch) -> str:
     return "mixed" if _square_steps(patch.h_u, patch.h_v) else "analytic"
 
 
-def _analytic_first(patch: SurfacePatch, second: bool = False):
-    """(x_u, x_v) from the curve derivative, or (x_uu, x_uv) from its
-    derivative when `second`, and the mask of nodes where they are finite."""
-    exprs = curve_expressions(patch.provenance)
-    return patch._index.tangents([e.derivative() for e in exprs] if second else exprs, patch.provenance.part)
+def _halo(points, rows):
+    """The points of grid rows `rows` with the neighbouring row on each side
+    the grid has one, and the place of rows within them.  The central
+    differences below leave NaN only on the first and last row of what they
+    are given, so on the rows they equal the whole grid's, bit for bit."""
+    lo = max(rows.start - 1, 0)
+    return points[lo:rows.stop + 1], slice(rows.start - lo, rows.stop - lo)
+
+
+def _shifted(points, out, steps):
+    """Flat views for a stencil on (r, m, 3) arrays: the entries of out that
+    have every neighbour (i+di, j+dj) of steps within the points, and per
+    step the points at that neighbour of each of them.
+
+    A neighbour is a fixed number of entries away in the flattened arrays,
+    so every view is contiguous: numpy allocates iteration buffers, as large
+    as a block of rows, for strided operands.  The first and last entries of
+    a grid row find a neighbour along v in the next or previous row; callers
+    set the first and last column to NaN."""
+    m = points.shape[1]
+    offsets = [3 * (di * m + dj) for di, dj in steps]
+    pad = max(map(abs, offsets))
+    n = max(out.size - 2 * pad, 0)
+    flat = points.reshape(-1)
+    return out.reshape(-1)[pad:pad + n], [flat[pad + o:pad + o + n] for o in offsets]
 
 
 def _fd_first(points, hu, hv):
-    xu = np.full(points.shape, np.nan)
-    xv = np.full(points.shape, np.nan)
-    xu[1:-1, :, :] = (points[2:, :, :] - points[:-2, :, :]) / (2.0 * hu)
-    xv[:, 1:-1, :] = (points[:, 2:, :] - points[:, :-2, :]) / (2.0 * hv)
+    """x_u and x_v by central differences, NaN where the stencil leaves the
+    points given, each formed in place."""
+    xu, xv = np.full(points.shape, np.nan), np.full(points.shape, np.nan)
+    for x, (di, dj), h in ((xu, (1, 0), hu), (xv, (0, 1), hv)):
+        t, (plus, minus) = _shifted(points, x, [(di, dj), (-di, -dj)])
+        # the row ends pair points of two rows: quiet there, and NaN below
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(plus, minus, out=t)
+            t /= 2.0 * h
+    xv[:, [0, -1]] = np.nan
     return xu, xv
 
 
 def _fd_second(points, hu, hv):
     """x_uu, x_uv and x_vv by central differences, NaN where the stencil
-    leaves the grid, each made only when the caller asks for the next."""
+    leaves the points given, each formed in place with the operations of
+    (a - 2 b + c) / h^2 and (a - b - c + d) / (4 h_u h_v) in their order, and
+    made only when the caller asks for the next."""
 
-    def padded(interior, values):
+    def along(di, dj, h2):
         x = np.full(points.shape, np.nan)
-        x[interior] = values
+        t, (a, b, c) = _shifted(points, x, [(di, dj), (0, 0), (-di, -dj)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(b, 2.0, out=t)
+            np.subtract(a, t, out=t)
+            t += c
+            t /= h2
+        if dj:
+            x[:, [0, -1]] = np.nan
         return x
 
-    yield padded(np.s_[1:-1], (points[2:, :, :] - 2.0 * points[1:-1, :, :] + points[:-2, :, :]) / hu**2)
-    yield padded(np.s_[1:-1, 1:-1], (
-        points[2:, 2:, :] - points[2:, :-2, :] - points[:-2, 2:, :] + points[:-2, :-2, :]
-    ) / (4.0 * hu * hv))
-    yield padded(np.s_[:, 1:-1], (points[:, 2:, :] - 2.0 * points[:, 1:-1, :] + points[:, :-2, :]) / hv**2)
+    def across():
+        x = np.full(points.shape, np.nan)
+        t, (a, b, c, d) = _shifted(points, x, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(a, b, out=t)
+            t -= c
+            t += d
+            t /= 4.0 * hu * hv
+        x[:, [0, -1]] = np.nan
+        return x
+
+    yield along(1, 0, hu**2)
+    yield across()
+    yield along(0, 1, hv**2)
 
 
 def _unit_normal(xu, xv):
@@ -125,41 +176,42 @@ def _quiet_inner(a, b):
         return minkowski_inner(a, b)
 
 
-def forms_grid(patch: SurfacePatch) -> FormsGrid:
-    """Fundamental forms at every node where the patch's stencil is available.
+def _forms_block(patch: SurfacePatch, method: str, rows: slice, exprs) -> FormsGrid:
+    """The forms of the grid rows `rows` of the patch by the stencil method;
+    exprs are the curve derivative's components and, for analytic forms,
+    their derivatives (None for fd).
 
-    Each node-sized input is dropped as soon as it is used: the tangents once
-    E, F, G and the unit normal are formed (the cross product becomes the
-    normal in place), each second derivative once its coefficient is formed
-    (the fd ones are differenced one at a time), and the outputs are masked
-    in place.  So the forms of an (n, m) patch peak at about six (n, m, 3)
-    float arrays, the outputs included.
+    Analytic tangents are the rows' own (_NullIndex.tangents evaluates the
+    knots they use); differences read the rows and one halo row on each
+    side (_halo), with the patch's steps h_u and h_v, so a block edge inside
+    the grid is no grid edge.  Every value is the one the whole grid would
+    give at that node, bit for bit.
     """
-    method = _resolve_method(patch)
+    slab, inner = _halo(patch.points, rows)
     if method == "fd":
-        xu, xv = _fd_first(patch.points, patch.h_u, patch.h_v)
-        ok = patch.valid
+        xu, xv = (x[inner] for x in _fd_first(slab, patch.h_u, patch.h_v))
+        ok = patch.valid[rows]
     else:
-        xu, xv, ok = _analytic_first(patch)
-        ok &= patch.valid
+        xu, xv, ok = patch._index.tangents(exprs[0], patch.provenance.part, rows)
+        ok &= patch.valid[rows]
 
     with np.errstate(invalid="ignore"):
+        U, degenerate = _unit_normal(xu, xv)
         E = minkowski_inner(xu, xu)
         F = minkowski_inner(xu, xv)
         G = minkowski_inner(xv, xv)
-        U, degenerate = _unit_normal(xu, xv)
     del xu, xv
-    # map, unlike a generator expression, keeps no second derivative alive
-    # while the next one is made
-    along_normal = functools.partial(_quiet_inner, U)
     if method == "analytic":
-        xuu, xuv, ok2 = _analytic_first(patch, second=True)
+        # x_uu and x_uv: the tangents of the curve derivative's derivative
+        xuu, xuv, ok2 = patch._index.tangents(exprs[1], patch.provenance.part, rows)
         ok &= ok2
         # every component satisfies the wave equation x_vv = x_uu
-        L, M, N = map(along_normal, (xuu, xuv, xuu))
+        L, M, N = map(functools.partial(_quiet_inner, U), (xuu, xuv, xuu))
         del xuu, xuv
     else:  # fd, and mixed: exact tangents, measured second derivatives
-        L, M, N = map(along_normal, _fd_second(patch.points, patch.h_u, patch.h_v))
+        # map, unlike a generator expression, keeps no second derivative
+        # alive while the next one is made
+        L, M, N = map(lambda x: _quiet_inner(U, x[inner]), _fd_second(slab, patch.h_u, patch.h_v))
 
     with np.errstate(invalid="ignore"):
         computed = (
@@ -179,6 +231,50 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
         K = (L * N - M * M) / den
         H = (E * N - 2.0 * F * M + G * L) / (2.0 * den)
 
-    for arr in (E, F, G, L, M, N, U):
+    # K and H too: a NaN operand's sign would depend on numpy's loop for the
+    # block's length, so every invalid node gets the one NaN
+    for arr in (E, F, G, L, M, N, K, H, U):
         arr[invalid] = np.nan
     return FormsGrid(E, F, G, L, M, N, K, H, U, valid, method, violations)
+
+
+def forms_blocks(patch: SurfacePatch):
+    """The fundamental forms of the patch one block of grid rows at a time:
+    (rows, FormsGrid of those rows) for consecutive slices of rows, each of
+    whole rows and at most BLOCK_NODES nodes (at least one row).
+
+    A consumer that folds over the blocks never holds the whole grid's
+    forms: a block's working set is a few arrays of its own size, and
+    forms_grid stores the blocks into whole-grid outputs.  Each node's values
+    are the same bits whatever the blocks (_forms_block).
+    """
+    method = _resolve_method(patch)
+    exprs = None
+    if method != "fd":
+        first = curve_expressions(patch.provenance)
+        exprs = first, [e.derivative() for e in first] if method == "analytic" else None
+    n, m = patch.shape
+    step = max(1, BLOCK_NODES // m)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        yield rows, _forms_block(patch, method, rows, exprs)
+
+
+def forms_grid(patch: SurfacePatch) -> FormsGrid:
+    """Fundamental forms at every node where the patch's stencil is available.
+
+    The fold of forms_blocks that stores each block into preallocated
+    outputs, so the call holds the outputs (about 3.7 (n, m, 3) float arrays,
+    eight coefficients, the normal and the mask) and one block's working set.
+    """
+    n, m = patch.shape
+    out = {name: np.empty((n, m)) for name in ("E", "F", "G", "L", "M", "N", "K", "H")}
+    out.update(U=np.empty((n, m, 3)), valid=np.empty((n, m), bool))
+    violations = 0
+    for rows, block in forms_blocks(patch):
+        for name, arr in out.items():
+            arr[rows] = getattr(block, name)
+        violations += block.metric_violations
+        method = block.method
+        del block  # else it is held while the next block is made
+    return FormsGrid(**out, method=method, metric_violations=violations)

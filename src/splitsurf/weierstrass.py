@@ -137,17 +137,32 @@ class _NullIndex:
         """expr's null components (e+, e-) at every node."""
         return tuple(expr.eval_null(k, side)[a] for side, k, a in zip((PLUS, MINUS), self.knots, self.at))
 
-    def tangents(self, exprs, part: Part):
+    def tangents(self, exprs, part: Part, rows=None):
         """x_u and x_v of the selected part of the curve whose derivative has
-        the components exprs, at every node with the components on the last
-        axis, and the mask of nodes where both are finite.
+        the components exprs, at every node of the grid rows `rows` (a slice;
+        None for every node) with the components on the last axis, and the
+        mask of those nodes where both are finite.
 
-        Per side the components' values at the knots are stacked and gathered
-        to the nodes once; x_u is the selected part of the two sides, formed
-        in place, and x_v the other part, so three node-sized arrays are live
-        at most."""
-        a, b = (np.stack([e.eval_null(k, side) for e in exprs], axis=-1)[at]
-                for side, k, at in zip((PLUS, MINUS), self.knots, self.at))
+        Per side the components are evaluated once at each knot the rows
+        use (every knot when rows is None), stacked and gathered to the
+        nodes; x_u is the selected part of the two sides, formed in place,
+        and x_v the other part, so three arrays the size of the rows are
+        live at most.  Rows take only their own knots: off square steps the
+        index has about one knot per node.  Evaluation is elementwise, so a
+        node's values are the same bits whichever rows ask for them."""
+
+        def side_values(side, knots, at):
+            used = slice(None)
+            if rows is not None:
+                # the knots the rows use, and each node's place among them,
+                # without a sort (np.unique's integer sort maps its own code)
+                seen = np.zeros(len(knots), bool)
+                seen[at[rows]] = True
+                used = np.flatnonzero(seen)
+                at = np.searchsorted(used, at[rows])
+            return np.stack([e.eval_null(knots[used], side) for e in exprs], axis=-1)[at]
+
+        a, b = (side_values(side, k, at) for side, k, at in zip((PLUS, MINUS), self.knots, self.at))
         xv = _part(a.copy(), b, Part.IMAGINARY if part == Part.REAL else Part.REAL)
         xu = _part(a, b, part)
         return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)
@@ -283,6 +298,9 @@ def evaluate_surface(
     valid &= ok
     points = _part(fp, fq, data.part)
     del fq
+    # x + 0.0 is x, except that an underflowed -0.0 becomes +0.0: a zero
+    # integral has one sign whichever route formed it
+    points += 0.0
     valid &= np.all(np.isfinite(points), axis=-1)
     points[~valid] = np.nan
     return SurfacePatch(us, vs, points, valid, data, index)

@@ -500,7 +500,7 @@ def test_write_obj_matches_per_cell_writer(writer_patch, tmp_path):
 def test_write_csv_matches_per_cell_writer(writer_patch, tmp_path):
     patch, grid = writer_patch
     path = tmp_path / "mesh.csv"
-    write_csv(str(path), patch, grid)
+    write_csv(str(path), patch)
     assert path.read_text() == reference_csv(patch, grid)
 
 
@@ -518,9 +518,9 @@ def test_write_json_mesh_is_compact_json_with_nulls(writer_patch, tmp_path):
 
 
 def test_read_csv_bit_exact(writer_patch, tmp_path):
-    patch, grid = writer_patch
+    patch, _ = writer_patch
     path = tmp_path / "mesh.csv"
-    write_csv(str(path), patch, grid)
+    write_csv(str(path), patch)
     back = read_csv_patch(str(path))
     assert np.array_equal(back.us, patch.us) and np.array_equal(back.vs, patch.vs)
     assert np.array_equal(back.points, patch.points, equal_nan=True)

@@ -110,9 +110,9 @@ def test_normal_orthogonality():
     patch = evaluate_surface(
         GeneratingData.general(parse("exp(z)"), parse("exp(z)")), (0.2, 1.0, -0.3, 0.3), (9, 9)
     )
-    from splitsurf.geometry import _analytic_first
+    from splitsurf.weierstrass import curve_expressions
 
-    xu, xv, _ = _analytic_first(patch)
+    xu, xv, _ = patch._index.tangents(curve_expressions(patch.provenance), patch.provenance.part)
     grid = forms_grid(patch)
     for (i, j) in [(3, 3), (5, 2), (4, 6)]:
         assert grid.valid[i, j]
