@@ -229,7 +229,7 @@ def read_csv_patch(path: str) -> SurfacePatch:
     if not np.all(np.isfinite(table[:, :2])):
         raise DomainError("%s: u and v must be finite on every row" % path)
     (us, iu), (vs, iv) = (np.unique(table[:, k], return_inverse=True) for k in (0, 1))
-    # the fd stencils of forms_grid take one step per axis
+    # the fd stencils of forms_blocks take one step per axis
     for name, axis in (("u", us), ("v", vs)):
         steps = np.diff(axis)
         if steps.size and np.max(np.abs(steps - steps.mean())) > 1e-6 * steps.mean():
