@@ -26,7 +26,7 @@ from .algebra import sqrt as sc_sqrt
 from . import holofn
 from .holofn import PLUS, MINUS, Const, HoloExpr, Z
 from .weierstrass import GeneratingData, SurfacePatch, _NullIndex, _null_index
-from .geometry import FormsGrid, forms_grid
+from .geometry import BlockFold, FormsGrid, forms_grid
 
 __all__ = [
     "BranchError",
@@ -35,7 +35,7 @@ __all__ = [
     "CanonicalizationResult",
     "SampledField",
     "CoefficientReport",
-    "CoefficientSummary",
+    "coefficient_summary",
     "FieldMatch",
     "canonicalize",
     "canonical_curvature_field",
@@ -395,46 +395,39 @@ class CoefficientReport:
         """The mean of every finite residual of every shape, NaN if none."""
         return self.summary()["mean_residual"]
 
+    def fold(self, fold: BlockFold) -> BlockFold:
+        """Fold this report into fold as one block of grid rows."""
+        fold.add("nodes", np.add, self.valid)
+        for name, arr in self.residuals.items():
+            # np.nanmax of the whole grid: an infinite residual counts
+            fold.add("max_" + name, np.fmax, arr)
+        # each block's finite residuals: concatenated, they are in node order for np.mean
+        fold.setdefault("finite", []).append({name: arr[np.isfinite(arr)] for name, arr in self.residuals.items()})
+        return fold
+
     def summary(self) -> dict:
-        fold = CoefficientSummary()
-        fold.add(self)
-        return fold.summary()
+        return coefficient_summary(self.fold(BlockFold()))
 
     def ok(self, tol: float) -> bool:
         return self.max_residual < tol
 
 
-class CoefficientSummary:
-    """CoefficientReport.summary() folded over the reports of consecutive
-    blocks of grid rows, one report at a time.
-
-    Each residual keeps only its finite values, in node order, so the
-    largest and the mean residual are taken over the same values in the
-    same order as from one report of the whole grid: the summary is the
-    same bits whatever the blocks.
-    """
-
-    def __init__(self):
-        self.finite, self.top, self.nodes = {}, {}, 0
-
-    def add(self, report: CoefficientReport):
-        self.nodes += int(np.sum(report.valid))
-        for name, arr in report.residuals.items():
-            self.finite.setdefault(name, []).append(arr[np.isfinite(arr)])
-            # np.nanmax of the whole grid: an infinite residual counts, a NaN block maximum loses
-            self.top[name] = max(self.top.get(name, -np.inf), np.fmax.reduce(arr, axis=None))
-
-    def summary(self) -> dict:
-        finite = {name: np.concatenate(parts) for name, parts in self.finite.items()}
-        values = np.concatenate(list(finite.values()))
-        out = {
-            "max_residual": float(np.max(values)) if values.size else float("nan"),
-            "mean_residual": float(np.mean(values)) if values.size else float("nan"),
-            "nodes": self.nodes,
-        }
-        for name, arr in finite.items():
-            out["max_" + name] = float(self.top[name]) if arr.size else float("nan")
-        return out
+def coefficient_summary(fold: BlockFold) -> dict:
+    """CoefficientReport.summary() of the reports of consecutive blocks of
+    grid rows folded into fold, the same bits as from one report of the
+    whole grid: the largest and the mean residual are taken over every
+    finite residual, shape by shape in node order."""
+    blocks = fold["finite"]
+    finite = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
+    values = np.concatenate(list(finite.values()))
+    out = {
+        "max_residual": float(np.max(values)) if values.size else float("nan"),
+        "mean_residual": float(np.mean(values)) if values.size else float("nan"),
+        "nodes": int(fold["nodes"]),
+    }
+    for name, arr in finite.items():
+        out["max_" + name] = float(fold["max_" + name]) if arr.size else float("nan")
+    return out
 
 
 def verify_canonical_coefficients(

@@ -9,6 +9,7 @@ version field; every command is deterministic given its arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -19,13 +20,13 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
 from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
-from .geometry import forms_blocks
+from .geometry import BlockFold, forms_blocks
 from .canonical import (
     BranchError,
-    CoefficientSummary,
     InconclusiveOverlap,
     canonical_pde_residual,
     canonicalize,
+    coefficient_summary,
     curvature_callable,
     verify_canonical_coefficients,
 )
@@ -117,12 +118,12 @@ def _emit(report: dict, stream=None):
 def _load_data(args) -> GeneratingData:
     part = Part.REAL if args.part == "real" else Part.IMAGINARY
     base = _parse_const(args.base) if args.base else splitc(0.0)
+    if args.g is None:
+        raise _UsageError("provide --g EXPR (verify also reads --from-csv FILE)")
+    if args.canonical == (args.f is not None):
+        raise _UsageError("provide one of --f EXPR and --canonical (which sets f = 1/g')")
     g = holofn.parse(args.g)
-    if getattr(args, "canonical", False):
-        return GeneratingData.canonical(g, part=part, base_point=base)
-    if args.f is None:
-        raise _UsageError("provide --f EXPR or --canonical")
-    return GeneratingData.general(holofn.parse(args.f), g, part=part, base_point=base)
+    return GeneratingData(g=g, f=None if args.canonical else holofn.parse(args.f), part=part, base_point=base)
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +165,38 @@ def write_obj(path: str, patch: SurfacePatch):
 _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
 
 
-def _forms_summary(blocks) -> dict:
-    """generate's max_abs_H, k_min and k_max over the valid nodes of the
-    (rows, forms) blocks of forms_blocks, None without a valid node; each
-    the NaN-ignoring extreme of the whole grid, whatever the blocks (a
-    block's extreme is NaN when it has no number, and a NaN never wins
-    Python's max or min against a number)."""
-    valid, top_h, low_k, top_k = False, -np.inf, np.inf, -np.inf
+def _fold_forms(blocks, canonical=False, others=None) -> BlockFold:
+    """generate's summary and verify's forms gates, folded over the (rows,
+    forms) blocks of forms_blocks: valid, max_abs_H, k_min, k_max, violations,
+    with canonical coefficient_summary's statistics, and with the other
+    part's blocks on the same grid (others) the nodes where both K are
+    finite, whether all are opposed and their magnitude ratio's extremes."""
+    fold = BlockFold()
     for _, forms in blocks:
-        valid |= bool(np.any(forms.valid))
-        top_h = max(top_h, np.fmax.reduce(np.abs(forms.H), axis=None))
-        low_k = min(low_k, np.fmin.reduce(forms.K, axis=None))
-        top_k = max(top_k, np.fmax.reduce(forms.K, axis=None))
+        fold.add("valid", np.logical_or, forms.valid)
+        fold.add("max_abs_H", np.fmax, np.abs(forms.H))
+        fold.add("k_min", np.fmin, forms.K)
+        fold.add("k_max", np.fmax, forms.K)
+        fold.add("violations", np.add, forms.metric_violations)
+        if canonical:
+            verify_canonical_coefficients(forms).fold(fold)
+        if others is not None:
+            kg1, kg2 = forms.K, next(others)[1].K
+            finite = np.isfinite(kg1) & np.isfinite(kg2)
+            fold.add("both", np.add, finite)
+            fold.add("opposed", np.logical_and, kg1[finite] * kg2[finite] < 0.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                ratio = np.abs(kg2[finite]) / np.abs(kg1[finite])
+            fold.add("ratio_min", np.minimum, ratio)
+            fold.add("ratio_max", np.maximum, ratio)
         del forms  # else it is held while the next block is made
-    values = (float(top_h), float(low_k), float(top_k)) if valid else (None,) * 3
-    return dict(zip(("max_abs_H", "k_min", "k_max"), values))
+    return fold
 
 
-def write_csv(path: str, patch: SurfacePatch) -> dict:
+def write_csv(path: str, patch: SurfacePatch) -> BlockFold:
     """CSV of every node's u, v, point and forms E, F, G, L, M, N, K, H,
     written one block of grid rows at a time as forms_blocks gives them, so
-    no whole-grid forms are held; returns generate's _forms_summary of the
+    no whole-grid forms are held; returns generate's _fold_forms of the
     blocks."""
     with open(path, "w") as fh:
         fh.write("u,v,x1,x2,x3,E,F,G,L,M,N,K,H\n")
@@ -196,7 +208,7 @@ def write_csv(path: str, patch: SurfacePatch) -> dict:
             return block
 
         # map, unlike a generator, holds no block while the next one is made
-        return _forms_summary(map(written, forms_blocks(patch)))
+        return _fold_forms(map(written, forms_blocks(patch)))
 
 
 def _bad_csv_line(fh, cols):
@@ -278,12 +290,11 @@ def cmd_generate(args) -> int:
         "format": args.format,
         "invalid_samples": int((~patch.valid).sum()),
     }
-    # the CSV writer folds the summary over the blocks it writes; the OBJ
-    # and JSON writers read the points alone
-    if args.format == "csv":
-        summary.update(write_csv(args.out, patch))
-    else:
-        summary.update(_forms_summary(forms_blocks(patch)))
+    # the CSV writer folds the forms over the blocks it writes; the OBJ and
+    # JSON writers read the points alone
+    fold = write_csv(args.out, patch) if args.format == "csv" else _fold_forms(forms_blocks(patch))
+    # without a valid node there is no summary; a NaN extreme reads null
+    summary.update({key: float(fold[key]) if fold["valid"] else None for key in ("max_abs_H", "k_min", "k_max")})
     verts, faces = int(patch.valid.sum()), 0
     if args.format == "obj":
         verts, faces = write_obj(args.out, patch)
@@ -331,53 +342,30 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_verify(args) -> int:
     gates = {}
-    data = None
+    others = None
     if args.from_csv:
+        if args.f is not None or args.g is not None or args.canonical or args.compare_parts:
+            raise _UsageError("--from-csv verifies the file's points alone: drop --f, --g, --canonical "
+                              "and --compare-parts")
         patch = read_csv_patch(args.from_csv)
     else:
-        if args.g is None:
-            raise _UsageError("provide --g (with --f or --canonical) or --from-csv")
         data = _load_data(args)
-        patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid))
-    canonical = data is not None and data.is_canonical
-    compare = args.compare_parts and data is not None
-    if compare:
-        flipped = GeneratingData(
-            g=data.g, f=data.f, base_point=data.base_point,
-            part=Part.IMAGINARY if data.part == Part.REAL else Part.REAL,
-        )
-        # the same grid, so the same blocks of rows as the patch's
-        others = forms_blocks(evaluate_surface(flipped, _parse_domain(args.domain), _parse_grid(args.grid)))
-    # every gate folds over the blocks of forms: maxima, minima, counts and
-    # the coefficient summary come out as from the whole grid's forms
-    valid, max_h, violations = False, -np.inf, 0
-    coefficients = CoefficientSummary()
-    both, opposed, ratio_min, ratio_max = 0, True, [], []
-    for _, forms in forms_blocks(patch):
-        valid |= bool(np.any(forms.valid))
-        max_h = max(max_h, np.fmax.reduce(np.abs(forms.H), axis=None))
-        violations += forms.metric_violations
-        if canonical:
-            coefficients.add(verify_canonical_coefficients(forms))
-        if compare:
-            kg1, kg2 = forms.K, next(others)[1].K
-            finite = np.isfinite(kg1) & np.isfinite(kg2)
-            if np.any(finite):
-                both += int(np.sum(finite))
-                opposed &= bool(np.all(kg1[finite] * kg2[finite] < 0.0))
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    ratio = np.abs(kg2[finite]) / np.abs(kg1[finite])
-                ratio_min.append(np.min(ratio))
-                ratio_max.append(np.max(ratio))
-        del forms  # else it is held while the next block is made
-    if not valid:
+        grid = _parse_domain(args.domain), _parse_grid(args.grid)
+        patch = evaluate_surface(data, *grid)
+        if args.compare_parts:
+            flipped = dataclasses.replace(data, part=Part.IMAGINARY if data.part == Part.REAL else Part.REAL)
+            # the same grid, so the same blocks of rows as the patch's
+            others = forms_blocks(evaluate_surface(flipped, *grid))
+    fold = _fold_forms(forms_blocks(patch), args.canonical, others)
+    if not fold["valid"]:
         raise DomainError("no valid interior nodes to verify")
-    # no number among the valid nodes' H fails the gate, as np.nanmax's NaN did
-    max_h = float(max_h) if max_h > -np.inf else float("nan")
+    # no number among the valid nodes' H is NaN and fails the gate
+    max_h = float(fold["max_abs_H"])
     gates["minimality"] = {"max_abs_H": max_h, "tol": args.tol_h, "pass": max_h < args.tol_h}
+    violations = int(fold["violations"])
     gates["timelike"] = {"violations": violations, "pass": violations == 0}
-    if canonical:
-        summary = coefficients.summary()
+    if args.canonical:
+        summary = coefficient_summary(fold)
         gates["canonical_coefficients"] = dict(
             summary, tol=args.tol_coeff, **{"pass": summary["max_residual"] < args.tol_coeff}
         )
@@ -395,13 +383,13 @@ def cmd_verify(args) -> int:
                 "reason": "no node has a finite residual: every node is singular "
                           "or within --pde-gate %g of 1 - |g|^2 = 0" % args.pde_gate,
             }
-    if compare:
+    if others is not None:
+        both = int(fold["both"])
         gates["part_curvature_signs"] = {
-            "pass": opposed and both > 0,
+            "pass": both > 0 and bool(fold["opposed"]),
             "nodes": both,
-            # np.min and np.max propagate a NaN ratio (0/0), as over the whole grid
-            "magnitude_ratio_min": float(np.min(ratio_min)) if both else None,
-            "magnitude_ratio_max": float(np.max(ratio_max)) if both else None,
+            "magnitude_ratio_min": fold.get("ratio_min"),
+            "magnitude_ratio_max": fold.get("ratio_max"),
         }
     ok = all(g["pass"] for g in gates.values() if g.get("status") != "skipped")
     _emit({"schema_version": SCHEMA_VERSION, "command": "verify", "gates": gates, "pass": ok})

@@ -11,7 +11,8 @@ sampled points; any other generated patch gets fully analytic forms.
 of one block of grid rows at a time, NaN and not `valid` where the stencil
 is unavailable, the normal degenerate or the metric not timelike.
 `forms_grid` stores the blocks into whole-grid arrays; one node is read by
-indexing them.
+indexing them.  `BlockFold` reduces per-node statistics over the blocks to
+the whole grid's.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .weierstrass import SurfacePatch, _square_steps, curve_expressions
 
 __all__ = [
+    "BlockFold",
     "FormsGrid",
     "minkowski_inner",
     "lorentz_cross",
@@ -278,3 +280,19 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
         method = block.method
         del block  # else it is held while the next block is made
     return FormsGrid(**out, method=method, metric_violations=violations)
+
+
+class BlockFold(dict):
+    """Statistics of per-node arrays folded over blocks of grid rows, the
+    same bits as from the whole grid's arrays, whatever the blocks.
+
+    add folds ufunc.reduce of a block's values, if any, into self[name] by
+    ufunc: np.fmax and np.fmin ignore NaN (a block with no number never
+    wins), np.maximum and np.minimum propagate it.
+    """
+
+    def add(self, name, ufunc, values):
+        values = np.asarray(values)
+        if values.size:
+            block = ufunc.reduce(values, axis=None)
+            self[name] = ufunc(self[name], block) if name in self else block

@@ -11,6 +11,7 @@ block, or that read a block edge as a grid edge, changes them.
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -109,3 +110,52 @@ def test_cli_files_and_reports_are_the_same_for_any_block_rows(tmp_path, monkeyp
         assert other.keys() == first.keys()
         for key, value in first.items():
             assert other[key] == value, key
+
+
+def _run(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blocks_without_a_valid_node_never_win(tmp_path, monkeypatch):
+    # the first four grid rows have no point, so with one row a block the
+    # first five blocks of fd forms have no valid node and no number
+    patch = evaluate_surface(DATA["exp"], (-1, 1, -1, 1), (23, 23))
+    points = patch.points.copy()
+    points[:4] = np.nan
+    path = str(tmp_path / "holes.csv")
+    with open(path, "w") as fh:
+        fh.write("u,v,x1,x2,x3\n")
+        for i, u in enumerate(patch.us):
+            for j, v in enumerate(patch.vs):
+                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (u, v, *points[i, j]))
+    read = read_csv_patch(path)
+    assert not np.any(read.valid[:4]) and np.any(read.valid[4:])
+    reports = []
+    for rows in ROWS:
+        _set_block_rows(monkeypatch, rows, read.shape)
+        if rows == 1:
+            assert not np.any([np.any(forms.valid) for _, forms in forms_blocks(read)][:5])
+        reports.append(_run(["verify", "--from-csv", path]))
+    assert reports[0] == reports[1] == reports[2]
+    code, report = reports[0]
+    assert code == 1
+    max_h = json.loads(report)["gates"]["minimality"]["max_abs_H"]
+    assert max_h == np.nanmax(np.abs(forms_grid(read).H))
+
+
+@pytest.mark.parametrize("rows", [1, None])
+def test_a_patch_without_a_valid_node(tmp_path, monkeypatch, rows):
+    # one interior node, on the locus 1 - |g|^2 = 0 where the normal degenerates
+    data = ["--f", "1", "--g", "z", "--domain", "0.9:1.1:-0.1:0.1", "--grid", "3x3"]
+    monkeypatch.setattr(geometry, "BLOCK_NODES", (rows or 3) * 3)
+    for fmt in ("obj", "csv"):
+        code, report = _run(["generate", *data, "--format", fmt, "--out", str(tmp_path / ("p." + fmt))])
+        summary = json.loads(report)
+        assert code == 0 and summary["vertices"] > 0
+        assert summary["max_abs_H"] is summary["k_min"] is summary["k_max"] is None
+    assert _run(["verify", *data]) == (2, "")
+    assert _run(["verify", "--from-csv", str(tmp_path / "p.csv")]) == (2, "")

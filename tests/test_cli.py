@@ -307,6 +307,45 @@ def test_verify_compare_parts(capsys):
     assert gate["magnitude_ratio_min"] > 0.0
 
 
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_generate_and_verify_read_one_fold(tmp_path, capsys, fmt):
+    # generate's summary (through write_csv for CSV) and verify's gates come
+    # from the same fold over the forms blocks
+    data = ("--f", "exp(0.5*z)", "--g", "1/(z-1.3)", "--grid", "23x23")
+    code, stdout, _ = run(capsys, "generate", *data, "--format", fmt, "--out", str(tmp_path / ("p." + fmt)))
+    assert code == 0
+    generated = json.loads(stdout)
+    code, stdout, _ = run(capsys, "verify", *data)
+    gates = json.loads(stdout)["gates"]
+    patch = evaluate_surface(GeneratingData.general(parse("exp(0.5*z)"), parse("1/(z-1.3)")), (-1, 1, -1, 1), (23, 23))
+    forms = forms_grid(patch)
+    assert gates["minimality"]["max_abs_H"] == generated["max_abs_H"] == np.nanmax(np.abs(forms.H))
+    assert gates["timelike"]["violations"] == forms.metric_violations
+    assert generated["k_min"] == np.nanmin(forms.K) and generated["k_max"] == np.nanmax(forms.K)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--from-csv", "CSV", "--f", "1"),
+    ("verify", "--from-csv", "CSV", "--g", "z"),
+    ("verify", "--from-csv", "CSV", "--canonical"),
+    ("verify", "--from-csv", "CSV", "--compare-parts"),
+    ("verify", "--from-csv", "CSV", "--compare-parts", "--canonical", "--g", "z"),
+    ("verify", "--canonical", "--f", "1", "--g", "z"),
+    ("generate", "--canonical", "--f", "1", "--g", "z", "--out", "OUT"),
+    ("generate", "--f", "1", "--out", "OUT"),
+], ids=["csv_f", "csv_g", "csv_canonical", "csv_compare_parts", "csv_three", "verify_canonical_f",
+        "generate_canonical_f", "generate_no_g"])
+def test_conflicting_or_missing_data_flags_are_usage_errors(tmp_path, capsys, argv):
+    # data a command would ignore, or data it lacks, is a usage error before
+    # any file is read or written
+    csv, out = tmp_path / "e.csv", tmp_path / "out.obj"
+    write_csv(str(csv), evaluate_surface(GeneratingData.general(parse("1"), parse("z")), (-1, 1, -1, 1), (9, 9)))
+    argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 3 and stdout == "" and err.startswith("usage error")
+    assert not out.exists()
+
+
 def test_classify_cli(tmp_path, capsys):
     coeffs = {
         "x1": {"(3,0)": -1 / 6, "(1,2)": -1 / 2, "(1,0)": -1 / 2},
