@@ -167,14 +167,18 @@ _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
 
 def _fold_forms(blocks, canonical=False, others=None) -> BlockFold:
     """generate's summary and verify's forms gates, folded over the (rows,
-    forms) blocks of forms_blocks: valid, max_abs_H, k_min, k_max, violations,
-    with canonical coefficient_summary's statistics, and with the other
-    part's blocks on the same grid (others) the nodes where both K are
-    finite, whether all are opposed and their magnitude ratio's extremes."""
+    forms) blocks of forms_blocks: valid, max_abs_H, max_H_ratio (of |H| to
+    H_scale), k_min, k_max, violations, with canonical coefficient_summary's
+    statistics, and with the other part's blocks on the same grid (others)
+    the nodes where both K are finite, whether all are opposed and their
+    magnitude ratio's extremes."""
     fold = BlockFold()
     for _, forms in blocks:
         fold.add("valid", np.logical_or, forms.valid)
         fold.add("max_abs_H", np.fmax, np.abs(forms.H))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # NaN for fd forms, whose H_scale is NaN
+            fold.add("max_H_ratio", np.fmax, np.abs(forms.H) / forms.H_scale)
         fold.add("k_min", np.fmin, forms.K)
         fold.add("k_max", np.fmax, forms.K)
         fold.add("violations", np.add, forms.metric_violations)
@@ -281,6 +285,7 @@ def write_json_mesh(path: str, patch: SurfacePatch):
 
 
 def cmd_generate(args) -> int:
+    args = _defaulted(args)
     data = _load_data(args)
     patch = evaluate_surface(data, _parse_domain(args.domain), _parse_grid(args.grid), tol=args.tol)
     summary = {
@@ -340,13 +345,34 @@ def cmd_canonicalize(args) -> int:
     return 0
 
 
+# the defaults of the data flags and verify's tolerances, which verify must
+# see unset to tell which flags were given
+_DEFAULTS = {"part": "real", "domain": "-1:1:-1:1", "grid": "41x41", "tol_h": 1e-6, "tol_coeff": 1e-4,
+             "tol_pde": 1e-5, "pde_gate": 0.3}
+# verify's flags by what a gate needs to read them: the generating data
+# (no --from-csv), imported points (--from-csv) or --canonical
+_VERIFY_READS = {"data": ("f", "g", "canonical", "compare_parts", "part", "base", "domain", "grid"),
+                 "csv": ("tol_h",), "canonical": ("tol_coeff", "tol_pde", "pde_gate")}
+# the minimality gate on analytic forms: |H| <= H_ROUNDING_BOUND H_scale per node
+H_ROUNDING_BOUND = 8.0
+
+
+def _defaulted(args):
+    """args with the default of every flag not given."""
+    return argparse.Namespace(**{**vars(args), **{k: v for k, v in _DEFAULTS.items() if getattr(args, k, 0) is None}})
+
+
 def cmd_verify(args) -> int:
+    csv = args.from_csv is not None
+    reads = {"data": not csv, "csv": csv, "canonical": args.canonical}
+    unread = [name for need, names in _VERIFY_READS.items() if not reads[need]
+              for name in names if getattr(args, name) not in (None, False)]
+    if unread:
+        raise _UsageError("no gate reads --%s here" % ", --".join(unread).replace("_", "-"))
+    args = _defaulted(args)
     gates = {}
     others = None
-    if args.from_csv:
-        if args.f is not None or args.g is not None or args.canonical or args.compare_parts:
-            raise _UsageError("--from-csv verifies the file's points alone: drop --f, --g, --canonical "
-                              "and --compare-parts")
+    if csv:
         patch = read_csv_patch(args.from_csv)
     else:
         data = _load_data(args)
@@ -358,10 +384,12 @@ def cmd_verify(args) -> int:
             others = forms_blocks(evaluate_surface(flipped, *grid))
     fold = _fold_forms(forms_blocks(patch), args.canonical, others)
     if not fold["valid"]:
-        raise DomainError("no valid interior nodes to verify")
-    # no number among the valid nodes' H is NaN and fails the gate
-    max_h = float(fold["max_abs_H"])
-    gates["minimality"] = {"max_abs_H": max_h, "tol": args.tol_h, "pass": max_h < args.tol_h}
+        raise DomainError("no valid nodes to verify")
+    # no number among the valid nodes' H (or ratio) is NaN and fails the gate
+    max_h, ratio = float(fold["max_abs_H"]), float(fold["max_H_ratio"])
+    gates["minimality"] = ({"max_abs_H": max_h, "tol": args.tol_h, "pass": max_h < args.tol_h} if csv else
+                           {"max_abs_H": max_h, "max_rounding_ratio": ratio, "rounding_bound": H_ROUNDING_BOUND,
+                            "pass": ratio <= H_ROUNDING_BOUND})
     violations = int(fold["violations"])
     gates["timelike"] = {"violations": violations, "pass": violations == 0}
     if args.canonical:
@@ -372,17 +400,10 @@ def cmd_verify(args) -> int:
         resid = canonical_pde_residual(curvature_callable(data, args.pde_gate), us=patch.us, vs=patch.vs)
         if np.any(np.isfinite(resid.values)):
             max_resid = float(np.nanmax(np.abs(resid.values)))
-            gates["curvature_pde"] = {
-                "max_residual": max_resid,
-                "tol": args.tol_pde,
-                "pass": max_resid < args.tol_pde,
-            }
+            gates["curvature_pde"] = {"max_residual": max_resid, "tol": args.tol_pde, "pass": max_resid < args.tol_pde}
         else:
-            gates["curvature_pde"] = {
-                "status": "skipped",
-                "reason": "no node has a finite residual: every node is singular "
-                          "or within --pde-gate %g of 1 - |g|^2 = 0" % args.pde_gate,
-            }
+            gates["curvature_pde"] = {"status": "skipped", "reason": "no node has a finite residual: every node is "
+                                      "singular or within --pde-gate %g of 1 - |g|^2 = 0" % args.pde_gate}
     if others is not None:
         both = int(fold["both"])
         gates["part_curvature_signs"] = {
@@ -455,10 +476,10 @@ def _add_data_args(p):
     p.add_argument("--f", help="generating function f(z)")
     p.add_argument("--g", help="generating function g(z)")
     p.add_argument("--canonical", action="store_true", help="use the special form with f = 1/g'")
-    p.add_argument("--part", choices=("real", "imag"), default="real")
-    p.add_argument("--base", help="base point z0, split-complex literal", default=None)
-    p.add_argument("--domain", default="-1:1:-1:1", help="umin:umax:vmin:vmax")
-    p.add_argument("--grid", default="41x41")
+    p.add_argument("--part", choices=("real", "imag"), help="default " + _DEFAULTS["part"])
+    p.add_argument("--base", help="base point z0, split-complex literal; default 0")
+    p.add_argument("--domain", help="umin:umax:vmin:vmax; default " + _DEFAULTS["domain"])
+    p.add_argument("--grid", help="default " + _DEFAULTS["grid"])
 
 
 def build_parser() -> _Parser:
@@ -486,10 +507,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run residual gates on a patch")
     _add_data_args(p)
     p.add_argument("--from-csv", default=None, help="verify an imported patch instead")
-    p.add_argument("--tol-h", type=float, default=1e-6)
-    p.add_argument("--tol-coeff", type=float, default=1e-4)
-    p.add_argument("--tol-pde", type=float, default=1e-5)
-    p.add_argument("--pde-gate", type=float, default=0.3)
+    p.add_argument("--tol-h", type=float, help="bound on |H| of imported points; default %g" % _DEFAULTS["tol_h"])
+    for flag in ("--tol-coeff", "--tol-pde", "--pde-gate"):
+        p.add_argument(flag, type=float, help="with --canonical; default %g" % _DEFAULTS[flag[2:].replace("-", "_")])
     p.add_argument("--compare-parts", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -3,9 +3,8 @@
 The ambient metric is <x,y> = -x1 y1 + x2 y2 + x3 y3 (first coordinate
 timelike).  The stencil comes from the patch, not from an argument: a
 patch without generating data (read from points) gets second-order central
-differences; a generated patch on square grid steps gets "mixed" forms,
-analytic first derivatives with finite-difference second derivatives of the
-sampled points; any other generated patch gets fully analytic forms.
+differences ("fd"); a generated patch gets analytic forms, first and second
+derivatives from the curve derivative's expressions, at every node.
 
 `forms_blocks` is the one forms path: forms, normal and K, H at every node
 of one block of grid rows at a time, NaN and not `valid` where the stencil
@@ -17,12 +16,11 @@ the whole grid's.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .weierstrass import SurfacePatch, _square_steps, curve_expressions
+from .weierstrass import SurfacePatch, curve_expressions
 
 __all__ = [
     "BlockFold",
@@ -71,19 +69,13 @@ class FormsGrid:
     N: np.ndarray
     K: np.ndarray
     H: np.ndarray
+    # analytic forms: eps (|x_u|^2 + |x_v|^2) |U| (|x_uu| + |x_uv|) / |EG - F^2|,
+    # Euclidean norms: rounding alone leaves |H| within a few H_scale; fd: NaN
+    H_scale: np.ndarray
     U: np.ndarray  # unit normal, (n, m, 3)
     valid: np.ndarray
-    method: str
+    method: str  # "fd" or "analytic"
     metric_violations: int = 0
-
-
-def _resolve_method(patch: SurfacePatch) -> str:
-    """The stencil for a patch: fd without generating data, else mixed on square steps, else analytic."""
-    if patch.provenance is None:
-        return "fd"
-    # differenced second derivatives only keep the L = N cancellation
-    # exact on square grid steps; otherwise stay fully analytic
-    return "mixed" if _square_steps(patch.h_u, patch.h_v) else "analytic"
 
 
 def _halo(points, rows):
@@ -113,52 +105,26 @@ def _shifted(points, out, steps):
     return out.reshape(-1)[pad:pad + n], [flat[pad + o:pad + o + n] for o in offsets]
 
 
-def _fd_first(points, hu, hv):
-    """x_u and x_v by central differences, NaN where the stencil leaves the
-    points given, each formed in place."""
-    xu, xv = np.full(points.shape, np.nan), np.full(points.shape, np.nan)
-    for x, (di, dj), h in ((xu, (1, 0), hu), (xv, (0, 1), hv)):
-        t, (plus, minus) = _shifted(points, x, [(di, dj), (-di, -dj)])
-        # the row ends pair points of two rows: quiet there, and NaN below
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(plus, minus, out=t)
-            t /= 2.0 * h
-    xv[:, [0, -1]] = np.nan
-    return xu, xv
-
-
-def _fd_second(points, hu, hv):
-    """x_uu, x_uv and x_vv by central differences, NaN where the stencil
-    leaves the points given, each formed in place with the operations of
-    (a - 2 b + c) / h^2 and (a - b - c + d) / (4 h_u h_v) in their order, and
-    made only when the caller asks for the next."""
-
-    def along(di, dj, h2):
-        x = np.full(points.shape, np.nan)
-        t, (a, b, c) = _shifted(points, x, [(di, dj), (0, 0), (-di, -dj)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(b, 2.0, out=t)
-            np.subtract(a, t, out=t)
-            t += c
-            t /= h2
-        if dj:
-            x[:, [0, -1]] = np.nan
-        return x
-
-    def across():
-        x = np.full(points.shape, np.nan)
-        t, (a, b, c, d) = _shifted(points, x, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(a, b, out=t)
-            t -= c
-            t += d
-            t /= 4.0 * hu * hv
+def _fd(points, terms, divisor):
+    """The central difference sum(c x(i+di, j+dj)) / divisor over terms (di,
+    dj, c), formed in place term by term in their order (each c after the
+    first is +1 or -1), NaN where the stencil leaves the points given."""
+    x = np.full(points.shape, np.nan)
+    t, shifted = _shifted(points, x, [term[:2] for term in terms])
+    # the row ends pair points of two rows: quiet there, and NaN below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(shifted[0], terms[0][2], out=t)
+        for (_, _, c), p in zip(terms[1:], shifted[1:]):
+            (np.add if c > 0 else np.subtract)(t, p, out=t)
+        t /= divisor
+    if any(dj for _, dj, _ in terms):
         x[:, [0, -1]] = np.nan
-        return x
+    return x
 
-    yield along(1, 0, hu**2)
-    yield across()
-    yield along(0, 1, hv**2)
+
+def _norm2(x):
+    """The squared Euclidean length over the last axis."""
+    return np.einsum("ijk,ijk->ij", x, x)
 
 
 def _unit_normal(xu, xv):
@@ -166,7 +132,7 @@ def _unit_normal(xu, xv):
     where it is degenerate against |x_u| |x_v| (there it is left unscaled)."""
     U = lorentz_cross(xu, xv)
     norm2 = minkowski_inner(U, U)
-    scale = np.einsum("ijk,ijk->ij", xu, xu) * np.einsum("ijk,ijk->ij", xv, xv)
+    scale = _norm2(xu) * _norm2(xv)
     degenerate = ~(norm2 > 1e-12 * np.maximum(scale, 1e-300))
     U /= np.sqrt(np.where(degenerate, 1.0, norm2))[..., None]
     return U, degenerate
@@ -180,18 +146,19 @@ def _quiet_inner(a, b):
 
 def _forms_block(patch: SurfacePatch, method: str, rows: slice, exprs) -> FormsGrid:
     """The forms of the grid rows `rows` of the patch by the stencil method;
-    exprs are the curve derivative's components and, for analytic forms,
-    their derivatives (None for fd).
+    exprs are the curve derivative's components and their derivatives (None
+    for fd).
 
-    Analytic tangents are the rows' own (_NullIndex.tangents evaluates the
+    Analytic forms are the rows' own (_NullIndex.tangents evaluates the
     knots they use); differences read the rows and one halo row on each
     side (_halo), with the patch's steps h_u and h_v, so a block edge inside
     the grid is no grid edge.  Every value is the one the whole grid would
     give at that node, bit for bit.
     """
-    slab, inner = _halo(patch.points, rows)
     if method == "fd":
-        xu, xv = (x[inner] for x in _fd_first(slab, patch.h_u, patch.h_v))
+        slab, inner = _halo(patch.points, rows)
+        hu, hv = patch.h_u, patch.h_v
+        xu, xv = (_fd(slab, [(di, dj, 1), (-di, -dj, -1)], 2.0 * h)[inner] for di, dj, h in ((1, 0, hu), (0, 1, hv)))
         ok = patch.valid[rows]
     else:
         xu, xv, ok = patch._index.tangents(exprs[0], patch.provenance.part, rows)
@@ -202,18 +169,29 @@ def _forms_block(patch: SurfacePatch, method: str, rows: slice, exprs) -> FormsG
         E = minkowski_inner(xu, xu)
         F = minkowski_inner(xu, xv)
         G = minkowski_inner(xv, xv)
-    del xu, xv
-    if method == "analytic":
-        # x_uu and x_uv: the tangents of the curve derivative's derivative
+    if method == "fd":
+        del xu, xv
+        # x_uu, x_uv, x_vv as (-2 b + a + c) / h^2, the bits of (a - 2 b) + c,
+        # and (a - b - c + d) / (4 h_u h_v); map, unlike a generator
+        # expression, keeps no second derivative alive while the next is made
+        second = [([(0, 0, -2), (1, 0, 1), (-1, 0, 1)], hu**2),
+                  ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], 4.0 * hu * hv),
+                  ([(0, 0, -2), (0, 1, 1), (0, -1, 1)], hv**2)]
+        L, M, N = map(lambda s: _quiet_inner(U, _fd(slab, *s)[inner]), second)
+        scale = np.full(E.shape, np.nan)
+    else:
+        scale = _norm2(xu) + _norm2(xv)
+        del xu, xv
+        # x_uu and x_uv: the tangents of the curve derivative's derivative;
+        # every component satisfies the wave equation x_vv = x_uu, so N = L
         xuu, xuv, ok2 = patch._index.tangents(exprs[1], patch.provenance.part, rows)
         ok &= ok2
-        # every component satisfies the wave equation x_vv = x_uu
-        L, M, N = map(functools.partial(_quiet_inner, U), (xuu, xuv, xuu))
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale *= np.sqrt(_norm2(xuu)) + np.sqrt(_norm2(xuv))
+            scale *= np.sqrt(_norm2(U)) * np.finfo(float).eps
+        L, M = _quiet_inner(U, xuu), _quiet_inner(U, xuv)
         del xuu, xuv
-    else:  # fd, and mixed: exact tangents, measured second derivatives
-        # map, unlike a generator expression, keeps no second derivative
-        # alive while the next one is made
-        L, M, N = map(lambda x: _quiet_inner(U, x[inner]), _fd_second(slab, patch.h_u, patch.h_v))
+        N = L.copy()
 
     with np.errstate(invalid="ignore"):
         computed = (
@@ -232,12 +210,14 @@ def _forms_block(patch: SurfacePatch, method: str, rows: slice, exprs) -> FormsG
         den[invalid] = np.nan
         K = (L * N - M * M) / den
         H = (E * N - 2.0 * F * M + G * L) / (2.0 * den)
+    with np.errstate(invalid="ignore", over="ignore"):
+        scale /= np.abs(den)
 
     # K and H too: a NaN operand's sign would depend on numpy's loop for the
     # block's length, so every invalid node gets the one NaN
-    for arr in (E, F, G, L, M, N, K, H, U):
+    for arr in (E, F, G, L, M, N, K, H, scale, U):
         arr[invalid] = np.nan
-    return FormsGrid(E, F, G, L, M, N, K, H, U, valid, method, violations)
+    return FormsGrid(E, F, G, L, M, N, K, H, scale, U, valid, method, violations)
 
 
 def forms_blocks(patch: SurfacePatch):
@@ -250,11 +230,11 @@ def forms_blocks(patch: SurfacePatch):
     forms_grid stores the blocks into whole-grid outputs.  Each node's values
     are the same bits whatever the blocks (_forms_block).
     """
-    method = _resolve_method(patch)
+    method = "fd" if patch.provenance is None else "analytic"
     exprs = None
-    if method != "fd":
+    if method == "analytic":
         first = curve_expressions(patch.provenance)
-        exprs = first, [e.derivative() for e in first] if method == "analytic" else None
+        exprs = first, [e.derivative() for e in first]
     n, m = patch.shape
     step = max(1, BLOCK_NODES // m)
     for lo in range(0, n, step):
@@ -266,11 +246,12 @@ def forms_grid(patch: SurfacePatch) -> FormsGrid:
     """Fundamental forms at every node where the patch's stencil is available.
 
     The fold of forms_blocks that stores each block into preallocated
-    outputs, so the call holds the outputs (about 3.7 (n, m, 3) float arrays,
-    eight coefficients, the normal and the mask) and one block's working set.
+    outputs, so the call holds the outputs (about 4 (n, m, 3) float arrays,
+    nine per-node values, the normal and the mask) and one block's working
+    set.
     """
     n, m = patch.shape
-    out = {name: np.empty((n, m)) for name in ("E", "F", "G", "L", "M", "N", "K", "H")}
+    out = {name: np.empty((n, m)) for name in ("E", "F", "G", "L", "M", "N", "K", "H", "H_scale")}
     out.update(U=np.empty((n, m, 3)), valid=np.empty((n, m), bool))
     violations = 0
     for rows, block in forms_blocks(patch):

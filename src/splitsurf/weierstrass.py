@@ -168,11 +168,6 @@ class _NullIndex:
         return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)
 
 
-def _square_steps(h_u: float, h_v: float) -> bool:
-    """Whether two grid steps are equal to 1e-12 relative."""
-    return abs(h_u - h_v) <= 1e-12 * max(h_u, h_v)
-
-
 def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
     """Per side, the sorted values of p = u+v (q = u-v) over the grid, with
     the base point's inserted when one is given, and every node's place among
@@ -186,7 +181,8 @@ def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
     the distinct float sums u_i + v_j (u_i - v_j).
     """
     n, m = len(us), len(vs)
-    if n > 1 and m > 1 and _square_steps(us[1] - us[0], vs[1] - vs[0]):
+    # square steps: equal to 1e-12 relative
+    if n > 1 and m > 1 and abs(us[1] - us[0] - (vs[1] - vs[0])) <= 1e-12 * max(us[1] - us[0], vs[1] - vs[0]):
         values = (np.linspace(us[0] + vs[0], us[-1] + vs[-1], n + m - 1),
                   np.linspace(us[0] - vs[-1], us[-1] - vs[0], n + m - 1))
         i, j = np.ogrid[:n, :m]

@@ -67,8 +67,8 @@ def test_criterion_1_enneper_closed_form():
 
 
 def test_criterion_2_minimality():
-    # grid steps pinned at h = 0.05 in both directions; the second
-    # fundamental form is finite-differenced from the sampled points
+    # grid steps pinned at h = 0.05 in both directions; the forms are
+    # analytic at every node, the grid's edges included
     cases = [
         (GeneratingData.general(parse("1"), parse("z")), (-0.9, 0.9, -0.9, 0.9), (37, 37)),
         (GeneratingData.general(parse("exp(z)"), parse("exp(z)")), (0.2, 1.2, -0.5, 0.5), (21, 21)),
@@ -83,7 +83,7 @@ def test_criterion_2_minimality():
         patch = evaluate_surface(data, dom, grid_dims)
         assert abs(patch.h_u - 0.05) < 1e-12 and abs(patch.h_v - 0.05) < 1e-12
         grid = forms_grid(patch)
-        assert grid.method == "mixed"
+        assert grid.method == "analytic" and np.all(grid.valid[[0, -1]])
         worst = max(worst, float(np.nanmax(np.abs(grid.H))))
     _report(2, worst < 1e-6, "max |H| over three datasets %.3e (tol 1e-6)" % worst)
 

@@ -24,7 +24,7 @@ from splitsurf.weierstrass import GeneratingData, evaluate_surface
 
 # block rows: one, seven, and the whole grid
 ROWS = [1, 7, None]
-FIELDS = ("E", "F", "G", "L", "M", "N", "K", "H", "U", "valid")
+FIELDS = ("E", "F", "G", "L", "M", "N", "K", "H", "H_scale", "U", "valid")
 
 # smooth non-polynomial data, and a pole whose null lines cross the grid
 DATA = {
@@ -39,13 +39,13 @@ def _set_block_rows(monkeypatch, rows, shape):
 
 
 def _patches(data, tmp_path):
-    """A mixed patch (square steps), an analytic one (unequal steps) and the
-    fd patch read back from the mixed one's CSV; 23 and 30 rows."""
-    mixed = evaluate_surface(data, (-1, 1, -1, 1), (23, 23))
-    analytic = evaluate_surface(data, (-1, 1, -0.7, 0.5), (30, 17))
-    path = str(tmp_path / "mixed.csv")
-    write_csv(path, mixed)
-    return {"mixed": mixed, "analytic": analytic, "fd": read_csv_patch(path)}
+    """Analytic patches on square and on unequal steps, and the fd patch read
+    back from the square one's CSV; 23 and 30 rows."""
+    square = evaluate_surface(data, (-1, 1, -1, 1), (23, 23))
+    unequal = evaluate_surface(data, (-1, 1, -0.7, 0.5), (30, 17))
+    path = str(tmp_path / "square.csv")
+    write_csv(path, square)
+    return {"square": square, "unequal": unequal, "fd": read_csv_patch(path)}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -55,21 +55,23 @@ def test_forms_grid_is_the_same_bits_for_any_block_rows(name, tmp_path, monkeypa
     results = []
     for rows in ROWS:
         forms = {}
-        for method, patch in patches.items():
+        for kind, patch in patches.items():
             _set_block_rows(monkeypatch, rows, patch.shape)
             n = patch.shape[0]
             slices = [block_rows for block_rows, _ in forms_blocks(patch)]
             assert slices == [slice(lo, min(lo + (rows or n), n)) for lo in range(0, n, rows or n)]
             grid = forms_grid(patch)
-            assert grid.method == method
-            forms[method] = {f: getattr(grid, f).tobytes() for f in FIELDS}
-            forms[method]["violations"] = grid.metric_violations
+            assert grid.method == ("fd" if kind == "fd" else "analytic")
+            forms[kind] = {f: getattr(grid, f).tobytes() for f in FIELDS}
+            forms[kind]["violations"] = grid.metric_violations
         results.append(forms)
     assert np.any(forms_grid(patches["fd"]).valid)
+    assert np.all(np.isnan(forms_grid(patches["fd"]).H_scale))
+    assert np.all(np.isfinite(forms_grid(patches["square"]).H_scale) == forms_grid(patches["square"]).valid)
     for other in results[1:]:
-        for method in patches:
-            for key, value in results[0][method].items():
-                assert other[method][key] == value, (method, key)
+        for kind in patches:
+            for key, value in results[0][kind].items():
+                assert other[kind][key] == value, (kind, key)
 
 
 def _cli_outputs(tmp_path):
@@ -149,13 +151,16 @@ def test_blocks_without_a_valid_node_never_win(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, None])
 def test_a_patch_without_a_valid_node(tmp_path, monkeypatch, rows):
-    # one interior node, on the locus 1 - |g|^2 = 0 where the normal degenerates
-    data = ["--f", "1", "--g", "z", "--domain", "0.9:1.1:-0.1:0.1", "--grid", "3x3"]
+    # f = 1e-90: eight nodes have points, but the normal's squared length,
+    # of order |f|^4, underflows to zero and degenerates at every node, by
+    # analytic forms and by the differences of the CSV's points alike; the
+    # ninth node is on the locus 1 - |g|^2 = 0
+    data = ["--f", "1e-90", "--g", "z", "--domain", "0.9:1.1:-0.1:0.1", "--grid", "3x3"]
     monkeypatch.setattr(geometry, "BLOCK_NODES", (rows or 3) * 3)
     for fmt in ("obj", "csv"):
         code, report = _run(["generate", *data, "--format", fmt, "--out", str(tmp_path / ("p." + fmt))])
         summary = json.loads(report)
-        assert code == 0 and summary["vertices"] > 0
+        assert code == 0 and summary["vertices"] == 8
         assert summary["max_abs_H"] is summary["k_min"] is summary["k_max"] is None
     assert _run(["verify", *data]) == (2, "")
     assert _run(["verify", "--from-csv", str(tmp_path / "p.csv")]) == (2, "")

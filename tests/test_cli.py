@@ -7,7 +7,8 @@ import numpy as np
 
 import pytest
 
-from splitsurf import cli
+from splitsurf import cli, geometry
+from splitsurf.algebra import splitc
 from splitsurf.canonical import canonical_curvature_field, canonicalize, curvature_callable
 from splitsurf.cli import (
     main,
@@ -18,7 +19,7 @@ from splitsurf.cli import (
 )
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import GeneratingData, evaluate_surface
-from splitsurf.holofn import parse
+from splitsurf.holofn import Const, parse
 
 from conftest import enneper_y
 
@@ -38,7 +39,11 @@ def test_generate_obj_roundtrip(tmp_path, capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["schema_version"] == 1
-    assert summary["max_abs_H"] < 1e-6
+    # |H| at every node, the edge nodes next to 1 - |g|^2 = 0 too, is
+    # within rounding of zero: verify's minimality gate passes on the same data
+    _, report, _ = run(capsys, "verify", "--f", "1", "--g", "z")
+    minimality = json.loads(report)["gates"]["minimality"]
+    assert minimality["max_abs_H"] == summary["max_abs_H"] and minimality["pass"] is True
     # the grid center is the base point and maps to the origin
     verts = np.array([line.split()[1:] for line in out.read_text().splitlines() if line.startswith("v ")], float)
     assert any(np.allclose(v, 0.0, atol=1e-15) for v in verts)
@@ -333,8 +338,21 @@ def test_generate_and_verify_read_one_fold(tmp_path, capsys, fmt):
     ("verify", "--canonical", "--f", "1", "--g", "z"),
     ("generate", "--canonical", "--f", "1", "--g", "z", "--out", "OUT"),
     ("generate", "--f", "1", "--out", "OUT"),
+    # flags no gate would read: the data flags beside --from-csv, --tol-h
+    # (imported points only) beside generating data, and the canonical
+    # gates' flags without --canonical
+    ("verify", "--from-csv", "CSV", "--domain", "0:1:0:1"),
+    ("verify", "--from-csv", "CSV", "--grid", "9x9"),
+    ("verify", "--from-csv", "CSV", "--part", "imag"),
+    ("verify", "--from-csv", "CSV", "--base", "0.5"),
+    ("verify", "--f", "1", "--g", "z", "--tol-h", "1e-6"),
+    ("verify", "--f", "1", "--g", "z", "--tol-coeff", "1e-4"),
+    ("verify", "--f", "1", "--g", "z", "--tol-pde", "1e-5"),
+    ("verify", "--f", "1", "--g", "z", "--pde-gate", "0.3"),
 ], ids=["csv_f", "csv_g", "csv_canonical", "csv_compare_parts", "csv_three", "verify_canonical_f",
-        "generate_canonical_f", "generate_no_g"])
+        "generate_canonical_f", "generate_no_g", "csv_domain", "csv_grid", "csv_part", "csv_base",
+        "generated_tol_h", "tol_coeff_without_canonical", "tol_pde_without_canonical",
+        "pde_gate_without_canonical"])
 def test_conflicting_or_missing_data_flags_are_usage_errors(tmp_path, capsys, argv):
     # data a command would ignore, or data it lacks, is a usage error before
     # any file is read or written
@@ -344,6 +362,56 @@ def test_conflicting_or_missing_data_flags_are_usage_errors(tmp_path, capsys, ar
     code, stdout, err = run(capsys, *argv)
     assert code == 3 and stdout == "" and err.startswith("usage error")
     assert not out.exists()
+
+
+def test_verify_reads_each_tolerance_where_it_acts(tmp_path, capsys):
+    csv = tmp_path / "e.csv"
+    write_csv(str(csv), evaluate_surface(GeneratingData.general(parse("1"), parse("z")), (-1, 1, -1, 1), (9, 9)))
+    code, stdout, _ = run(capsys, "verify", "--from-csv", str(csv))
+    assert code == 1 and json.loads(stdout)["gates"]["minimality"]["tol"] == 1e-6
+    code, stdout, _ = run(capsys, "verify", "--from-csv", str(csv), "--tol-h", "1.0")
+    assert code == 0 and json.loads(stdout)["gates"]["minimality"]["tol"] == 1.0
+    code, stdout, _ = run(capsys, "verify", "--canonical", "--g", "z", "--domain", "-0.4:0.4:-0.4:0.4",
+                          "--grid", "9x9", "--tol-coeff", "1e-20", "--tol-pde", "0.5", "--pde-gate", "0.2")
+    gates = json.loads(stdout)["gates"]
+    assert code == 1 and gates["canonical_coefficients"]["tol"] == 1e-20
+    assert gates["curvature_pde"]["tol"] == 0.5 and gates["curvature_pde"]["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark's verify shape, and a patch next to 1 - |g|^2 = 0
+    ("--g", "(3.0+1.0*z^1+1.0*z^2)", "--domain=0.2:1.0:-0.4:0.4", "--grid=33x33"),
+    ("--g", "z", "--domain", "0.95:1.05:-0.05:0.05", "--grid", "9x9"),
+], ids=["bench", "near_locus"])
+def test_verify_canonical_passes_on_correct_patches(capsys, argv):
+    # analytic forms carry no stencil error into K, so E_vs_K holds to rounding
+    code, stdout, _ = run(capsys, "verify", "--canonical", *argv)
+    report = json.loads(stdout)
+    assert code == 0 and report["pass"] is True
+    assert report["gates"]["canonical_coefficients"]["max_residual"] < 1e-8
+    assert report["gates"]["minimality"]["max_rounding_ratio"] <= cli.H_ROUNDING_BOUND
+
+
+@pytest.mark.parametrize("f, g, grid", [("1", "z", "101x101"), ("exp(z)", "z^3", "33x33")],
+                         ids=["enneper", "exp_cubic"])
+def test_minimality_fails_a_curve_derivative_off_by_one_part_in_1e12(capsys, monkeypatch, f, g, grid):
+    # psi3 scaled by 1 + 1e-12 leaves the curve derivative off the null cone:
+    # H reaches hundreds of times its rounding scale, an |H| that a bound on
+    # |H| alone cannot tell from the rounding next to 1 - |g|^2 = 0
+    argv = ["verify", "--f", f, "--g", g, "--grid", grid]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(stdout)["gates"]["minimality"]["max_rounding_ratio"] <= 1.0
+    exact = geometry.curve_expressions
+
+    def off(data):
+        psi1, psi2, psi3 = exact(data)
+        return psi1, psi2, Const(splitc(1.0 + 1e-12)) * psi3
+
+    monkeypatch.setattr(geometry, "curve_expressions", off)
+    code, stdout, _ = run(capsys, *argv)
+    minimality = json.loads(stdout)["gates"]["minimality"]
+    assert code == 1 and minimality["pass"] is False
+    assert minimality["max_rounding_ratio"] > 50 * cli.H_ROUNDING_BOUND
 
 
 def test_classify_cli(tmp_path, capsys):

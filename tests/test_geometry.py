@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from splitsurf import geometry
 from splitsurf.cli import read_csv_patch, write_csv
-from splitsurf.holofn import parse
+from splitsurf.holofn import MINUS, PLUS, parse
 from splitsurf.geometry import forms_grid, lorentz_cross, minkowski_inner
-from splitsurf.weierstrass import GeneratingData, SurfacePatch, evaluate_surface
+from splitsurf.weierstrass import GeneratingData, SurfacePatch, curve_expressions, evaluate_surface
 
 
 def test_minkowski_inner_examples():
@@ -106,6 +105,40 @@ def test_curvature_matches_closed_formula():
     assert np.nanmax(err[grid.valid]) < 1e-5
 
 
+@pytest.mark.parametrize("g, domain, grid", [
+    ("sqrt(z+2)", (-1, 1, -1, 1), (33, 33)),
+    ("sqrt(z+2)", (-1, 1, -0.7, 0.5), (30, 17)),
+    # the pole's null lines p = 0.3 and q = 0.3 cross the grid: the nodes
+    # beyond them are unreachable from the base point, the rest are judged
+    ("1/(z-0.3)", (-1, 1, -1, 1), (33, 33)),
+], ids=["square", "unequal", "pole_lines"])
+def test_curvature_matches_the_closed_form_to_rounding(g, domain, grid):
+    # K = -16 |g'|^2 / (|f|^2 (1 - |g|^2)^4) with |h|^2 = h+ h-, at every
+    # node from its own null coordinates: a difference stencil's O(h^2)
+    # error, or any other, stays far above K's rounding scale
+    data = GeneratingData.general(parse("exp(0.5*z)"), parse(g))
+    patch = evaluate_surface(data, domain, grid)
+    forms = forms_grid(patch)
+    U, V = np.meshgrid(patch.us, patch.vs, indexing="ij")
+
+    def mod2(e):
+        return e.eval_null(U + V, PLUS) * e.eval_null(U - V, MINUS)
+
+    first = curve_expressions(data)
+    xu, xv, _ = patch._index.tangents(first, data.part)
+    xuu, xuv, _ = patch._index.tangents([e.derivative() for e in first], data.part)
+    with np.errstate(all="ignore"):
+        expect = -16.0 * mod2(data.g.derivative()) / (mod2(data.f) * (1.0 - mod2(data.g)) ** 4)
+        # the Euclidean sizes of the terms of EG - F^2 and LN - M^2 against their values
+        n2 = [np.einsum("ijk,ijk->ij", x, x) for x in (xu, xv, xuu, xuv, forms.U)]
+        rounding = ((n2[0] + n2[1]) ** 2 / np.abs(forms.E * forms.G - forms.F**2)
+                    + n2[4] * (np.sqrt(n2[2]) + np.sqrt(n2[3])) ** 2 / np.abs(forms.L * forms.N - forms.M**2))
+        ratio = np.abs(forms.K - expect) / (np.finfo(float).eps * rounding * np.abs(expect))
+    valid = forms.valid
+    assert valid.sum() > 0.35 * valid.size and valid[0].any() and valid[:, -1].any()
+    assert np.all(np.isfinite(expect[valid])) and np.max(ratio[valid]) <= 8.0
+
+
 def test_normal_orthogonality():
     patch = evaluate_surface(
         GeneratingData.general(parse("exp(z)"), parse("exp(z)")), (0.2, 1.0, -0.3, 0.3), (9, 9)
@@ -123,11 +156,8 @@ def test_normal_orthogonality():
 
 
 def _fd_and_analytic(patch):
-    """fd forms of the patch's points, and analytic forms forced on the patch."""
-    fd = forms_grid(SurfacePatch.from_points(patch.us, patch.vs, patch.points))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_resolve_method", lambda patch: "analytic")
-        return fd, forms_grid(patch)
+    """fd forms of the patch's points, and the patch's analytic forms."""
+    return forms_grid(SurfacePatch.from_points(patch.us, patch.vs, patch.points)), forms_grid(patch)
 
 
 def test_stencil_comes_from_the_patch(tmp_path):
@@ -136,11 +166,10 @@ def test_stencil_comes_from_the_patch(tmp_path):
     wide = evaluate_surface(data, (-0.4, 0.4, -0.2, 0.2), (9, 9))  # h_u = 2 h_v
     write_csv(str(tmp_path / "square.csv"), square)
     assert forms_grid(read_csv_patch(str(tmp_path / "square.csv"))).method == "fd"
-    assert forms_grid(square).method == "mixed"
-    assert forms_grid(wide).method == "analytic"
-    # differenced second derivatives need an interior node; analytic ones do not
-    assert not forms_grid(square).valid[0, 4]
-    assert forms_grid(wide).valid[0, 4]
+    assert forms_grid(square).method == forms_grid(wide).method == "analytic"
+    # differences need an interior node; analytic forms do not, whatever the steps
+    assert not forms_grid(read_csv_patch(str(tmp_path / "square.csv"))).valid[0, 4]
+    assert forms_grid(square).valid[0, 4] and forms_grid(wide).valid[0, 4]
 
 
 def test_fd_vs_analytic_first_form_agreement():

@@ -21,11 +21,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from splitsurf import canonical, geometry, holofn, weierstrass
+from splitsurf import canonical, holofn, weierstrass
 from splitsurf.algebra import from_null, splitc
 from splitsurf.geometry import forms_grid
 from splitsurf.holofn import MINUS, PLUS, Const, Z, parse
-from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
+from splitsurf.weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
 
 
 def _per_node_routes(P, Q):
@@ -47,16 +47,10 @@ def _per_node_routes(P, Q):
 def _outputs(data, domain, grid):
     patch = evaluate_surface(data, domain, grid)
     out = {"points": patch.points, "valid": patch.valid}
-    derived = geometry._resolve_method
-    for method in ("auto", "analytic", "fd"):
-        # the stencil comes from the patch: force each one in turn
-        if method != "auto":
-            geometry._resolve_method = lambda patch, method=method: method
-        try:
-            fg = forms_grid(patch)
-        finally:
-            geometry._resolve_method = derived
-        for name in ("E", "F", "G", "L", "M", "N", "K", "H", "U", "valid"):
+    # the patch's analytic forms, and the fd forms of its points
+    for method, source in (("analytic", patch), ("fd", SurfacePatch.from_points(patch.us, patch.vs, patch.points))):
+        fg = forms_grid(source)
+        for name in ("E", "F", "G", "L", "M", "N", "K", "H", "H_scale", "U", "valid"):
             out["%s.%s" % (method, name)] = getattr(fg, name)
         out[method + ".violations"] = np.array(fg.metric_violations)
     return out
