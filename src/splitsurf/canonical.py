@@ -10,14 +10,15 @@ z+- = z0+- + z'+- (s - w0+-) instead.  Both routes yield z's null sides at
 the knots of the w grid's null index (_z_sides), from which canonicalize and
 canonical_curvature_field evaluate whatever they need once per knot.
 Verification utilities check the canonical coefficient shapes and the PDE
-(ln sqrt(-+K))_uu - (ln sqrt(-+K))_vv = 2 sqrt(-+K) that the curvature of a
-minimal timelike surface satisfies in canonical parameters.
+that the curvature of a minimal timelike surface satisfies in canonical
+parameters, (ln sqrt|K|)_uu - (ln sqrt|K|)_vv = 2 sigma sqrt|K|, whose
+branch sigma = sign(g'+ g'-) is taken per node, on either part (K < 0 or
+K > 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "FieldMatch",
     "canonicalize",
     "canonical_curvature_field",
-    "curvature_callable",
     "verify_canonical_coefficients",
     "canonical_pde_residual",
     "apply_gauge",
@@ -334,20 +334,6 @@ def canonical_curvature_field(
     return SampledField(us, vs, _curvature_at(exprs, index, gate))
 
 
-def curvature_callable(data: GeneratingData, gate: float) -> Callable:
-    """K(u, v) at z = u + vJ of data, as _curvature_at computes it; for
-    canonical data z is the canonical parameter.  Evaluated per node, at the
-    null coordinates u + v and u - v of the arrays it is given, so it takes
-    any sample points, such as the shifted grids of a stencil."""
-    exprs = (data.g, data.g.derivative(), data.f)
-
-    def K(U, V):
-        U, V = np.asarray(U, float), np.asarray(V, float)
-        return _curvature_at(exprs, _NullIndex((U + V, U - V), (..., ...)), gate)
-
-    return K
-
-
 def _curvature_at(exprs, index: _NullIndex, gate: float) -> np.ndarray:
     """K = -16|g'|^2 / (|f|^2 (1-|g|^2)^4) per node of the null sides of z in
     index, with |h|^2 = h+ h-, from exprs = (g, g', f or None); NaN where a
@@ -418,15 +404,15 @@ def coefficient_summary(fold: BlockFold) -> dict:
     whole grid: the largest and the mean residual are taken over every
     finite residual, shape by shape in node order."""
     blocks = fold["finite"]
-    finite = {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
-    values = np.concatenate(list(finite.values()))
+    # one array, shape by shape and in node order within a shape
+    values = np.concatenate([block[name] for name in blocks[0] for block in blocks])
     out = {
         "max_residual": float(np.max(values)) if values.size else float("nan"),
         "mean_residual": float(np.mean(values)) if values.size else float("nan"),
         "nodes": int(fold["nodes"]),
     }
-    for name, arr in finite.items():
-        out["max_" + name] = float(fold["max_" + name]) if arr.size else float("nan")
+    for name in blocks[0]:
+        out["max_" + name] = float(fold["max_" + name]) if any(block[name].size for block in blocks) else float("nan")
     return out
 
 
@@ -465,38 +451,23 @@ def verify_canonical_coefficients(
 # ---------------------------------------------------------------------------
 
 
-def canonical_pde_residual(K, *, us: np.ndarray, vs: np.ndarray) -> SampledField:
-    """Residual of (ln sqrt(s*K))_uu - (ln sqrt(s*K))_vv - 2 sqrt(s*K) per
-    node, with s = -1 (the K < 0 equation) where K < 0 and s = +1 elsewhere.
+def canonical_pde_residual(forms: FormsGrid, g, gp, gate: float) -> np.ndarray:
+    """m_uu - m_vv - 2 sigma sqrt|K|, m = ln sqrt|K|, per node of the forms,
+    with K the forms' own and g = (g+, g-), gp = (g'+, g'-) the null sides
+    of canonical g and g' at the same nodes.
 
-    K is a callable K(u, v), sampled on us x vs by five-point central stencils
-    of spacing h = 1e-3.  A residual near 1e-9 is rounding noise (the stencil
-    scales it by 64 / (12 h^2)), not truncation.
+    In canonical parameters |K| = 16 (g'+ g'-)^2 / (1 - g+ g-)^4, so m is a
+    function of p = u+v, one of q = u-v and -2 ln|1 - g+ g-|, and
+    m_uu - m_vv = 4 m_pq = 8 g'+ g'- / (1 - g+ g-)^2 exactly, with no
+    stencil; the branch is sigma = sign(g'+ g'-).  NaN where K is, and where
+    |1 - g+ g-| <= gate.
     """
-    h = 1e-3
-    us = np.asarray(us, float)
-    vs = np.asarray(vs, float)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-
-    def m_of(kvals):
-        return 0.5 * np.log(np.abs(kvals))
-
-    def second(axis_u: bool):
-        # fourth-order central stencil (-1, 16, -30, 16, -1) / (12 h^2)
-        def at(c):
-            return m_of(K(U + c * h, V) if axis_u else K(U, V + c * h))
-
-        return (-at(2) + 16 * at(1) - 30 * m0 + 16 * at(-1) - at(-2)) / (
-            12.0 * h**2
-        )
-
-    k0 = np.asarray(K(U, V), float)
-    s = np.where(k0 < 0.0, -1.0, 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        m0 = m_of(k0)
-        ok = (s * k0) > 0.0
-        resid = second(True) - second(False) - 2.0 * np.sqrt(np.where(ok, s * k0, np.nan))
-    return SampledField(us, vs, np.where(ok, resid, np.nan))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        prod = gp[0] * gp[1]
+        gap = 1.0 - g[0] * g[1]
+        resid = 8.0 * prod / gap**2 - 2.0 * np.sign(prod) * np.sqrt(np.abs(forms.K))
+        resid[~(np.abs(gap) > gate)] = np.nan
+    return resid
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .canonical import (
     canonical_pde_residual,
     canonicalize,
     coefficient_summary,
-    curvature_callable,
     verify_canonical_coefficients,
 )
 from .equivalence import (
@@ -165,15 +164,20 @@ def write_obj(path: str, patch: SurfacePatch):
 _CSV_REQUIRED = ["u", "v", "x1", "x2", "x3"]
 
 
-def _fold_forms(blocks, canonical=False, others=None) -> BlockFold:
+def _fold_forms(blocks, canonical=None, others=None) -> BlockFold:
     """generate's summary and verify's forms gates, folded over the (rows,
     forms) blocks of forms_blocks: valid, max_abs_H, max_H_ratio (of |H| to
-    H_scale), k_min, k_max, violations, with canonical coefficient_summary's
-    statistics, and with the other part's blocks on the same grid (others)
-    the nodes where both K are finite, whether all are opposed and their
-    magnitude ratio's extremes."""
+    H_scale), k_min, k_max, violations; with canonical = (patch, pde_gate),
+    for the canonical patch of the blocks, coefficient_summary's statistics
+    and the largest |canonical_pde_residual| (pde_max); and with the other
+    part's blocks on the same grid (others) the nodes where both K are
+    finite, whether all are opposed and their magnitude ratio's extremes."""
     fold = BlockFold()
-    for _, forms in blocks:
+    if canonical is not None:
+        patch, gate = canonical
+        g_exprs = patch.provenance.g, patch.provenance.g.derivative()
+
+    def add(rows, forms):
         fold.add("valid", np.logical_or, forms.valid)
         fold.add("max_abs_H", np.fmax, np.abs(forms.H))
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -182,8 +186,11 @@ def _fold_forms(blocks, canonical=False, others=None) -> BlockFold:
         fold.add("k_min", np.fmin, forms.K)
         fold.add("k_max", np.fmax, forms.K)
         fold.add("violations", np.add, forms.metric_violations)
-        if canonical:
+        if canonical is not None:
             verify_canonical_coefficients(forms).fold(fold)
+            # g and g' per null side at the rows' knots of the patch's index
+            resid = canonical_pde_residual(forms, *(patch._index.sides(e, rows) for e in g_exprs), gate)
+            fold.add("pde_max", np.fmax, np.abs(resid))
         if others is not None:
             kg1, kg2 = forms.K, next(others)[1].K
             finite = np.isfinite(kg1) & np.isfinite(kg2)
@@ -193,7 +200,12 @@ def _fold_forms(blocks, canonical=False, others=None) -> BlockFold:
                 ratio = np.abs(kg2[finite]) / np.abs(kg1[finite])
             fold.add("ratio_min", np.minimum, ratio)
             fold.add("ratio_max", np.maximum, ratio)
-        del forms  # else it is held while the next block is made
+
+    for rows, forms in blocks:
+        # add's arrays go when it returns; the block's forms go here, else
+        # they are held while the next block is made
+        add(rows, forms)
+        del forms
     return fold
 
 
@@ -382,7 +394,7 @@ def cmd_verify(args) -> int:
             flipped = dataclasses.replace(data, part=Part.IMAGINARY if data.part == Part.REAL else Part.REAL)
             # the same grid, so the same blocks of rows as the patch's
             others = forms_blocks(evaluate_surface(flipped, *grid))
-    fold = _fold_forms(forms_blocks(patch), args.canonical, others)
+    fold = _fold_forms(forms_blocks(patch), (patch, args.pde_gate) if args.canonical else None, others)
     if not fold["valid"]:
         raise DomainError("no valid nodes to verify")
     # no number among the valid nodes' H (or ratio) is NaN and fails the gate
@@ -397,13 +409,12 @@ def cmd_verify(args) -> int:
         gates["canonical_coefficients"] = dict(
             summary, tol=args.tol_coeff, **{"pass": summary["max_residual"] < args.tol_coeff}
         )
-        resid = canonical_pde_residual(curvature_callable(data, args.pde_gate), us=patch.us, vs=patch.vs)
-        if np.any(np.isfinite(resid.values)):
-            max_resid = float(np.nanmax(np.abs(resid.values)))
-            gates["curvature_pde"] = {"max_residual": max_resid, "tol": args.tol_pde, "pass": max_resid < args.tol_pde}
+        max_resid = float(fold["pde_max"])
+        if np.isnan(max_resid):
+            gates["curvature_pde"] = {"status": "skipped",
+                                      "reason": "no valid node has |1 - |g|^2| > --pde-gate %g" % args.pde_gate}
         else:
-            gates["curvature_pde"] = {"status": "skipped", "reason": "no node has a finite residual: every node is "
-                                      "singular or within --pde-gate %g of 1 - |g|^2 = 0" % args.pde_gate}
+            gates["curvature_pde"] = {"max_residual": max_resid, "tol": args.tol_pde, "pass": max_resid < args.tol_pde}
     if others is not None:
         both = int(fold["both"])
         gates["part_curvature_signs"] = {

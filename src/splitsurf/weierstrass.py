@@ -126,16 +126,28 @@ class SurfacePatch:
 @dataclass(frozen=True)
 class _NullIndex:
     """Grid nodes by the values of their null coordinates: on side s, node k
-    has coordinate knots[s][at[s][k]] (at[s] is ... when knots[s] already
-    holds one value per node).  An expression is evaluated once per knot and
-    gathered to the nodes."""
+    has coordinate knots[s][at[s][k]].  An expression is evaluated once per
+    knot and gathered to the nodes."""
 
     knots: tuple
-    at: np.ndarray | tuple
+    at: np.ndarray
 
-    def sides(self, expr: HoloExpr):
-        """expr's null components (e+, e-) at every node."""
-        return tuple(expr.eval_null(k, side)[a] for side, k, a in zip((PLUS, MINUS), self.knots, self.at))
+    def _used(self, rows):
+        """Per side, the knots that the grid rows `rows` use (a slice; every
+        knot when rows is None) and each node's place among them."""
+        for knots, at in zip(self.knots, self.at):
+            if rows is not None:
+                # without a sort (np.unique's integer sort maps its own code)
+                seen = np.zeros(len(knots), bool)
+                seen[at[rows]] = True
+                used = np.flatnonzero(seen)
+                knots, at = knots[used], np.searchsorted(used, at[rows])
+            yield knots, at
+
+    def sides(self, expr: HoloExpr, rows=None):
+        """expr's null components (e+, e-) at every node of the grid rows
+        `rows` (a slice; None for every node)."""
+        return tuple(expr.eval_null(k, side)[a] for side, (k, a) in zip((PLUS, MINUS), self._used(rows)))
 
     def tangents(self, exprs, part: Part, rows=None):
         """x_u and x_v of the selected part of the curve whose derivative has
@@ -144,25 +156,14 @@ class _NullIndex:
         mask of those nodes where both are finite.
 
         Per side the components are evaluated once at each knot the rows
-        use (every knot when rows is None), stacked and gathered to the
-        nodes; x_u is the selected part of the two sides, formed in place,
-        and x_v the other part, so three arrays the size of the rows are
-        live at most.  Rows take only their own knots: off square steps the
-        index has about one knot per node.  Evaluation is elementwise, so a
-        node's values are the same bits whichever rows ask for them."""
-
-        def side_values(side, knots, at):
-            used = slice(None)
-            if rows is not None:
-                # the knots the rows use, and each node's place among them,
-                # without a sort (np.unique's integer sort maps its own code)
-                seen = np.zeros(len(knots), bool)
-                seen[at[rows]] = True
-                used = np.flatnonzero(seen)
-                at = np.searchsorted(used, at[rows])
-            return np.stack([e.eval_null(knots[used], side) for e in exprs], axis=-1)[at]
-
-        a, b = (side_values(side, k, at) for side, k, at in zip((PLUS, MINUS), self.knots, self.at))
+        use, stacked and gathered to the nodes; x_u is the selected part of
+        the two sides, formed in place, and x_v the other part, so three
+        arrays the size of the rows are live at most.  Rows take only their
+        own knots: off square steps the index has about one knot per node.
+        Evaluation is elementwise, so a node's values are the same bits
+        whichever rows ask for them."""
+        a, b = (np.stack([e.eval_null(k, side) for e in exprs], axis=-1)[at]
+                for side, (k, at) in zip((PLUS, MINUS), self._used(rows)))
         xv = _part(a.copy(), b, Part.IMAGINARY if part == Part.REAL else Part.REAL)
         xu = _part(a, b, part)
         return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from splitsurf import holofn
+from splitsurf.canonical import canonical_pde_residual
+from splitsurf.geometry import forms_grid
+from splitsurf.weierstrass import evaluate_surface
 
 
 def enneper_x(u, v):
@@ -26,6 +29,14 @@ def enneper_y(u, v):
         ],
         axis=-1,
     )
+
+
+def pde_residual(data, domain, grid, gate=0.3):
+    """canonical_pde_residual at every node of the patch of data, with g and
+    g' per null side from the patch's own null index, as verify folds it."""
+    patch = evaluate_surface(data, domain, grid)
+    g = data.g
+    return canonical_pde_residual(forms_grid(patch), *(patch._index.sides(e) for e in (g, g.derivative())), gate)
 
 
 @pytest.fixture

@@ -9,11 +9,7 @@ from splitsurf.algebra import SplitComplex, ZeroDivisor, from_null, splitc
 from splitsurf.holofn import expr_to_poly, parse
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
-from splitsurf.canonical import (
-    canonical_pde_residual,
-    canonicalize,
-    verify_canonical_coefficients,
-)
+from splitsurf.canonical import canonicalize, verify_canonical_coefficients
 from splitsurf.equivalence import (
     MoebiusParams,
     moebius_transform,
@@ -30,7 +26,7 @@ from splitsurf.classify import (
     lift_to_curve,
 )
 
-from conftest import enneper_x, enneper_y
+from conftest import enneper_x, enneper_y, pde_residual
 
 
 def _report(criterion, ok, detail):
@@ -117,26 +113,15 @@ def test_criterion_3_canonical_coefficients():
 
 
 def test_criterion_4_curvature_pde():
-    us = np.linspace(-0.8, 0.8, 33)
-    vs = np.linspace(-0.8, 0.8, 33)
-
-    def K_enneper(U, V):
-        return -16.0 / (1.0 - (U**2 - V**2)) ** 4
-
-    res1 = canonical_pde_residual(K_enneper, us=us, vs=vs)
-    gate1 = np.abs(1.0 - (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
-    worst1 = float(np.nanmax(np.abs(np.where(gate1, res1.values, np.nan))))
-
-    beta = 0.5  # |b/a| for the pair f = 2, g = z + 1
-
-    def K_family(U, V):
-        return -16.0 * beta**2 / (1.0 - beta * (U**2 - V**2)) ** 4
-
-    res2 = canonical_pde_residual(K_family, us=us, vs=vs)
-    gate2 = np.abs(1.0 - beta * (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
-    worst2 = float(np.nanmax(np.abs(np.where(gate2, res2.values, np.nan))))
+    # canonical Enneper, K = -16 / (1 - (u^2 - v^2))^4, and the family of the
+    # pair f = 2, g = z + 1, whose canonical g = sqrt(beta) z, beta = |b/a| =
+    # 0.5, gives K = -16 beta^2 / (1 - beta (u^2 - v^2))^4; nodes within 0.3
+    # of 1 - |g|^2 = 0 are masked
+    dom, grid = (-0.8, 0.8, -0.8, 0.8), (33, 33)
+    worst1, worst2 = (float(np.nanmax(np.abs(pde_residual(GeneratingData.canonical(parse(g)), dom, grid, 0.3))))
+                      for g in ("z", "sqrt(0.5)*z"))
     ok = worst1 < 1e-5 and worst2 < 1e-5
-    _report(4, ok, "PDE residual %.3e / %.3e (tol 1e-5, h = 1e-3)" % (worst1, worst2))
+    _report(4, ok, "PDE residual %.3e / %.3e (tol 1e-5, exact per null side)" % (worst1, worst2))
 
 
 def test_criterion_5_worked_canonicalization():

@@ -17,12 +17,13 @@ from splitsurf.canonical import (
     SampledField,
     apply_gauge,
     canonical_curvature_field,
-    canonical_pde_residual,
     canonicalize,
     compare_curvature_fields,
     verify_canonical_coefficients,
 )
 from splitsurf.weierstrass import GeneratingData, Part, SurfacePatch, _NullIndex, evaluate_surface
+
+from conftest import pde_residual
 
 
 def enneper_K(U, V):
@@ -353,7 +354,8 @@ def test_quadrature_route_non_finite_w_gives_nan():
 
     def z_at(w):
         # every value of w its own target
-        targets = _NullIndex(tuple(np.atleast_1d(t) for t in (w.p, w.q)), (..., ...))
+        knots = tuple(np.atleast_1d(t) for t in (w.p, w.q))
+        targets = _NullIndex(knots, np.stack([np.arange(len(knots[0]))] * 2))
         index, _ = canonical._invert(phi, res.z0, res.w0, +1, targets)
         return from_null(*(k[a] for k, a in zip(index.knots, index.at)))
 
@@ -393,30 +395,23 @@ def test_non_canonical_patch_flagged():
 
 
 def test_pde_residual_enneper():
-    us = np.linspace(-0.8, 0.8, 33)
-    vs = np.linspace(-0.8, 0.8, 33)
-    res = canonical_pde_residual(enneper_K, us=us, vs=vs)
-    gate = np.abs(1.0 - (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
-    assert np.nanmax(np.abs(np.where(gate, res.values, np.nan))) < 1e-5
+    res = pde_residual(GeneratingData.canonical(parse("z")), (-0.8, 0.8, -0.8, 0.8), (33, 33), 0.3)
+    assert np.nanmax(np.abs(res)) < 1e-5
 
 
 def test_pde_residual_linear_family():
-    # the pair f = a, g = b z + c with a = 2, b = 1 has canonical curvature
-    # K = -16 |b/a|^2 / (1 - |b/a| (u^2 - v^2))^4
-    beta = 0.5
-    K = lambda U, V: -16.0 * beta**2 / (1.0 - beta * (U**2 - V**2)) ** 4
-    us = np.linspace(-0.8, 0.8, 21)
-    vs = np.linspace(-0.8, 0.8, 21)
-    res = canonical_pde_residual(K, us=us, vs=vs)
-    gate = np.abs(1.0 - beta * (us[:, None] ** 2 - vs[None, :] ** 2)) > 0.3
-    assert np.nanmax(np.abs(np.where(gate, res.values, np.nan))) < 1e-5
+    # the pair f = a, g = b z + c with a = 2, b = 1 has canonical g = sqrt(beta) z,
+    # beta = |b/a|, and K = -16 beta^2 / (1 - beta (u^2 - v^2))^4
+    res = pde_residual(GeneratingData.canonical(parse("sqrt(0.5)*z")), (-0.8, 0.8, -0.8, 0.8), (21, 21), 0.3)
+    assert np.nanmax(np.abs(res)) < 1e-5
 
 
-def test_pde_residual_constant_field_flags_nonminimal():
-    us = np.linspace(-0.2, 0.2, 5)
-    res = canonical_pde_residual(lambda U, V: -4.0 + 0.0 * U, us=us, vs=us)
-    # derivatives vanish so the residual is exactly -2 sqrt(-K) = -4
-    assert np.allclose(res.values, -4.0)
+def test_pde_residual_flags_non_canonical_patches():
+    # isothermal and minimal, not in canonical parameters: the K of the
+    # patch's forms breaks the PDE written with the patch's g
+    for f, g, least in (("1", "2*z", 1.0), ("exp(0.45*z)", "z", 0.1)):
+        res = pde_residual(GeneratingData.general(parse(f), parse(g)), (-0.2, 0.2, -0.2, 0.2), (9, 9))
+        assert np.all(np.isfinite(res)) and np.max(np.abs(res)) > least
 
 
 def test_gauge_identity_and_reflection():
@@ -443,14 +438,18 @@ def test_gauge_composition_law():
 
 
 def test_gauge_invariance_of_pde_residual():
-    # exactly symmetric nodes, so the reflected grid is the same grid reversed
-    us = np.arange(-10, 11) * 0.05
-    before = canonical_pde_residual(enneper_K, us=us, vs=us)
-    after = canonical_pde_residual(apply_gauge(CanonicalGauge(eps=-1), enneper_K), us=us, vs=us)
-    # identical up to node reindexing; the reflection reverses the stencil's
-    # summation order, and the stencil scales rounding by about 64 / (12 h^2)
-    assert np.array_equal(np.isnan(after.values), np.isnan(before.values[::-1, ::-1]))
-    assert np.nanmax(np.abs(after.values - before.values[::-1, ::-1])) < 1e-8
+    # the gauge w -> -w takes canonical g to g(-w), and a pair (f, g) to
+    # (-f(-w), g(-w)): the same surface, so on symmetric nodes the residual
+    # is the original's reindexed, up to the rounding of the reflected null
+    # lattice; the pair is not canonical, and its residual is no rounding
+    dom, grid = (-0.5, 0.5, -0.5, 0.5), (21, 21)
+    for data, reflected in ((GeneratingData.canonical(parse("z")), GeneratingData.canonical(parse("-z"))),
+                            (GeneratingData.general(parse("exp(0.45*z)"), parse("z")),
+                             GeneratingData.general(parse("-exp(-0.45*z)"), parse("-z")))):
+        before, after = pde_residual(data, dom, grid), pde_residual(reflected, dom, grid)
+        assert np.array_equal(np.isnan(after), np.isnan(before[::-1, ::-1]))
+        assert np.nanmax(np.abs(after - before[::-1, ::-1])) < 1e-8
+    assert np.nanmax(np.abs(before)) > 0.1
 
 
 def test_gauge_on_surface_patch():

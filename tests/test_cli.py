@@ -9,7 +9,7 @@ import pytest
 
 from splitsurf import cli, geometry
 from splitsurf.algebra import splitc
-from splitsurf.canonical import canonical_curvature_field, canonicalize, curvature_callable
+from splitsurf.canonical import canonical_curvature_field, canonicalize
 from splitsurf.cli import (
     main,
     read_csv_patch,
@@ -18,10 +18,10 @@ from splitsurf.cli import (
     write_obj,
 )
 from splitsurf.geometry import forms_grid
-from splitsurf.weierstrass import GeneratingData, evaluate_surface
+from splitsurf.weierstrass import GeneratingData, Part, evaluate_surface
 from splitsurf.holofn import Const, parse
 
-from conftest import enneper_y
+from conftest import enneper_y, pde_residual
 
 
 def run(capsys, *argv):
@@ -257,33 +257,37 @@ def test_verify_reports_skipped_pde_gate(capsys):
 
 def test_verify_pde_gate_masks_singular_nodes_only(capsys):
     # the null lines of 1/(z - 0.3) cross two corner nodes; the other 79 are checked
-    data = GeneratingData.canonical(parse("1/(z-0.3)"))
+    data = GeneratingData.canonical(parse("1/(z-0.3)"), base_point=splitc(0.7))
+    resid = pde_residual(data, (0.5, 0.9, -0.2, 0.2), (9, 9))
     field = canonical_curvature_field(data, (0.5, 0.9, -0.2, 0.2), (9, 9), gate=0.3)
-    U, V = np.meshgrid(field.us, field.vs, indexing="ij")
-    K = curvature_callable(data, 0.3)(U, V)
-    # the field evaluates at the exact null lattice, the callable at the
-    # float sums u + v and u - v: the same nodes to a few ulps
-    assert np.array_equal(np.isnan(K), np.isnan(field.values))
-    assert np.nanmax(np.abs(K - field.values) / np.abs(K)) <= 1e-14
-    assert int(np.sum(np.isfinite(K))) == 79
+    # the patch's valid nodes beyond the gate are the curvature field's
+    assert np.array_equal(np.isnan(resid), np.isnan(field.values))
+    assert int(np.sum(np.isfinite(resid))) == 79 and np.nanmax(np.abs(resid)) < 1e-12
     code, stdout, _ = run(
         capsys, "verify", "--canonical", "--g", "1/(z-0.3)", "--base", "0.7",
         "--domain", "0.5:0.9:-0.2:0.2", "--grid", "9x9",
     )
     report = json.loads(stdout)
+    assert report["gates"]["curvature_pde"]["max_residual"] == np.nanmax(np.abs(resid))
     assert report["gates"]["curvature_pde"]["pass"] is True
     assert code == 0
 
 
 def test_verify_canonical_across_singular_null_lines(capsys):
     # g' = 0 on p = -1/2 and q = -1/2, the domain edges; the 310 nodes whose
-    # null segments to the base point avoid them are checked, not none
-    code, out, _ = run(
-        capsys, "verify", "--canonical", "--g", "z^2+z+3",
-        "--domain", "-0.5:0.5:-0.5:0.5", "--grid", "21x21",
-    )
-    assert code in (0, 1)
-    assert json.loads(out)["gates"]["canonical_coefficients"]["nodes"] > 0
+    # null segments to the base point avoid them are checked, not none, and
+    # the PDE holds on them with the branch sign(g'+ g'-) = +1 on either
+    # part, though K < 0 on every node of the real part
+    for part, selected in (("real", Part.REAL), ("imag", Part.IMAGINARY)):
+        code, out, _ = run(
+            capsys, "verify", "--canonical", "--g", "z^2+z+3", "--part", part,
+            "--domain", "-0.5:0.5:-0.5:0.5", "--grid", "21x21",
+        )
+        gates = json.loads(out)["gates"]
+        resid = pde_residual(GeneratingData.canonical(parse("z^2+z+3"), part=selected), (-0.5, 0.5, -0.5, 0.5), (21, 21))
+        assert gates["canonical_coefficients"]["nodes"] == int(np.sum(np.isfinite(resid))) == 310
+        assert gates["curvature_pde"]["max_residual"] == np.nanmax(np.abs(resid)) < 1e-12
+        assert code == 0
 
 
 def test_verify_csv_nonminimal_fails_h_gate(tmp_path, capsys):

@@ -5,7 +5,7 @@ so its traced peak (tracemalloc) is measured in units of one (n, m, 3)
 float64 array of the grid it works on, the returned result included.  Each
 budget is the largest peak measured on the grids below with at most 15%
 headroom; COMMAND_BUDGET also bounds each command at 201x201 run in a fresh
-interpreter.  The peaks were measured with Python 3.11.7 and numpy 2.4.6
+interpreter, and VERIFY_BUDGETS two verify commands on generating data.  The peaks were measured with Python 3.11.7 and numpy 2.4.6
 only, the pair CI pins on its Python 3.11 leg: they count numpy's own
 temporaries, which another numpy may make differently.
 """
@@ -39,6 +39,10 @@ BUDGETS = {
 }
 # generate peaks in evaluate_surface, verify --from-csv in read_csv_patch
 COMMAND_BUDGET = 4.7
+# verify on generating data at 101x101: --canonical holds the patch and every
+# finite coefficient residual (two node arrays) when it summarizes them, and
+# --compare-parts one part's patch while it makes the other's
+VERIFY_BUDGETS = {"canonical": 6.6, "compare_parts": 6.5}
 
 # (n, m) and the v half-width that makes the steps square on u in [-1, 1]
 GRIDS = [((101, 101), 1.0), ((81, 121), 1.5)]
@@ -123,6 +127,16 @@ def test_command_peaks_within_budget(fmt, n, fresh, tmp_path):
         else:
             code, peak = node_arrays((n, n), _quiet_main, argv)
         assert code in (0, 1) and peak <= COMMAND_BUDGET, (argv[0], code, round(peak, 2))
+
+
+@pytest.mark.parametrize("case, argv", [
+    # the benchmark's verify shape, and the pair of the grids above
+    ("canonical", ["--canonical", "--g", "(3.0+1.0*z^1+1.0*z^2)", "--domain=0.2:1.0:-0.4:0.4"]),
+    ("compare_parts", ["--f", "exp(0.5*z)", "--g", "z^2+0.3*z", "--compare-parts"]),
+])
+def test_verify_peaks_within_budget(case, argv):
+    code, peak = node_arrays((101, 101), _quiet_main, ["verify", *argv, "--grid", "101x101"])
+    assert code == 0 and peak <= VERIFY_BUDGETS[case], (case, round(peak, 2))
 
 
 @pytest.mark.parametrize("method, half_v", [("analytic", 1.0), ("analytic", 0.6), ("fd", 1.0)])

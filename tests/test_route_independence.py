@@ -1,5 +1,6 @@
 """Route independence: per-null-value grid evaluation against per-node
-evaluation, and the affine z(w) against the quadrature inversion.
+evaluation, the affine z(w) against the quadrature inversion, and the exact
+curvature-PDE terms against a stencil.
 
 evaluate_surface and forms_grid evaluate every grid expression once per
 knot of the grid's null index and gather the results to the nodes.  The
@@ -14,6 +15,10 @@ For a symbolically constant f g' canonical._z_sides maps w to z affinely
 per null side; with holofn.constant_value patched to see no constant, the
 same data take canonical._invert on the same w index, and the two routes
 must agree to the inversion's accuracy.
+
+The curvature PDE's m_uu - m_vv, m = ln sqrt|K|, is exact per null side
+in canonical_pde_residual; a five-point stencil of m, kept here, must
+agree with it to the stencil's own error.
 """
 
 import numpy as np
@@ -174,3 +179,78 @@ def test_affine_sides_equal_the_quadrature_inversion(case):
         assert np.nanmax(np.abs(got - ref)) < 1e-9
     assert np.array_equal(np.isnan(field), np.isnan(expect))
     assert np.nanmax(np.abs(field - expect) / np.abs(expect), initial=0.0) < 1e-8
+
+
+@st.composite
+def _pde_cases(draw):
+    n, m = draw(st.integers(5, 13)), draw(st.integers(5, 13))
+    u0, v0 = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))
+    width = draw(st.floats(0.2, 0.6))
+    height = draw(st.sampled_from([width * (m - 1) / (n - 1), draw(st.floats(0.2, 0.6))]))
+    # g' = 0 on the null line p = r (and q = r), which crosses the domain
+    r = u0 + v0 + draw(st.floats(0.2, 0.8)) * (width + height)
+    off_zero = st.floats(0.05, 0.6).flatmap(lambda x: st.sampled_from([x, -x]))
+    base = splitc(draw(off_zero), draw(off_zero))
+    assume(min(abs(base.p - r), abs(base.q - r)) > 0.05)
+    # P = c + (z - r)^2 (b0 + b1 (z - r) + ...), of degree 2 to 6, with a simple critical point r
+    degree = draw(st.integers(2, 6))
+    b = [draw(st.floats(0.3, 1.0)) * draw(st.sampled_from([-1, 1]))]
+    b += [draw(st.floats(-0.5, 0.5)) for _ in range(degree - 2)]
+    zr = "(z-%s)" % _num(r)
+    poly = "(%s+%s+%sJ)" % (
+        "+".join("%s*%s^%d" % (_num(c), zr, k + 2) for k, c in enumerate(b)),
+        _num(draw(st.floats(-0.5, 0.5))), _num(draw(st.floats(-0.5, 0.5))))
+    g = draw(st.sampled_from([poly, "exp(%s*%s)" % (_num(draw(st.floats(0.2, 0.8))), poly), "sqrt(3+%s)" % poly]))
+    return parse(g), base, (u0, u0 + width, v0, v0 + height), (n, m)
+
+
+def _stencil_m_uu_minus_m_vv(g, P, Q, h):
+    """The five-point stencil (-1, 16, -30, 16, -1) / (12 h^2) of
+    m = 1/2 ln|-16 (g'+ g'-)^2 / (1 - g+ g-)^4| along u and along v at the
+    null coordinates (P, Q), their difference, and its rounding floor: the
+    stencil's weights sum to 64 / (12 h^2) in magnitude, times the
+    rounding of m at its points.  The functions of p alone and of q alone
+    in m take the same points, so their truncation cancels in the
+    difference, and their rounding too, term by term."""
+    gp = g.derivative()
+
+    def m(p, q):
+        k = -16.0 * (gp.eval_null(p, PLUS) * gp.eval_null(q, MINUS)) ** 2
+        return 0.5 * np.log(np.abs(k / (1.0 - g.eval_null(p, PLUS) * g.eval_null(q, MINUS)) ** 4))
+
+    weights = {-2: -1.0, -1: 16.0, 0: -30.0, 1: 16.0, 2: -1.0}
+    # a point on a null line of g' or a pole leaves the node's values non-finite
+    with np.errstate(all="ignore"):
+        # along u both null coordinates move by c h, along v they move apart
+        along_u = {c: m(P + c * h, Q + c * h) for c in weights}
+        along_v = {c: m(P + c * h, Q - c * h) for c in weights}
+        uu, vv = (sum(w * ms[c] for c, w in weights.items()) / (12.0 * h * h) for ms in (along_u, along_v))
+        largest = np.max(np.abs([*along_u.values(), *along_v.values()]), axis=0)
+        return uu - vv, 8.0 * 64.0 / (12.0 * h * h) * np.finfo(float).eps * (4.0 + largest)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(_pde_cases())
+def test_exact_pde_terms_equal_the_five_point_stencil(case):
+    # canonical_pde_residual takes m_uu - m_vv = 8 g'+ g'- / (1 - g+ g-)^2
+    # exactly and the branch sigma = sign(g'+ g'-) per node; adding
+    # 2 sigma sqrt|K| back must give the stencil's m_uu - m_vv at h = 1e-3,
+    # on either part, within the stencil's rounding floor and twice its
+    # truncation, which Richardson's |S(2h) - S(h)| / 15 estimates.  A
+    # branch taken from the sign of K (-1 on the real part, +1 on the
+    # imaginary) is wrong on one part, and misses by 4 sqrt|K|.
+    g, base, domain, grid = case
+    for part in (Part.REAL, Part.IMAGINARY):
+        patch = evaluate_surface(GeneratingData.canonical(g, part, base), domain, grid)
+        index = patch._index
+        forms = forms_grid(patch)
+        gp_sides = index.sides(g.derivative())
+        resid = canonical.canonical_pde_residual(forms, index.sides(g), gp_sides, 0.3)
+        exact = resid + 2.0 * np.sign(gp_sides[0] * gp_sides[1]) * np.sqrt(np.abs(forms.K))
+        P, Q = (k[a] for k, a in zip(index.knots, index.at))
+        (stencil, floor), (coarse, _) = (_stencil_m_uu_minus_m_vv(g, P, Q, h) for h in (1e-3, 2e-3))
+        judged = np.isfinite(exact) & np.isfinite(stencil) & np.isfinite(coarse)
+        assume(np.count_nonzero(judged) >= 4)
+        bound = floor[judged] + 2.0 * np.abs(coarse - stencil)[judged] / 15.0
+        assert np.all(np.abs(exact - stencil)[judged] <= bound)
