@@ -18,7 +18,6 @@ from splitsurf import (
     splitc,
     sqrt,
     sqrt_all,
-    to_null,
 )
 
 print("=== arithmetic ===")
@@ -32,7 +31,7 @@ print("\n=== null coordinates ===")
 # e+ = (1+J)/2 and e- = (1-J)/2 are idempotents; in the basis (e+, e-)
 # multiplication is componentwise, which every solver in this package uses.
 print(f"e+^2 = {E_PLUS * E_PLUS},  e-^2 = {E_MINUS * E_MINUS},  e+ e- = {E_PLUS * E_MINUS}")
-p, q = to_null(a)
+p, q = a.p, a.q
 print(f"{a} has null coordinates p = {p}, q = {q}; from_null(p, q) = {from_null(p, q)}")
 
 print("\n=== zero divisors ===")

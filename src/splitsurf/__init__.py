@@ -18,13 +18,11 @@ from .algebra import (
     splitc,
     sqrt,
     sqrt_all,
-    to_null,
 )
 from .holofn import (
     DomainError,
     ExprSyntaxError,
     HoloExpr,
-    integrate_path,
     parse,
 )
 from .weierstrass import (
@@ -43,7 +41,6 @@ from .canonical import (
     CanonicalGauge,
     InconclusiveOverlap,
     SampledField,
-    apply_gauge,
     canonical_curvature_field,
     canonical_pde_residual,
     canonicalize,

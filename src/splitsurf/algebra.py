@@ -16,7 +16,6 @@ __all__ = [
     "NoSquareRoot",
     "NULL_EPS",
     "splitc",
-    "to_null",
     "from_null",
     "exp",
     "sqrt",
@@ -24,8 +23,6 @@ __all__ = [
     "E_PLUS",
     "E_MINUS",
     "J",
-    "ONE",
-    "ZERO",
 ]
 
 # Divisions closer to the null cone than this (relative to max(1, |z|))
@@ -244,16 +241,9 @@ def splitc(re=0.0, im=0.0) -> SplitComplex:
     return SplitComplex(re, im)
 
 
-ZERO = SplitComplex(0.0, 0.0)
-ONE = SplitComplex(1.0, 0.0)
 J = SplitComplex(0.0, 1.0)
 E_PLUS = SplitComplex(0.5, 0.5)
 E_MINUS = SplitComplex(0.5, -0.5)
-
-
-def to_null(z: SplitComplex):
-    """Null coordinates (p, q) with z = p*e+ + q*e-."""
-    return z.p, z.q
 
 
 def from_null(p, q) -> SplitComplex:

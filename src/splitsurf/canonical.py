@@ -42,7 +42,6 @@ __all__ = [
     "canonical_curvature_field",
     "verify_canonical_coefficients",
     "canonical_pde_residual",
-    "apply_gauge",
     "compare_curvature_fields",
 ]
 
@@ -80,7 +79,6 @@ class CanonicalizationResult:
     vs: np.ndarray
     w0: SplitComplex
     z0: SplitComplex
-    sign_choice: int
     z_values: SplitComplex
     z_prime: SplitComplex
     g_tilde_values: SplitComplex
@@ -244,7 +242,7 @@ def canonicalize(
     z_prime = from_null(*(sign / np.sqrt(v) for v in index.sides(phi)))
     g_tilde = None if r is None else g.subs(Const(z0 - r * w0) + Const(r) * Z)
     return CanonicalizationResult(
-        us, vs, w0, z0, sign, z, z_prime, from_null(*index.sides(g)), g_tilde, res, r is not None, index,
+        us, vs, w0, z0, z, z_prime, from_null(*index.sides(g)), g_tilde, res, r is not None, index,
     )
 
 
@@ -371,16 +369,6 @@ class CoefficientReport:
     branch: np.ndarray  # -1, +1, or 0 where undefined
     valid: np.ndarray
 
-    @property
-    def max_residual(self) -> float:
-        """The largest finite residual of any shape, NaN if none."""
-        return self.summary()["max_residual"]
-
-    @property
-    def mean_residual(self) -> float:
-        """The mean of every finite residual of every shape, NaN if none."""
-        return self.summary()["mean_residual"]
-
     def fold(self, fold: BlockFold) -> BlockFold:
         """Fold this report into fold as one block of grid rows."""
         fold.add("nodes", np.add, self.valid)
@@ -393,9 +381,6 @@ class CoefficientReport:
 
     def summary(self) -> dict:
         return coefficient_summary(self.fold(BlockFold()))
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual < tol
 
 
 def coefficient_summary(fold: BlockFold) -> dict:
@@ -487,36 +472,6 @@ class CanonicalGauge:
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
 
-    def then(self, other: "CanonicalGauge") -> "CanonicalGauge":
-        """Gauge equal to applying self first, then `other`."""
-        return CanonicalGauge(
-            self.eps * other.eps,
-            self.eps * other.A + self.A,
-            self.eps * other.B + self.B,
-        )
-
-    def map_to_old(self, u_new, v_new):
-        return self.eps * u_new + self.A, self.eps * v_new + self.B
-
-
-def apply_gauge(gauge: CanonicalGauge, obj):
-    """Relabel canonical parameters of a field, patch, or callable.
-
-    The sample values are untouched; only the coordinate labels change, so
-    difference-based reports are invariant up to node reindexing.
-    """
-    if not isinstance(obj, (SampledField, SurfacePatch)):
-        if callable(obj):
-            return lambda u, v: obj(*gauge.map_to_old(u, v))
-        raise TypeError("cannot gauge objects of type %s" % type(obj).__name__)
-    # u_new = eps (u - A): eps = -1 reverses both axes
-    flip = slice(None, None, gauge.eps)
-    us, vs = gauge.eps * (obj.us - gauge.A), gauge.eps * (obj.vs - gauge.B)
-    if isinstance(obj, SampledField):
-        return SampledField(us[flip], vs[flip], obj.values[flip, flip].copy())
-    # analytic provenance no longer matches the relabeled parameters
-    return SurfacePatch(us[flip], vs[flip], obj.points[flip, flip].copy(), obj.valid[flip, flip].copy(), None)
-
 
 # ---------------------------------------------------------------------------
 # curvature-field comparison modulo gauge
@@ -525,7 +480,10 @@ def apply_gauge(gauge: CanonicalGauge, obj):
 
 @dataclass(frozen=True)
 class FieldMatch:
-    matched: bool
+    """The best gauge, max |K1 - K2| over the overlap shared nodes, and
+    whether that discrepancy is below tol."""
+
+    coincide: bool
     gauge: CanonicalGauge | None
     discrepancy: float
     overlap: int

@@ -67,6 +67,9 @@ def _parse_domain(text: str):
         u0, u1, v0, v1 = map(float, parts)
     except ValueError as exc:
         raise _UsageError("bad domain %r" % text) from exc
+    # the widths too: -1e308:1e308 overflows np.linspace into NaN nodes
+    if not np.all(np.isfinite([u0, u1, v0, v1, u1 - u0, v1 - v0])):
+        raise _UsageError("domain bounds and widths must be finite")
     if not (u0 < u1 and v0 < v1):
         raise _UsageError("domain must satisfy min < max per axis")
     return u0, u1, v0, v1

@@ -20,14 +20,13 @@ from .algebra import SplitComplex, from_null, splitc
 from .algebra import exp as sc_exp
 from .holofn import Const, DomainError, HoloExpr
 from .weierstrass import GeneratingData, _null_index, curve_expressions
-from .canonical import _axes, canonical_curvature_field, compare_curvature_fields, CanonicalGauge
+from .canonical import FieldMatch, _axes, canonical_curvature_field, compare_curvature_fields
 
 __all__ = [
     "InvalidParams",
     "MoebiusForm",
     "MoebiusParams",
     "MotionWitness",
-    "CoincidenceResult",
     "moebius_transform",
     "motion_witness",
     "witness_discrepancy",
@@ -197,27 +196,20 @@ def fit_moebius(transform: HoloExpr) -> MoebiusParams:
     return MoebiusParams(phi, alpha, sign, MoebiusForm.FRACTIONAL)
 
 
-@dataclass(frozen=True)
-class CoincidenceResult:
-    coincide: bool
-    gauge: CanonicalGauge | None
-    discrepancy: float
-
-
 def surfaces_coincide(
     data1: GeneratingData,
     data2: GeneratingData,
     domain: tuple[float, float, float, float],
     grid: tuple[int, int] = (41, 41),
-) -> CoincidenceResult:
+) -> FieldMatch:
     """Decide whether two datasets generate the same surface up to position.
 
     Both are brought to canonical parameters and their curvature fields are
     compared modulo the canonical gauge; equal fields identify the surface.
     The fields take the default gate of canonical_curvature_field and the
-    comparison its default tol and min_overlap.  For a known fractional
-    transform m, motion_witness(m) gives the motion.
+    comparison, whose FieldMatch is the answer, its default tol and
+    min_overlap.  For a known fractional transform m, motion_witness(m)
+    gives the motion.
     """
-    match = compare_curvature_fields(canonical_curvature_field(data1, domain, grid),
-                                     canonical_curvature_field(data2, domain, grid))
-    return CoincidenceResult(match.matched, match.gauge, match.discrepancy)
+    return compare_curvature_fields(canonical_curvature_field(data1, domain, grid),
+                                    canonical_curvature_field(data2, domain, grid))

@@ -41,7 +41,6 @@ __all__ = [
     "ExprSyntaxError",
     "DomainError",
     "parse",
-    "integrate_path",
     "integrate_sweep",
     "pole_gaps",
     "poly_to_expr",
@@ -969,34 +968,3 @@ def pole_gaps(exprs, knots, side):
     pole = amp[1] > _PROBE_RATIO**0.75 * amp[0]  # False where a probe is NaN
     out[lo[pole]] = out[hi[pole] - 1] = True
     return out
-
-
-def _quadrature_failed(a: float, b: float) -> DomainError:
-    return DomainError(
-        "quadrature failed on [%g, %g]: singular or non-finite integrand, "
-        "or more than %d panels" % (min(a, b), max(a, b), MAX_PANELS)
-    )
-
-
-def integrate_path(
-    f: HoloExpr, z0, z1, tol: float = 1e-10
-) -> SplitComplex:
-    """Integral of f along the segment [z0, z1].
-
-    The integral decouples into adaptive quadrature in each null coordinate,
-    both sides in one integrate_sweep call.  Raises DomainError when a
-    singularity prevents convergence on the segment.
-    """
-    z0 = SplitComplex._coerce(z0)
-    z1 = SplitComplex._coerce(z1)
-    ends = [(float(z0.p), float(z1.p)), (float(z0.q), float(z1.q))]
-    knots = [sorted({a, b}) for a, b in ends]  # one knot, and no gap, for a zero-length side
-    funs = [lambda t, side=side: f.eval_null(t, side) for side in (PLUS, MINUS)]
-    runs = integrate_sweep(funs, knots, [k.index(a) for k, (a, _) in zip(knots, ends)], tol)
-    out = []
-    for (value, ok), k, (a, b) in zip(runs, knots, ends):
-        i = k.index(b)
-        if not ok[i]:
-            raise _quadrature_failed(a, b)
-        out.append(float(value[i]))
-    return from_null(*out)

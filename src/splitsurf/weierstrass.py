@@ -22,7 +22,6 @@ __all__ = [
     "GeneratingData",
     "SurfacePatch",
     "curve_expressions",
-    "isotropy_defect",
     "evaluate_surface",
 ]
 
@@ -75,12 +74,6 @@ def curve_expressions(data: GeneratingData):
         psi2 = Const(splitc(0.0, 1.0)) * ((one - g2) / two_gp)
         psi3 = g / gp
     return psi1, psi2, psi3
-
-
-def isotropy_defect(data: GeneratingData, z) -> SplitComplex:
-    """-psi1^2 + psi2^2 + psi3^2; identically zero for valid generating data."""
-    p1, p2, p3 = (e.eval(z) for e in curve_expressions(data))
-    return -(p1 * p1) + p2 * p2 + p3 * p3
 
 
 def _part(a, b, part: Part):

@@ -91,7 +91,7 @@ def test_criterion_3_canonical_coefficients():
     gate = np.abs(1.0 - (U**2 - V**2)) > 0.3
     rep = verify_canonical_coefficients(patch, gate=gate)
     assert np.all(rep.branch[rep.valid] == -1)
-    principal = rep.max_residual
+    principal = rep.summary()["max_residual"]
 
     patch_im = evaluate_surface(
         GeneratingData.canonical(parse("z"), part=Part.IMAGINARY), dom, grid_dims

@@ -8,6 +8,7 @@ import pytest
 from splitsurf import canonical, holofn, weierstrass
 from splitsurf.algebra import from_null, splitc
 from splitsurf.equivalence import surfaces_coincide
+from splitsurf.geometry import forms_grid
 from splitsurf.holofn import MINUS, PLUS, Add, Const, Div, Mul, Neg, Pow, Sub, Var, expr_to_poly, integrate_sweep, parse
 from splitsurf.canonical import (
     BranchError,
@@ -15,7 +16,6 @@ from splitsurf.canonical import (
     FieldMatch,
     InconclusiveOverlap,
     SampledField,
-    apply_gauge,
     canonical_curvature_field,
     canonicalize,
     compare_curvature_fields,
@@ -96,7 +96,7 @@ def test_both_signs_are_gauge_equivalent():
             K = np.where(np.abs(1 - gv.modulus2) > 0.1, K, np.nan)
         fields.append(SampledField(res.us, res.vs, K))
     match = compare_curvature_fields(fields[0], fields[1], tol=1e-6)
-    assert match.matched
+    assert match.coincide
     assert match.gauge.eps == -1
 
 
@@ -107,7 +107,7 @@ def test_canonicalized_patch_passes_coefficient_check():
     data = GeneratingData.canonical(res.g_tilde_expr)
     patch = evaluate_surface(data, (-0.4, 0.4, -0.4, 0.4), (17, 17))
     rep = verify_canonical_coefficients(patch)
-    assert rep.ok(1e-4)
+    assert rep.summary()["max_residual"] < 1e-4
 
 
 def test_branch_error_at_critical_point():
@@ -372,14 +372,14 @@ def test_quadrature_route_non_finite_w_gives_nan():
 def test_verify_coefficients_principal_and_asymptotic():
     patch = evaluate_surface(GeneratingData.canonical(parse("z")), (-0.4, 0.4, -0.4, 0.4), (17, 17))
     rep = verify_canonical_coefficients(patch)
-    assert rep.ok(1e-5)
+    assert rep.summary()["max_residual"] < 1e-5
     assert np.all(rep.branch[rep.valid] == -1)
 
     patch_im = evaluate_surface(
         GeneratingData.canonical(parse("z"), part=Part.IMAGINARY), (-0.4, 0.4, -0.4, 0.4), (17, 17)
     )
     rep_im = verify_canonical_coefficients(patch_im)
-    assert rep_im.ok(1e-5)
+    assert rep_im.summary()["max_residual"] < 1e-5
     assert np.all(rep_im.branch[rep_im.valid] == +1)
     assert float(np.nanmax(rep_im.residuals["M"])) < 1e-5  # |M - 1|
     assert float(np.nanmax(rep_im.residuals["L"])) < 1e-5
@@ -414,27 +414,48 @@ def test_pde_residual_flags_non_canonical_patches():
         assert np.all(np.isfinite(res)) and np.max(np.abs(res)) > least
 
 
+# canonical g with no symmetry of its curvature: g' has no real zero, and
+# |1 - |g|^2| stays above the field's gate on the domains below
+GAUGE_G = "0.4*z+0.3*z^2+0.1*z^3"
+GAUGE_DOMAIN, GAUGE_GRID = (-0.5, 0.5, -0.5, 0.5), (21, 21)  # step 0.05
+
+
+def _gauged(eps, A, B, g=GAUGE_G):
+    """g(eps z + c), c = A + B J, as text."""
+    return g.replace("z", "(%d*z+(%r+%rJ))" % (eps, A, B))
+
+
+def _gauge_field(g, domain=GAUGE_DOMAIN, grid=GAUGE_GRID):
+    return canonical_curvature_field(GeneratingData.canonical(parse(g)), domain, grid)
+
+
 def test_gauge_identity_and_reflection():
-    us = np.linspace(-0.5, 0.5, 21)
-    field = SampledField(us, us, enneper_K(us[:, None], us[None, :]))
-    same = apply_gauge(CanonicalGauge(), field)
-    assert np.array_equal(same.values, field.values)
-    refl = apply_gauge(CanonicalGauge(eps=-1), field)
-    # the Enneper curvature is even in (u, v), so reflection reproduces it
-    assert np.allclose(refl.values, field.values)
-    assert np.allclose(refl.us, us)
+    # w -> eps w + c maps canonical parameters to canonical parameters, and
+    # g(eps w + c) has the curvature K(eps w + c): compare_curvature_fields
+    # recovers (eps, A, B) = (eps, Re c, Im c), the identity from g itself
+    field = _gauge_field(GAUGE_G)
+    same = compare_curvature_fields(field, field, tol=1e-12)
+    assert same.coincide and same.gauge == CanonicalGauge() and same.discrepancy == 0.0
+    for eps, A, B in ((-1, 0.0, 0.0), (-1, 0.1, -0.05), (1, 0.15, 0.05)):
+        match = compare_curvature_fields(field, _gauge_field(_gauged(eps, A, B)), tol=1e-12)
+        assert match.coincide and match.gauge.eps == eps
+        assert abs(match.gauge.A - A) < 1e-12 and abs(match.gauge.B - B) < 1e-12
 
 
 def test_gauge_composition_law():
-    us = np.linspace(-0.5, 0.5, 11)
-    field = SampledField(us, us, enneper_K(us[:, None], us[None, :]))
-    g1 = CanonicalGauge(1, 0.25, -0.125)
-    g2 = CanonicalGauge(-1, 0.5, 0.0)
-    lhs = apply_gauge(g2, apply_gauge(g1, field))
-    rhs = apply_gauge(g1.then(g2), field)
-    assert np.allclose(lhs.us, rhs.us)
-    assert np.allclose(lhs.vs, rhs.vs)
-    assert np.allclose(lhs.values, rhs.values, equal_nan=True)
+    # a gauge (e1, A1, B1) followed by (e2, A2, B2) is (e1 e2, e1 A2 + A1, e1 B2 + B1):
+    # g1 = g(z + c1), then g2 = g1(-z + c2) = g(-z + c2 + c1)
+    g1 = _gauged(1, 0.1, 0.05)
+    g2 = _gauged(-1, 0.05, -0.1, g1)
+    fields = [_gauge_field(g) for g in (GAUGE_G, g1, g2)]
+    first, second, both = (compare_curvature_fields(fields[a], fields[b], tol=1e-12)
+                           for a, b in ((0, 1), (1, 2), (0, 2)))
+    assert first.coincide and second.coincide and both.coincide
+    e1, e2 = first.gauge.eps, second.gauge.eps
+    assert (e1, e2, both.gauge.eps) == (1, -1, e1 * e2)
+    assert abs(both.gauge.A - (e1 * second.gauge.A + first.gauge.A)) < 1e-12
+    assert abs(both.gauge.B - (e1 * second.gauge.B + first.gauge.B)) < 1e-12
+    assert abs(both.gauge.A - 0.15) < 1e-12 and abs(both.gauge.B + 0.05) < 1e-12
 
 
 def test_gauge_invariance_of_pde_residual():
@@ -454,14 +475,9 @@ def test_gauge_invariance_of_pde_residual():
 
 def test_gauge_on_surface_patch():
     patch = evaluate_surface(GeneratingData.canonical(parse("z")), (-0.4, 0.4, -0.4, 0.4), (9, 9))
-    gauged = apply_gauge(CanonicalGauge(eps=-1, A=0.1, B=0.0), patch)
-    # u_new = eps (u_old - A): the axis maps to [-0.3, 0.5], values reindexed
-    assert np.isclose(gauged.us[0], -0.3) and np.isclose(gauged.us[-1], 0.5)
-    assert np.array_equal(gauged.points, patch.points[::-1, ::-1])
-    # analytic provenance no longer matches the relabeled parameters
-    assert gauged.provenance is None
-    from splitsurf.geometry import forms_grid
-
+    # the gauge u = -u_new + 0.1, v = -v_new: u_new = -(u - 0.1) runs over
+    # [-0.3, 0.5], and node (i, j) of the patch is node (8 - i, 8 - j)
+    gauged = SurfacePatch.from_points(-(patch.us - 0.1)[::-1], -patch.vs[::-1], patch.points[::-1, ::-1])
     grid = forms_grid(gauged)
     assert grid.method == "fd"
     base = forms_grid(SurfacePatch.from_points(patch.us, patch.vs, patch.points))
@@ -471,9 +487,23 @@ def test_gauge_on_surface_patch():
 
 
 def test_gauge_on_callable():
-    K = lambda u, v: u + 2.0 * v
-    gauged = apply_gauge(CanonicalGauge(eps=-1, A=0.5, B=-1.0), K)
-    assert gauged(0.25, 1.0) == K(-0.25 + 0.5, -1.0 - 1.0)
+    # the recovered gauge acts on K as a function of the parameters, at
+    # points off the lattice too: K~(u, v) = K(eps u + A, eps v + B)
+    def curvature(text):
+        g = parse(text)
+        gp = g.derivative()
+
+        def K(u, v):
+            g2 = g.eval_null(u + v, PLUS) * g.eval_null(u - v, MINUS)
+            gp2 = gp.eval_null(u + v, PLUS) * gp.eval_null(u - v, MINUS)
+            return -16.0 * gp2 * gp2 / (1.0 - g2) ** 4
+        return K
+
+    gauged = _gauged(-1, 0.1, -0.05)
+    gauge = compare_curvature_fields(_gauge_field(GAUGE_G), _gauge_field(gauged), tol=1e-12).gauge
+    K, K_new = curvature(GAUGE_G), curvature(gauged)
+    u, v = np.random.default_rng(4).uniform(-0.5, 0.5, (2, 50))
+    assert np.allclose(K_new(u, v), K(gauge.eps * u + gauge.A, gauge.eps * v + gauge.B), rtol=1e-12, atol=0.0)
 
 
 def test_compare_fields_translation():
@@ -483,12 +513,12 @@ def test_compare_fields_translation():
     shifted = enneper_K(us1[:, None] + 0.5, us1[None, :])
     field2 = SampledField(us1, us1, shifted)
     match = compare_curvature_fields(field1, field2, tol=1e-9)
-    assert match.matched
+    assert match.coincide
     assert match.gauge.eps == 1
     assert abs(abs(match.gauge.A) - 0.5) < 1e-12
     # the recovered gauge really maps new params onto old ones
     u_new = 0.1
-    u_old, _ = match.gauge.map_to_old(u_new, 0.0)
+    u_old = match.gauge.eps * u_new + match.gauge.A
     assert abs(enneper_K(np.array(u_old), np.array(0.0)) - enneper_K(np.array(u_new + 0.5), np.array(0.0))) < 1e-12
 
 
@@ -496,7 +526,7 @@ def test_compare_fields_self_match():
     us = np.linspace(-0.4, 0.4, 17)
     field = SampledField(us, us, enneper_K(us[:, None], us[None, :]))
     match = compare_curvature_fields(field, field, tol=1e-12)
-    assert match.matched and match.gauge == CanonicalGauge(1, 0.0, 0.0)
+    assert match.coincide and match.gauge == CanonicalGauge(1, 0.0, 0.0)
 
 
 def test_compare_fields_inconclusive():
@@ -626,7 +656,7 @@ def test_compare_fields_reflected_far_shift():
     field2 = _field(big[16:36, 15:35][::-1, ::-1].copy(), 0.0, 0.0)
     match = compare_curvature_fields(field1, field2, tol=1e-12)
     assert match == brute_force_match(field1, field2, tol=1e-12)
-    assert match.matched and match.gauge.eps == -1
+    assert match.coincide and match.gauge.eps == -1
     assert match.overlap == 4 * 5
 
 
@@ -649,7 +679,7 @@ def test_compare_fields_odd_lattice_shift():
     )
     match = compare_curvature_fields(field1, field2)
     assert match == brute_force_match(field1, field2)
-    assert match.matched and match.gauge.eps == 1
+    assert match.coincide and match.gauge.eps == 1
     assert abs(match.gauge.A - 0.03) < 1e-12 and abs(match.gauge.B - 0.07) < 1e-12
 
 
@@ -666,7 +696,7 @@ def test_compare_fields_ignores_sub_floor_alignments(transpose):
     field1, field2 = _field(v1, 0.0, 0.0), _field(v2, 0.0, 0.0)
     match = compare_curvature_fields(field1, field2)
     assert match == brute_force_match(field1, field2)
-    assert not match.matched and match.discrepancy > 0.1
+    assert not match.coincide and match.discrepancy > 0.1
 
 
 def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
@@ -677,7 +707,7 @@ def test_compare_fields_gauge_tie_ignores_last_bit_of_origins():
     field1 = canonical_curvature_field(GeneratingData.canonical(parse("z")), domain, grid)
     field2 = canonical_curvature_field(GeneratingData.canonical(parse("z+0.025")), domain, grid)
     match = compare_curvature_fields(field1, field2)
-    assert match.matched and match.gauge.eps == 1
+    assert match.coincide and match.gauge.eps == 1
     assert abs(match.gauge.A - 0.025) < 1e-12 and match.gauge.B == 0.0
 
 
@@ -720,7 +750,7 @@ def test_one_missing_node_takes_the_masked_transforms(monkeypatch):
     monkeypatch.setattr(canonical, "_window_sums", None)
     match = compare_curvature_fields(field1, field2, tol=1e-12)
     assert match == brute_force_match(field1, field2, tol=1e-12)
-    assert match.matched and match.gauge.eps == -1
+    assert match.coincide and match.gauge.eps == -1
 
 
 def test_full_rectangle_curvature_fields_match_brute_force():
@@ -732,7 +762,7 @@ def test_full_rectangle_curvature_fields_match_brute_force():
     assert np.isfinite(field1.values).all() and np.isfinite(field2.values).all()
     match = compare_curvature_fields(field1, field2)
     assert match == brute_force_match(field1, field2)
-    assert match.matched and match.discrepancy < 1e-12 and match.overlap == 32 * 33
+    assert match.coincide and match.discrepancy < 1e-12 and match.overlap == 32 * 33
     assert abs(abs(match.gauge.A) - 0.025) < 1e-12 and match.gauge.B == 0.0
 
 
@@ -762,7 +792,7 @@ def test_compare_fields_overflowing_differences():
     v1 = _holes(rng, np.full((10, 10), 1e308), 0.3)
     v2 = _holes(rng, np.full((10, 10), -1e308), 0.3)
     match = _same_as_brute_force(_field(v1, 0.0, 0.0), _field(v2, 9 * _H, 9 * _H))
-    assert match.discrepancy == np.inf and not match.matched
+    assert match.discrepancy == np.inf and not match.coincide
 
 
 def test_compare_fields_overflowing_squares():
@@ -771,7 +801,7 @@ def test_compare_fields_overflowing_squares():
     big = _holes(rng, 1e160 * (1.0 + 0.1 * rng.normal(size=(30, 30))), 0.1)
     field1, field2 = _field(big[:14, :12], 0.0, 0.0), _field(big[3:15, 2:16], 0.0, 0.0)
     match = _same_as_brute_force(field1, field2)
-    assert match.matched and match.discrepancy == 0.0 and (match.gauge.A, match.gauge.B) != (0.0, 0.0)
+    assert match.coincide and match.discrepancy == 0.0 and (match.gauge.A, match.gauge.B) != (0.0, 0.0)
 
 
 def test_compare_fields_infinite_entries_are_missing():
@@ -782,7 +812,7 @@ def test_compare_fields_infinite_entries_are_missing():
     v1[rng.random(v1.shape) < 0.15] = np.inf
     v2[rng.random(v2.shape) < 0.15] = -np.inf
     match = _same_as_brute_force(_field(v1, 0.0, 0.0), _field(v2, 0.0, 0.0))
-    assert match.matched and match.overlap == int((np.isfinite(v1[2:, 5:]) & np.isfinite(v2[:10, :7])).sum())
+    assert match.coincide and match.overlap == int((np.isfinite(v1[2:, 5:]) & np.isfinite(v2[:10, :7])).sum())
 
 
 def test_compare_fields_unequal_shapes():
@@ -790,7 +820,7 @@ def test_compare_fields_unequal_shapes():
     field1 = _field(big[4:11, 2:21], 0.0, 0.0)
     field2 = _field(big[0:16, 10:16][::-1, ::-1].copy(), 0.0, 0.0)
     match = _same_as_brute_force(field1, field2)
-    assert match.matched and match.gauge.eps == -1 and match.overlap == 7 * 6
+    assert match.coincide and match.gauge.eps == -1 and match.overlap == 7 * 6
 
 
 def test_compare_fields_inconclusive_below_min_overlap():

@@ -353,13 +353,24 @@ def test_generate_and_verify_read_one_fold(tmp_path, capsys, fmt):
     ("verify", "--f", "1", "--g", "z", "--tol-coeff", "1e-4"),
     ("verify", "--f", "1", "--g", "z", "--tol-pde", "1e-5"),
     ("verify", "--f", "1", "--g", "z", "--pde-gate", "0.3"),
+    # a domain with a non-finite bound, or a width that overflows, in every
+    # command that reads --domain
+    ("generate", "--f", "1", "--g", "z", "--domain=-inf:1:-1:1", "--out", "OUT"),
+    ("generate", "--f", "1", "--g", "z", "--domain=0:1e999:0:1", "--out", "OUT"),
+    ("verify", "--canonical", "--g", "z", "--domain=-inf:1:-1:1", "--grid", "5x5"),
+    ("verify", "--canonical", "--g", "z", "--domain=-1e308:1e308:0:1", "--grid", "5x5"),
+    ("canonicalize", "--f", "1", "--g", "z", "--domain=-inf:1:-1:1"),
+    ("canonicalize", "--f", "1", "--g", "z", "--domain=0:1e999:0:1"),
+    ("transform", "--g", "z", "--phi", "0.3", "--domain=-inf:1:-1:1"),
 ], ids=["csv_f", "csv_g", "csv_canonical", "csv_compare_parts", "csv_three", "verify_canonical_f",
         "generate_canonical_f", "generate_no_g", "csv_domain", "csv_grid", "csv_part", "csv_base",
         "generated_tol_h", "tol_coeff_without_canonical", "tol_pde_without_canonical",
-        "pde_gate_without_canonical"])
+        "pde_gate_without_canonical", "generate_domain_inf", "generate_domain_1e999", "verify_domain_inf",
+        "verify_domain_width_overflows", "canonicalize_domain_inf", "canonicalize_domain_1e999",
+        "transform_domain_inf"])
 def test_conflicting_or_missing_data_flags_are_usage_errors(tmp_path, capsys, argv):
-    # data a command would ignore, or data it lacks, is a usage error before
-    # any file is read or written
+    # data a command would ignore, data it lacks, or a domain it cannot
+    # sample, is a usage error before any file is read or written
     csv, out = tmp_path / "e.csv", tmp_path / "out.obj"
     write_csv(str(csv), evaluate_surface(GeneratingData.general(parse("1"), parse("z")), (-1, 1, -1, 1), (9, 9)))
     argv = [{"CSV": str(csv), "OUT": str(out)}.get(arg, arg) for arg in argv]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from splitsurf.algebra import splitc
+from splitsurf.canonical import FieldMatch
 from splitsurf.holofn import parse
 from splitsurf.weierstrass import GeneratingData, evaluate_surface
 from splitsurf.equivalence import (
-    CoincidenceResult,
     InvalidParams,
     MoebiusForm,
     MoebiusParams,
@@ -182,7 +182,7 @@ def test_witness_attached_when_params_known():
     m = MoebiusParams(0.2, splitc(0.1))
     d2 = GeneratingData.canonical(moebius_transform(parse("z"), m))
     result = surfaces_coincide(d1, d2, (-0.3, 0.3, -0.3, 0.3), grid=(13, 13))
-    assert isinstance(result, CoincidenceResult)
+    assert isinstance(result, FieldMatch)
     assert result.coincide
     # the witness comes from the known parameters, not from the decision
     assert motion_witness(m).preserves_metric()

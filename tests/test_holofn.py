@@ -12,7 +12,6 @@ from splitsurf.holofn import (
     Add,
     Const,
     Div,
-    DomainError,
     Exp,
     ExprSyntaxError,
     Mul,
@@ -24,7 +23,6 @@ from splitsurf.holofn import (
     MINUS,
     PLUS,
     Z,
-    integrate_path,
     integrate_sweep,
     parse,
     pole_gaps,
@@ -198,11 +196,38 @@ def test_hyperbolic_cauchy_riemann():
             assert abs(xv - yu) < 1e-6 * max(1.0, grad)
 
 
+def _one_gap(fun, a, b, tol=1e-10):
+    """(integral of fun from a to b, whether it converged) from a one-gap integrate_sweep."""
+    origin = int(b < a)
+    values, reachable = integrate_sweep(fun, sorted((a, b)), origin, tol)
+    return float(values[1 - origin]), bool(reachable[1 - origin])
+
+
+def _sides(z0, z1):
+    return (PLUS, float(z0.p), float(z1.p)), (MINUS, float(z0.q), float(z1.q))
+
+
+def _segment(f, z0, z1, tol=1e-10):
+    """Per null side, the integral of f along the segment [z0, z1] and whether
+    it converged: one integrate_sweep call per null side."""
+    return tuple(zip(*(_one_gap(lambda t: f.eval_null(t, side), a, b, tol) for side, a, b in _sides(z0, z1))))
+
+
+def _segment_in_one_sweep(f, z0, z1, tol=1e-10):
+    """_segment with both null sides as the problems of one integrate_sweep call."""
+    sides = _sides(z0, z1)
+    funs = [lambda t, side=side: f.eval_null(t, side) for side, _, _ in sides]
+    runs = integrate_sweep(funs, [sorted((a, b)) for _, a, b in sides], [int(b < a) for _, a, b in sides], tol)
+    return tuple(zip(*((float(v[int(a <= b)]), bool(r[int(a <= b)])) for (v, r), (_, a, b) in zip(runs, sides))))
+
+
 def test_integrate_path_closed_forms():
     one = parse("1")
-    assert float((integrate_path(one, splitc(0), splitc(1, 1)) - splitc(1, 1)).mag) < 1e-14
+    value, reach = _segment(one, splitc(0), splitc(1, 1))
+    assert reach == (True, True) and float((from_null(*value) - splitc(1, 1)).mag) < 1e-14
     zed = parse("z")
-    assert float((integrate_path(zed, splitc(0), splitc(2)) - splitc(2)).mag) < 1e-13
+    value, reach = _segment(zed, splitc(0), splitc(2))
+    assert reach == (True, True) and float((from_null(*value) - splitc(2)).mag) < 1e-13
 
 
 def test_integrate_path_quadrature_vs_simpson_oracle():
@@ -211,8 +236,8 @@ def test_integrate_path_quadrature_vs_simpson_oracle():
     # equal log(3/4) and log(1/2) in the two null coordinates
     expected = from_null(-0.2876820724517809, -0.6931471805599453)
     f = parse("1/(z - (3+1J))")
-    got = integrate_path(f, splitc(0), splitc(1), tol=1e-12)
-    assert float((got - expected).mag) < 1e-10
+    got, reach = _segment(f, splitc(0), splitc(1), tol=1e-12)
+    assert reach == (True, True) and float((from_null(*got) - expected).mag) < 1e-10
 
 
 def test_simpson_oracle_reproduces_frozen_values():
@@ -232,35 +257,17 @@ def test_path_independence():
     f = parse("1/(z - (4+1J))")
     tol = 1e-10
     z0, z1 = splitc(0), splitc(1, 0.5)
-    direct = integrate_path(f, z0, z1, tol)
+    direct = from_null(*_segment(f, z0, z1, tol)[0])
     for _ in range(5):
         mid = splitc(*rng.uniform(-0.5, 1.0, 2))
-        via = integrate_path(f, z0, mid, tol) + integrate_path(f, mid, z1, tol)
+        via = from_null(*_segment(f, z0, mid, tol)[0]) + from_null(*_segment(f, mid, z1, tol)[0])
         assert float((direct - via).mag) <= 2 * tol + 1e-12
 
 
 def test_integrate_path_singular_segment():
+    # 1/(z - 0.5) is singular on p = 0.5 and on q = 0.5, which both sides cross
     f = parse("1/(z - 0.5)")
-    with pytest.raises(DomainError):
-        integrate_path(f, splitc(0), splitc(1))
-
-
-def _one_gap(fun, a, b, tol=1e-10):
-    """(integral of fun from a to b, whether it converged) from a one-gap integrate_sweep."""
-    origin = int(b < a)
-    values, reachable = integrate_sweep(fun, sorted((a, b)), origin, tol)
-    return float(values[1 - origin]), bool(reachable[1 - origin])
-
-
-def _path_by_two_real_integrals(f, z0, z1, tol=1e-10):
-    # the former integrate_path: one integrate_sweep call per null side
-    out = []
-    for side, a, b in ((PLUS, z0.p, z1.p), (MINUS, z0.q, z1.q)):
-        value, ok = _one_gap(lambda t: f.eval_null(t, side), float(a), float(b), tol)
-        if not ok:
-            raise holofn._quadrature_failed(a, b)
-        out.append(value)
-    return from_null(*out)
+    assert _segment(f, splitc(0), splitc(1))[1] == (False, False)
 
 
 @pytest.mark.parametrize("text, z1", [
@@ -272,21 +279,28 @@ def _path_by_two_real_integrals(f, z0, z1, tol=1e-10):
 ])
 def test_integrate_path_one_sweep_equals_two_real_integrals(text, z1):
     f = parse(text)
-    got = integrate_path(f, splitc(0.05, -0.02), z1)
-    expect = _path_by_two_real_integrals(f, splitc(0.05, -0.02), z1)
-    assert (got.re, got.im) == (expect.re, expect.im)
+    got, got_reach = _segment_in_one_sweep(f, splitc(0.05, -0.02), z1)
+    expect, expect_reach = _segment(f, splitc(0.05, -0.02), z1)
+    assert got_reach == expect_reach == (True, True)
+    assert got == expect
 
 
-@pytest.mark.parametrize("z1", [splitc(0.1, 0.4), splitc(0.1, -0.4), splitc(0.5, 0.0)])
-def test_integrate_path_raises_where_either_side_fails(z1):
+@pytest.mark.parametrize("z1, reach", [
+    (splitc(0.1, 0.4), (False, True)),
+    (splitc(0.1, -0.4), (True, False)),
+    (splitc(0.5, 0.0), (False, False)),
+], ids=["p_crosses", "q_crosses", "both_cross"])
+def test_path_unreachable_where_either_side_fails(z1, reach):
     # 1/(z - 0.3) is singular on p = 0.3 and on q = 0.3: the segment crosses
     # the first line, the second, or both
     f = parse("1/(z - 0.3)")
-    with pytest.raises(DomainError) as expect:
-        _path_by_two_real_integrals(f, splitc(0), z1)
-    with pytest.raises(DomainError) as got:
-        integrate_path(f, splitc(0), z1)
-    assert str(got.value) == str(expect.value)
+    got, got_reach = _segment_in_one_sweep(f, splitc(0), z1)
+    expect, expect_reach = _segment(f, splitc(0), z1)
+    assert got_reach == expect_reach == reach
+    # a side that converged has the same bits on both routes, and one that
+    # did not is NaN on both
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.logical_not(reach))
 
 
 def test_integrate_real_basic():

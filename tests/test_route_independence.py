@@ -5,8 +5,9 @@ curvature-PDE terms against a stencil.
 evaluate_surface and forms_grid evaluate every grid expression once per
 knot of the grid's null index and gather the results to the nodes.  The
 reference below is the per-node route they replaced: expr.eval_null on the
-null coordinates of every node of the whole grid, and a null sweep that
-sorts them itself.  The node coordinates are the index's: the float sums
+null coordinates of every node of the whole grid (or of the grid rows a
+forms block asks for), for the tangents and the null sides alike, and a
+null sweep that sorts them itself.  The node coordinates are the index's: the float sums
 u + v and u - v, or on square steps the exact lattice p0 + k h.  Both
 routes do the same float operations per node, so every array must agree
 bit for bit, NaN masks included.
@@ -37,6 +38,14 @@ def _per_node_routes(P, Q):
     def sides(index, expr):
         return expr.eval_null(P, PLUS), expr.eval_null(Q, MINUS)
 
+    def tangents(index, exprs, part, rows=None):
+        # x_u is the selected part of the two sides, x_v the other part
+        p, q = (P, Q) if rows is None else (P[rows], Q[rows])
+        a, b = (np.stack([e.eval_null(t, side) for e in exprs], axis=-1) for t, side in ((p, PLUS), (q, MINUS)))
+        real, imag = (a + b) / 2.0, (a - b) / 2.0
+        xu, xv = (real, imag) if part == Part.REAL else (imag, real)
+        return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)
+
     def null_sweep(exprs, index, z0, tol):
         knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
                           for t, t0 in ((P, z0.p), (Q, z0.q))))
@@ -46,7 +55,7 @@ def _per_node_routes(P, Q):
                                         for (v, r), i in zip(swept, at))
         return (fp, fq), reach_p & reach_q
 
-    return sides, null_sweep
+    return sides, tangents, null_sweep
 
 
 def _outputs(data, domain, grid):
@@ -105,9 +114,10 @@ def test_per_null_value_evaluation_equals_per_node_evaluation(case):
     got = _outputs(data, domain, grid)
     n, m = grid
     index = weierstrass._null_index(np.linspace(*domain[:2], n), np.linspace(*domain[2:], m), data.base_point)
-    sides, null_sweep = _per_node_routes(*(k[a] for k, a in zip(index.knots, index.at)))
+    sides, tangents, null_sweep = _per_node_routes(*(k[a] for k, a in zip(index.knots, index.at)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weierstrass._NullIndex, "sides", sides)
+        mp.setattr(weierstrass._NullIndex, "tangents", tangents)
         mp.setattr(weierstrass, "_null_sweep", null_sweep)
         expect = _outputs(data, domain, grid)
     _assert_same_bytes(got, expect)

@@ -1,24 +1,32 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsurf import holofn, weierstrass
-from splitsurf.algebra import splitc
+from splitsurf.algebra import from_null, splitc
 from splitsurf.canonical import canonical_curvature_field
-from splitsurf.holofn import integrate_path, parse
+from splitsurf.holofn import MINUS, PLUS, parse
 from splitsurf.geometry import forms_grid
 from splitsurf.weierstrass import (
     GeneratingData,
     Part,
     curve_expressions,
     evaluate_surface,
-    isotropy_defect,
 )
 
 from conftest import enneper_x, enneper_y
+
+
+def _mp_real_part(expr, z0, z1):
+    """Re of the integral of expr from z0 to z1: mpmath quadrature of each
+    null side, an oracle independent of holofn.integrate_sweep."""
+    sides = [mpmath.quad(lambda t: expr.eval_null(float(t), side), [float(a), float(b)])
+             for side, a, b in ((PLUS, z0.p, z1.p), (MINUS, z0.q, z1.q))]
+    return float(sides[0] + sides[1]) / 2.0
 
 
 def test_curve_derivative_values():
@@ -41,7 +49,12 @@ def test_isotropy_identity():
     for data in datasets:
         for _ in range(20):
             z = splitc(*rng.uniform(-0.5, 0.5, 2))
-            assert float(isotropy_defect(data, z).mag) < 1e-12
+            # -psi1^2 + psi2^2 + psi3^2, componentwise on each null side
+            defect = []
+            for side, t in ((PLUS, z.p), (MINUS, z.q)):
+                p1, p2, p3 = (e.eval_null(t, side) for e in curve_expressions(data))
+                defect.append(-(p1 * p1) + p2 * p2 + p3 * p3)
+            assert float(from_null(*defect).mag) < 1e-12
 
 
 def test_enneper_closed_forms():
@@ -86,8 +99,8 @@ def test_part_curvature_signs_opposed():
 
 
 def test_quadrature_route_matches_direct_integration():
-    # cross-check a node of the null-coordinate sweep against a one-shot
-    # segment, with a rational f
+    # cross-check a node of the null-coordinate sweep against mpmath
+    # quadrature along each null side, with a rational f
     f = parse("1/(z - 5)")
     g = parse("z")
     data = GeneratingData.general(f, g)
@@ -95,8 +108,7 @@ def test_quadrature_route_matches_direct_integration():
     exprs = curve_expressions(data)
     i, j = 3, 4
     target = splitc(patch.us[i], patch.vs[j])
-    direct = [integrate_path(e, splitc(0), target, 1e-12) for e in exprs]
-    expect = np.array([c.re for c in direct])
+    expect = np.array([_mp_real_part(e, splitc(0), target) for e in exprs])
     assert np.max(np.abs(patch.points[i, j] - expect)) < 1e-9
 
 
@@ -201,7 +213,7 @@ def test_quadrature_sweep_matches_per_node_integrals():
     exprs = curve_expressions(data)
     for i, j in np.argwhere(patch.valid):
         target = splitc(patch.us[i], patch.vs[j])
-        expect = [integrate_path(e, base, target).re for e in exprs]
+        expect = [_mp_real_part(e, base, target) for e in exprs]
         assert np.max(np.abs(patch.points[i, j] - expect)) < 1e-9
     exact = _pole_patch_exact(c, P, Q, float(base.p), float(base.q))
     assert np.max(np.abs(patch.points[reach] - exact[reach])) < 1e-9
