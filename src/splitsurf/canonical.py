@@ -26,7 +26,7 @@ from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, from_null, splitc
 from .algebra import sqrt as sc_sqrt
 from . import holofn
 from .holofn import PLUS, MINUS, Const, HoloExpr, Z
-from .weierstrass import GeneratingData, SurfacePatch, _NullIndex, _null_index
+from .weierstrass import GeneratingData, SurfacePatch, _NullIndex, _axes, _null_index
 from .geometry import BlockFold, FormsGrid, forms_grid
 
 __all__ = [
@@ -244,11 +244,6 @@ def canonicalize(
     return CanonicalizationResult(
         us, vs, w0, z0, z, z_prime, from_null(*index.sides(g)), g_tilde, res, r is not None, index,
     )
-
-
-def _axes(domain, grid):
-    u0, u1, v0, v1 = map(float, domain)
-    return np.linspace(u0, u1, grid[0]), np.linspace(v0, v1, grid[1])
 
 
 def _z_sides(phi, z0, w0, sign, us, vs):

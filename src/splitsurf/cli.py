@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import NoSquareRoot, SplitComplex, ZeroDivisor, splitc
 from . import holofn
 from .holofn import DomainError, ExprSyntaxError
-from .weierstrass import GeneratingData, Part, SurfacePatch, evaluate_surface
+from .weierstrass import GeneratingData, Part, SurfacePatch, _domain, evaluate_surface
 from .geometry import BlockFold, forms_blocks
 from .canonical import (
     BranchError,
@@ -64,15 +64,9 @@ def _parse_domain(text: str):
     if len(parts) != 4:
         raise _UsageError("domain must be umin:umax:vmin:vmax")
     try:
-        u0, u1, v0, v1 = map(float, parts)
+        return _domain(parts)
     except ValueError as exc:
-        raise _UsageError("bad domain %r" % text) from exc
-    # the widths too: -1e308:1e308 overflows np.linspace into NaN nodes
-    if not np.all(np.isfinite([u0, u1, v0, v1, u1 - u0, v1 - v0])):
-        raise _UsageError("domain bounds and widths must be finite")
-    if not (u0 < u1 and v0 < v1):
-        raise _UsageError("domain must satisfy min < max per axis")
-    return u0, u1, v0, v1
+        raise _UsageError("bad domain %r: %s" % (text, exc)) from exc
 
 
 def _parse_grid(text: str):

@@ -19,8 +19,8 @@ import numpy as np
 from .algebra import SplitComplex, from_null, splitc
 from .algebra import exp as sc_exp
 from .holofn import Const, DomainError, HoloExpr
-from .weierstrass import GeneratingData, _null_index, curve_expressions
-from .canonical import FieldMatch, _axes, canonical_curvature_field, compare_curvature_fields
+from .weierstrass import GeneratingData, _axes, _null_index, curve_expressions
+from .canonical import FieldMatch, canonical_curvature_field, compare_curvature_fields
 
 __all__ = [
     "InvalidParams",

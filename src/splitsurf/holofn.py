@@ -794,12 +794,14 @@ def _gk_panels(funs, owner, a, b):
     """K15 values and |K15 - G7| errors, shaped (panels, components), of the
     panels [a, b]; the panels finite in every component; whether there is
     one component.  funs[k] gets the panels of owner == k as one (panels, 15)
-    array; an expression's eval_null is NaN only within NULL_EPS of a null
-    denominator or at a negative radicand, not merely next to a pole."""
+    array, and funs[0] a (0, 15) one when there is no panel, for the
+    component count alone; an expression's eval_null is NaN only within
+    NULL_EPS of a null denominator or at a negative radicand, not merely
+    next to a pole."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     k15, good = None, np.empty(len(a), bool)
     # one problem at a time, its values freed before the next, bounds the memory
-    for k in np.flatnonzero(np.bincount(owner)):
+    for k in np.flatnonzero(np.bincount(owner)) if owner.size else [0]:
         sel = owner == k
         h = half[sel]
         x = mid[sel, None] + h[:, None] * _GK_NODES
@@ -827,41 +829,47 @@ def _blocked(failed, pivot):
     return np.where(np.arange(len(failed)) >= pivot, seen[1:] > at, seen[:-1] < at)
 
 
-def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
+def integrate_sweep(fun, knots, origin, tol: float = 1e-10, failed=None):
     """Integrals of vectorized real functions from knots[origin] to every knot.
 
-    fun, ascending knots and an origin index make one problem, or are
-    equal-length sequences of problems.  fun returns values broadcastable to
-    its argument, or a list of such arrays, one per component, as many for
-    every problem.  The open gaps of all problems bisect in one G7/K15 batch
-    per round, and a gap's components share its panels.  A gap converges
-    when each component's summed error estimate is at most tol (absolute);
-    until then it bisects the panels where a component's error exceeds
-    tol / (panels in the gap).  It fails when it would need more than
-    MAX_PANELS panels, its bisection underflows, or a component is
-    non-finite on it; the knots of its problem beyond it, seen from that
-    problem's origin, are then unreachable and leave the batch.  A pole in a
-    gap fails it so only after some 16 to 20 rounds of bisection toward it,
-    mostly by the panel budget; pole_gaps finds it without quadrature.
+    fun, ascending knots, an origin index and optionally a mask of the gaps
+    that fail before any quadrature (failed[i] for the gap from knots[i] to
+    knots[i+1]) make one problem, or are equal-length sequences of problems.
+    fun returns values broadcastable to its argument, or a list of such
+    arrays, one per component, as many for every problem.  The open gaps of
+    all problems bisect in one G7/K15 batch per round, and a gap's
+    components share its panels.  A gap converges when each component's
+    summed error estimate is at most tol (absolute); until then it bisects
+    the panels where a component's error exceeds tol / (panels in the gap).
+    It fails when it is masked, would need more than MAX_PANELS panels, its
+    bisection underflows, or a component is non-finite on it; the knots of
+    its problem beyond it, seen from that problem's origin, are then
+    unreachable, and none of its panels or theirs is evaluated from then on.
+    A pole in a gap fails it by quadrature only after some 16 to 20 rounds
+    of bisection toward it, mostly by the panel budget, so callers mask the
+    gaps that pole_gaps finds.
 
     Returns (F, reachable), or a list of them for a sequence of problems.
     F[..., i], with a leading component axis for a list, is the integral
     from knots[origin] to knots[i], summed gap by gap outward from the
     origin, and NaN where reachable[i] is False.
     """
-    funs, knots, origins = ([fun], [knots], [origin]) if callable(fun) else (fun, knots, origin)
+    funs, knots, origins, masks = (([fun], [knots], [origin], [failed]) if callable(fun)
+                                   else (fun, knots, origin, failed))
     knots = [np.asarray(k, float) for k in knots]
     sizes = [len(k) - 1 for k in knots]
     owner = np.repeat(np.arange(len(knots)), sizes)
     first = np.cumsum([0, *sizes])  # first gap of each problem
     pivot = (first[:-1] + np.asarray(origins, int))[owner]
     n_gaps = len(owner)
-    gap_val, single = np.zeros((n_gaps, 1)), True  # until an integrand is called
-    failed, open_ = np.zeros(n_gaps, bool), np.ones(n_gaps, bool)
+    failed = np.zeros(n_gaps, bool) if failed is None else np.concatenate(masks).astype(bool)
+    open_ = ~_blocked(failed, pivot)
     # leaves of the open gaps: gap index, a, b, K15 values, error estimates
     leaves = None
-    new = (np.arange(n_gaps), np.concatenate([k[:-1] for k in knots]), np.concatenate([k[1:] for k in knots]))
-    while new[0].size:
+    gaps = np.flatnonzero(open_)
+    new = (gaps, np.concatenate([k[:-1] for k in knots])[gaps], np.concatenate([k[1:] for k in knots])[gaps])
+    # a first round with no gap open still learns the component count
+    while leaves is None or new[0].size:
         val, err, good, single = _gk_panels(funs, owner[new[0]], new[1], new[2])
         failed[new[0][~good]] = True
         new += (val, err)
@@ -881,7 +889,7 @@ def integrate_sweep(fun, knots, origin, tol: float = 1e-10):
         mid = 0.5 * (a + b)
         failed[gap[split & ((mid == a) | (mid == b))]] = True
         failed |= open_ & (count + np.bincount(gap[split], minlength=n_gaps) > MAX_PANELS)
-        if failed.any():
+        if (failed & open_).any():  # a gap failed this round
             open_ &= ~_blocked(failed, pivot)
         split &= open_[gap]
         keep = open_[gap] & ~split

@@ -162,6 +162,25 @@ class _NullIndex:
         return xu, xv, np.isfinite(xu).all(axis=-1) & np.isfinite(xv).all(axis=-1)
 
 
+def _domain(domain):
+    """domain (u_min, u_max, v_min, v_max) as four floats; ValueError unless
+    every bound and both widths are finite and min < max per axis.  The one
+    domain rule of every entry point, the CLI's --domain included."""
+    u0, u1, v0, v1 = map(float, domain)
+    # the widths too: (-1e308, 1e308) overflows np.linspace into NaN nodes
+    if not np.all(np.isfinite([u0, u1, v0, v1, u1 - u0, v1 - v0])):
+        raise ValueError("domain bounds and widths must be finite")
+    if not (u0 < u1 and v0 < v1):
+        raise ValueError("domain must satisfy min < max per axis")
+    return u0, u1, v0, v1
+
+
+def _axes(domain, grid):
+    """The u and v sample axes of domain at grid (N, M)."""
+    u0, u1, v0, v1 = _domain(domain)
+    return np.linspace(u0, u1, grid[0]), np.linspace(v0, v1, grid[1])
+
+
 def _null_index(us, vs, z0: SplitComplex | None = None) -> _NullIndex:
     """Per side, the sorted values of p = u+v (q = u-v) over the grid, with
     the base point's inserted when one is given, and every node's place among
@@ -199,34 +218,17 @@ def _null_sweep(exprs, index: _NullIndex, z0: SplitComplex, tol: float):
     components on its last axis, and the nodes both sides reach.
 
     The integral is from_null(F+(p) - F+(p0), F-(q) - F-(q0)): one sweep per
-    side over the index's knots, up to the gaps with a located pole, on
-    panels all components share, and both sides in one integrate_sweep call.
+    side over all the index's knots, on panels all components share, and both
+    sides in one integrate_sweep call.  The gaps where pole_gaps locates a
+    pole fail before any quadrature, so the knots beyond them, seen from p0
+    (q0), are unreachable without a panel evaluated past the pole.
     """
     origins = [int(np.searchsorted(k, float(t0))) for k, t0 in zip(index.knots, (z0.p, z0.q))]
-    sides = _sweep_to_poles(exprs, index.knots, origins, tol)
-    (fp, reach_p), (fq, reach_q) = ((v.T[a], r[a]) for (v, r), a in zip(sides, index.at))
-    return (fp, fq), reach_p & reach_q
-
-
-def _sweep_to_poles(exprs, knots, origins, tol):
-    """Per side, integrals of exprs from knots[origin] to every knot, and reachability.
-
-    Each side's integrate_sweep problem stops at the gaps nearest its origin
-    that pole_gaps marks; the knots beyond are unreachable, as they would be
-    once the sweep failed those gaps after bisecting to MAX_PANELS panels.
-    """
-    cuts = []
-    for side, k, o in zip((PLUS, MINUS), knots, origins):
-        poles = np.flatnonzero(pole_gaps(exprs, k, side))
-        cuts.append(slice(poles[poles < o].max(initial=-1) + 1, poles[poles >= o].min(initial=len(k) - 1) + 1))
     funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
-    swept = integrate_sweep(funs, [k[c] for k, c in zip(knots, cuts)],
-                            [o - c.start for o, c in zip(origins, cuts)], tol)
-    out = [(np.full((len(exprs), len(k)), np.nan), np.zeros(len(k), bool)) for k in knots]
-    for (values, reach), (v, r), c in zip(out, swept, cuts):
-        # a sweep with no gap on either side returns one zero, not one per component
-        values[:, c], reach[c] = v, r
-    return out
+    poles = [pole_gaps(exprs, k, side) for k, side in zip(index.knots, (PLUS, MINUS))]
+    swept = integrate_sweep(funs, index.knots, origins, tol, poles)
+    (fp, reach_p), (fq, reach_q) = ((v.T[a], r[a]) for (v, r), a in zip(swept, index.at))
+    return (fp, fq), reach_p & reach_q
 
 
 def evaluate_surface(
@@ -237,7 +239,9 @@ def evaluate_surface(
 ) -> SurfacePatch:
     """Sample the selected part of the integral curve over a rectangle.
 
-    domain is (u_min, u_max, v_min, v_max); grid is (N, M) with N, M >= 3.
+    domain is (u_min, u_max, v_min, v_max), with finite bounds and widths
+    and min < max per axis; grid is (N, M) with N, M >= 3 (ValueError
+    otherwise).
     Every grid expression is evaluated once per knot of the grid's null
     index (_null_index: on square steps the exact lattice of p = u+v and
     q = u-v, else their distinct float values), which the patch keeps.
@@ -250,11 +254,12 @@ def evaluate_surface(
     A node is valid when the integrand is finite there, its tangent plane
     does not degenerate (|E| > 1e-12 |x_u|^2, with the Euclidean length of
     the tangent x_u), and it is reachable: every gap between p0 and p, and
-    between q0 and q, converged.  A gap fails at once where holofn.pole_gaps
-    locates a pole of the integrand, also one within rounding of a knot;
-    other singular gaps (a branch point, a pole just beyond a knot) fail by
-    the panel budget or a non-finite value.  Invalid nodes hold NaN instead
-    of aborting the patch.
+    between q0 and q, converged.  A gap where holofn.pole_gaps locates a
+    pole of the integrand, also one within rounding of a knot, is in the
+    sweep's failed mask and fails before any quadrature; other singular gaps
+    (a branch point, a pole just beyond a knot) fail by the panel budget or
+    a non-finite value.  Invalid nodes hold NaN instead of aborting the
+    patch.
 
     Each stage drops the node-sized arrays it no longer needs: x_v goes as
     soon as the tangents are read, x_u after the degeneracy test, before the
@@ -262,14 +267,10 @@ def evaluate_surface(
     formed and NaN-masked in place.  So the call peaks at about four
     (n, m, 3) float arrays, the returned patch and its null index included.
     """
-    u0, u1, v0, v1 = map(float, domain)
     n, m = grid
     if n < 3 or m < 3:
         raise ValueError("grid must be at least 3x3")
-    if not (u0 < u1 and v0 < v1):
-        raise ValueError("domain must satisfy min < max per axis")
-    us = np.linspace(u0, u1, n)
-    vs = np.linspace(v0, v1, m)
+    us, vs = _axes(domain, grid)
     z0 = data.base_point
     index = _null_index(us, vs, z0)
 

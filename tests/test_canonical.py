@@ -1,3 +1,4 @@
+import math
 import operator
 import warnings
 from fractions import Fraction
@@ -113,6 +114,17 @@ def test_canonicalized_patch_passes_coefficient_check():
 def test_branch_error_at_critical_point():
     with pytest.raises(BranchError):
         canonicalize(parse("1"), parse("z^3"), w0=splitc(0), z0=splitc(0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("domain", [(0, math.inf, 0, 1), (1, 0, 0, 1), (0, 1, -1e308, 1e308)],
+                         ids=["inf_bound", "min_above_max", "overflowing_width"])
+def test_domain_rule_in_canonical_parameters(domain):
+    # evaluate_surface's rule: a ValueError, not NaN nodes or a silently reversed axis
+    with pytest.raises(ValueError, match="domain"):
+        canonicalize(parse("1"), parse("z^2/2"), z0=splitc(1), domain=domain, grid=(5, 5))
+    with pytest.raises(ValueError, match="domain"):
+        canonical_curvature_field(GeneratingData.canonical(parse("z")), domain, (5, 5))
 
 
 def test_affine_rejects_inadmissible_constant():

@@ -366,6 +366,60 @@ def test_integrate_sweep_components_share_panels():
         assert np.max(np.abs(values[k] - alone)) < 1e-10
 
 
+def _recorded(fun, seen):
+    """fun, with every abscissa it is called on appended to seen."""
+    return lambda t: seen.append(np.ravel(t)) or fun(t)
+
+
+@pytest.mark.parametrize("n_problems", [1, 2])
+def test_integrate_sweep_failed_gaps_equal_the_cut_sweep(n_problems):
+    # (fun, knots, origin, failed gaps): the first problem's gap 5,
+    # [0.25, 0.5], holds the pole of 1/(t - 0.3), which the mask fails
+    # before any panel reaches it; the second fails gaps on both sides of
+    # its origin, the nearer of two on the left
+    problems = [
+        (lambda t: [np.cos(t), 1.0 / (t - 0.3)], np.linspace(-1.0, 1.0, 9), 4, [5]),
+        (lambda t: [np.exp(-t * t), np.sin(3.0 * t)], np.linspace(-2.0, 1.0, 13), 7, [1, 3, 10]),
+    ][:n_problems]
+    masks = [np.isin(np.arange(len(k) - 1), gaps) for _, k, _, gaps in problems]
+    # the cut keeps the knots between the failed gaps nearest the origin
+    cuts = [slice(max([g + 1 for g in gaps if g < o], default=0),
+                  min([g for g in gaps if g >= o], default=len(k) - 1) + 1) for _, k, o, gaps in problems]
+    seen = [[] for _ in problems]
+    funs = [_recorded(fun, s) for (fun, _, _, _), s in zip(problems, seen)]
+    knots = [k for _, k, _, _ in problems]
+    origins = [o for _, _, o, _ in problems]
+    if n_problems == 1:
+        got = [integrate_sweep(funs[0], knots[0], origins[0], 1e-10, masks[0])]
+        cut = [integrate_sweep(problems[0][0], knots[0][cuts[0]], origins[0] - cuts[0].start)]
+    else:
+        got = integrate_sweep(funs, knots, origins, 1e-10, masks)
+        cut = integrate_sweep([p[0] for p in problems], [k[c] for k, c in zip(knots, cuts)],
+                              [o - c.start for o, c in zip(origins, cuts)])
+    for (values, reach), (cut_values, cut_reach), k, c, s in zip(got, cut, knots, cuts, seen):
+        beyond = np.ones(len(k), bool)
+        beyond[c] = False
+        assert values.shape == (2, len(k))
+        # bit for bit on the kept knots, NaN and unreachable beyond them
+        assert np.array_equal(values[:, c], cut_values) and np.array_equal(reach[c], cut_reach)
+        assert cut_reach.all() and not reach[beyond].any() and np.isnan(values[:, beyond]).all()
+        # no abscissa inside a failed gap or one it blocks
+        t = np.concatenate(s)
+        assert t.size and np.all((t > k[c][0]) & (t < k[c][-1]))
+
+
+def test_integrate_sweep_with_every_gap_blocked_calls_no_abscissa():
+    # failed gaps on both sides of the origin leave it alone reachable; the
+    # components still stand on their own axis
+    seen = []
+    knots = np.linspace(-1.0, 1.0, 5)
+    values, reach = integrate_sweep(_recorded(lambda t: [np.cos(t), np.sin(t), t], seen), knots, 2, 1e-10,
+                                    [False, True, True, False])
+    assert values.shape == (3, 5) and reach.tolist() == [False, False, True, False, False]
+    assert np.array_equal(values[:, 2], np.zeros(3)) and np.isnan(np.delete(values, 2, axis=1)).all()
+    assert not np.concatenate(seen).size
+
+
 def test_integrate_real_gives_up_within_the_panel_budget():
     # 1/(t - c)^2 near a pole 5e-6 outside [1/4, 1/2]: the integral is ~2e5,
     # so the absolute tol lies below its roundoff; the bounded search gives up

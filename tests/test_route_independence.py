@@ -49,8 +49,11 @@ def _per_node_routes(P, Q):
     def null_sweep(exprs, index, z0, tol):
         knots, at = zip(*(np.unique(np.append(t, float(t0)), return_inverse=True)
                           for t, t0 in ((P, z0.p), (Q, z0.q))))
-        # the same cut at located poles, through the same helper, on knots from the nodes themselves
-        swept = weierstrass._sweep_to_poles(exprs, knots, [int(i[-1]) for i in at], tol)
+        # located poles fail their gaps before any quadrature, through the
+        # public calls, on knots from the nodes themselves
+        funs = [lambda s, side=side: [e.eval_null(s, side) for e in exprs] for side in (PLUS, MINUS)]
+        poles = [holofn.pole_gaps(exprs, k, side) for k, side in zip(knots, (PLUS, MINUS))]
+        swept = holofn.integrate_sweep(funs, knots, [int(i[-1]) for i in at], tol, poles)
         (fp, reach_p), (fq, reach_q) = ((v.T[i[:-1]].reshape(P.shape + (-1,)), r[i[:-1]].reshape(P.shape))
                                         for (v, r), i in zip(swept, at))
         return (fp, fq), reach_p & reach_q
@@ -171,7 +174,7 @@ def _affine_cases(draw):
 def test_affine_sides_equal_the_quadrature_inversion(case):
     f, g, z0, w0, domain, grid, sign = case
     phi = f * g.derivative()
-    us, vs = canonical._axes(domain, grid)
+    us, vs = weierstrass._axes(domain, grid)
     data = GeneratingData.general(f, g, base_point=z0)
 
     def routes():

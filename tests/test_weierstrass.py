@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -155,6 +156,15 @@ def test_grid_validation():
         evaluate_surface(data, (-1, 1, -1, 1), (2, 5))
     with pytest.raises(ValueError):
         evaluate_surface(data, (1, -1, -1, 1), (5, 5))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("domain", [(-math.inf, 1, -1, 1), (0, 1, 0, math.nan), (-1e308, 1e308, 0, 1), (0, 1, 1, 1)],
+                         ids=["inf_bound", "nan_bound", "overflowing_width", "empty"])
+def test_domain_rule_rejects_what_cannot_be_sampled(domain):
+    # a ValueError, not a RuntimeWarning from NaN nodes: the rule the CLI's --domain holds to
+    with pytest.raises(ValueError, match="domain"):
+        evaluate_surface(GeneratingData.canonical(parse("z")), domain, (5, 5))
 
 
 def _null_grid(patch):
